@@ -3,8 +3,8 @@ adaptive regularization-parameter selection via the discrepancy
 principle."""
 
 from .guided_filter import GfParams, guidfilter, smooth_gradients
-from .image_core import as_image, box_mean, box_sum, centered_sq_norm, mean
-from .pipeline import GfdConfig, IterationRecord, IterationTrace, run_gfd
+from .image_core import as_image, box_mean, box_sum, centered_sq_norm
+from .pipeline import GfdConfig, IterationRecord, run_gfd
 from .regparam import (
     DiscrepancySpec,
     LambdaChoice,
@@ -26,8 +26,8 @@ from .spectral import (
 
 __all__ = [
     "GfParams", "guidfilter", "smooth_gradients",
-    "as_image", "box_mean", "box_sum", "centered_sq_norm", "mean",
-    "GfdConfig", "IterationRecord", "IterationTrace", "run_gfd",
+    "as_image", "box_mean", "box_sum", "centered_sq_norm",
+    "GfdConfig", "IterationRecord", "run_gfd",
     "DiscrepancySpec", "LambdaChoice", "NoiseEstimate",
     "choose_lambda", "compute_rho", "estimate_sigma",
     "INFINITY", "Psf", "circ_convolve", "derivative_spectra",

@@ -10,38 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import bench, pgm
-from .config import load_run_config
-from .errors import (
-    BracketFailure,
-    ConfigError,
-    DegenerateInput,
-    DimensionMismatch,
-    GfdError,
-    ImageTooSmall,
-    KernelTooLarge,
-    PgmParseError,
-    SingularDenominator,
-    UnsupportedFormat,
-    WindowTooLarge,
-)
+from . import bench, config, pgm
+from .errors import BracketFailure, DegenerateInput, GfdError, SingularDenominator
 from .guided_filter import GfParams
 from .pipeline import GfdConfig, run_gfd
 from .spectral import Psf
 
-_DATA_ERRORS = (
-    PgmParseError,
-    UnsupportedFormat,
-    ConfigError,
-    DimensionMismatch,
-    WindowTooLarge,
-    KernelTooLarge,
-    ImageTooSmall,
-    OSError,
-    ValueError,
-)
 _NUMERIC_ERRORS = (SingularDenominator, BracketFailure, DegenerateInput)
 
 
@@ -95,12 +69,13 @@ def _build_parser() -> _Parser:
     d.add_argument("--in", dest="infile", required=True)
     d.add_argument("--psf", required=True)
     d.add_argument("--out", required=True)
-    d.add_argument("--sigma", type=float, default=None)
-    d.add_argument("--estimate-sigma", action="store_true")
-    d.add_argument("--iters", type=int, default=30)
-    d.add_argument("--gf-w", type=int, default=None)
-    d.add_argument("--gf-eps", type=float, default=None)
-    d.add_argument("--tau", type=float, default=0.6)
+    noise = d.add_mutually_exclusive_group()
+    noise.add_argument("--sigma", type=float)
+    noise.add_argument("--estimate-sigma", action="store_true")
+    d.add_argument("--iters", dest="iterations", type=int)
+    d.add_argument("--gf-w", type=int)
+    d.add_argument("--gf-eps", type=float)
+    d.add_argument("--tau", type=float)
     d.add_argument("--trace", default=None)
     d.add_argument("--ref", default=None)
     d.add_argument("--config", default=None)
@@ -125,44 +100,38 @@ def _build_parser() -> _Parser:
     s.add_argument("--grid", default="0.1:0.05:1.0")
     s.add_argument("--out", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--iters", type=int, default=30)
+    s.add_argument("--iters", dest="iterations", type=int)
 
     r = sub.add_parser("run-scenarios", help="comparison table over a directory")
     r.add_argument("--images", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--scenarios", default="1,2,3,4,5")
-    r.add_argument("--iters", type=int, default=30)
+    r.add_argument("--iters", dest="iterations", type=int)
     r.add_argument("--known-sigma", action="store_true")
     return p
 
 
+def _gfd_config(args, settings=(), **fixed) -> GfdConfig:
+    """GfdConfig from config-file settings with the flags given on top:
+    flag > config file > GfdConfig default."""
+    merged = dict(settings)
+    merged.update(
+        (k, v) for k, v in vars(args).items() if k in config.KEYS and v is not None
+    )
+    gf = {name: merged.pop(key)
+          for key, name in (("gf_w", "win"), ("gf_eps", "eps")) if key in merged}
+    return GfdConfig(gf_main=GfParams(**gf), **merged, **fixed)
+
+
 def _cmd_deblur(args) -> int:
-    iterations = args.iters
-    tau = args.tau
-    sigma = args.sigma
-    gf_w, gf_eps = args.gf_w, args.gf_eps
-    rel_tol, max_bisect = 1e-3, 60
-    if args.config:
-        rc = load_run_config(args.config)
-        iterations, tau = rc.iterations, rc.tau
-        rel_tol, max_bisect = rc.rel_tol, rc.max_bisect
-        sigma = rc.sigma if sigma is None else sigma
-        gf_w = rc.gf_w if gf_w is None else gf_w
-        gf_eps = rc.gf_eps if gf_eps is None else gf_eps
+    settings = config.load_run_config(args.config) if args.config else {}
     if args.estimate_sigma:
-        sigma = None
+        settings.pop("sigma", None)
     g = pgm.read_image(args.infile)
     psf = parse_psf_spec(args.psf)
-    gf_main = None
-    if gf_w is not None or gf_eps is not None:
-        gf_main = GfParams(win=gf_w if gf_w is not None else 5,
-                           eps=gf_eps if gf_eps is not None else 0.04)
     ref = pgm.read_image(args.ref) if args.ref else None
-    cfg = GfdConfig(
-        iterations=iterations, gf_main=gf_main, tau=tau,
-        rel_tol=rel_tol, max_bisect=max_bisect, sigma=sigma, reference=ref,
-    )
+    cfg = _gfd_config(args, settings, reference=ref)
     restored, trace = run_gfd(g, psf, cfg)
     pgm.write_image(args.out, restored)
     if args.trace:
@@ -208,7 +177,7 @@ def _cmd_sweep_rho(args) -> int:
         psf,
         bsnr_levels=_parse_levels(args.bsnr),
         rho_grid=parse_grid(args.grid),
-        cfg=GfdConfig(iterations=args.iters),
+        cfg=_gfd_config(args),
         seed=args.seed,
         image_name=Path(args.infile).stem,
     )
@@ -227,7 +196,7 @@ def _cmd_run_scenarios(args) -> int:
     rows = bench.run_scenarios(
         images,
         scenarios,
-        cfg=GfdConfig(iterations=args.iters),
+        cfg=_gfd_config(args),
         seed=args.seed,
         known_sigma=args.known_sigma,
     )
@@ -255,10 +224,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"gfdeblur: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except _DATA_ERRORS as exc:
-        print(f"gfdeblur: {exc}", file=sys.stderr)
-        return 2
-    except GfdError as exc:
+    except (GfdError, OSError, ValueError) as exc:
         print(f"gfdeblur: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,12 @@
 """Plain-text run configuration: `key = value` lines, # comments.
 
-Defaults mirror GfdConfig exactly.  Unknown keys and malformed values
-are rejected with the offending key and line number.
+Each key names a GfdConfig setting (gf_w and gf_eps those of the main
+guided filter); a key the file omits keeps GfdConfig's default.  Unknown
+keys and malformed values are rejected with the offending key and line
+number.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .errors import ConfigError
 
@@ -26,37 +25,14 @@ _KEY_PARSERS = {
     "max_bisect": _positive_int,
     "gf_w": _positive_int,
     "gf_eps": float,
-    "grad_w": _positive_int,
-    "grad_eps": float,
     "sigma": float,
-    "seed": int,
-    "scenario": _positive_int,
-    "in": str,
-    "out": str,
-    "psf": str,
-    "ref": str,
-    "trace": str,
 }
+KEYS = frozenset(_KEY_PARSERS)
 
 
-@dataclass
-class RunConfig:
-    iterations: int = 30
-    tau: float = 0.6
-    rel_tol: float = 1e-3
-    max_bisect: int = 60
-    gf_w: Optional[int] = None
-    gf_eps: Optional[float] = None
-    grad_w: Optional[int] = None
-    grad_eps: Optional[float] = None
-    sigma: Optional[float] = None
-    seed: int = 0
-    scenario: Optional[int] = None
-    paths: dict = field(default_factory=dict)  # in/out/psf/ref/trace
-
-
-def parse_run_config(text: str) -> RunConfig:
-    cfg = RunConfig()
+def parse_run_config(text: str) -> dict:
+    """The settings the text sets, keyed by name; omitted keys are absent."""
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -67,18 +43,14 @@ def parse_run_config(text: str) -> RunConfig:
         if key not in _KEY_PARSERS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            parsed = _KEY_PARSERS[key](value)
+            settings[key] = _KEY_PARSERS[key](value)
         except ValueError as exc:
             raise ConfigError(
                 f"line {lineno}: bad value for {key!r}: {value!r} ({exc})"
             ) from exc
-        if key in ("in", "out", "psf", "ref", "trace"):
-            cfg.paths[key] = parsed
-        else:
-            setattr(cfg, key, parsed)
-    return cfg
+    return settings
 
 
-def load_run_config(path) -> RunConfig:
+def load_run_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_run_config(fh.read())

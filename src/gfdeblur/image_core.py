@@ -29,10 +29,6 @@ def validate_window(w: int) -> int:
     return int(w)
 
 
-def mean(img: np.ndarray) -> float:
-    return float(img.mean())
-
-
 def centered_sq_norm(img: np.ndarray) -> float:
     """Sum of squared deviations from the image mean."""
     d = img - img.mean()

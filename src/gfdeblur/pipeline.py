@@ -6,8 +6,8 @@ re-selected every iteration from the discrepancy principle.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -31,14 +31,16 @@ EPS_FLOOR = 1e-6
 
 @dataclass
 class GfdConfig:
-    """Run configuration; None fields are derived at run time.
+    """Run configuration and the single source of its defaults; None
+    fields are derived at run time.
 
-    gf_main defaults to win=5 with eps = (2 * sigma_hat)^2; gf_grad
-    defaults to gf_main.  sigma None means estimate from the observation.
+    A GfParams eps of None means (2 * sigma_hat)^2, floored at EPS_FLOOR;
+    gf_grad None means gf_main.  sigma None means estimate from the
+    observation.
     """
 
     iterations: int = 30
-    gf_main: Optional[GfParams] = None
+    gf_main: GfParams = field(default_factory=GfParams)
     gf_grad: Optional[GfParams] = None
     tau: float = 0.6
     rel_tol: float = 1e-3
@@ -63,26 +65,9 @@ class IterationRecord:
     isnr: Optional[float] = None
 
 
-@dataclass
-class IterationTrace:
-    records: List[IterationRecord] = field(default_factory=list)
-
-    def append(self, rec: IterationRecord) -> None:
-        self.records.append(rec)
-
-    def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-
-def default_gf_params(sigma: float) -> GfParams:
-    return GfParams(win=5, eps=max((2.0 * sigma) ** 2, EPS_FLOOR))
-
-
 def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
-    """Restore g blurred by psf; returns (restored image, trace).
+    """Restore g blurred by psf; returns (restored image, list of
+    IterationRecord, one per iteration).
 
     Iteration k: pick rho and the bound from the current pre-estimate v,
     bisect for lambda, solve for the guidance and input images, then
@@ -90,8 +75,11 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     new v.  v starts as a black image.
     """
     est = NoiseEstimate(cfg.sigma) if cfg.sigma is not None else estimate_sigma(g)
-    gf_main = cfg.gf_main if cfg.gf_main is not None else default_gf_params(est.sigma)
-    gf_grad = cfg.gf_grad if cfg.gf_grad is not None else gf_main
+    eps = max((2.0 * est.sigma) ** 2, EPS_FLOOR)
+    gf_main, gf_grad = (
+        p if p.eps is not None else replace(p, eps=eps)
+        for p in (cfg.gf_main, cfg.gf_grad if cfg.gf_grad is not None else cfg.gf_main)
+    )
 
     npix = g.size
     v = np.zeros_like(g)
@@ -102,13 +90,13 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     if ref is not None:
         ref_err_obs = float(np.sum((ref - g) ** 2))
 
-    trace = IterationTrace()
+    trace: list[IterationRecord] = []
     for k in range(1, cfg.iterations + 1):
         if cfg.rho_override is not None:
             rho = cfg.rho_override
         else:
             rho = compute_rho(g, v, est, cfg.tau)
-        spec = DiscrepancySpec(rho=rho, bound_c=rho * npix * est.variance, tau=cfg.tau)
+        spec = DiscrepancySpec.from_noise(rho, npix, est.variance, tau=cfg.tau)
         try:
             choice = choose_lambda(
                 g, psf, v, spec, rel_tol=cfg.rel_tol, max_iter=cfg.max_bisect

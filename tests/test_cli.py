@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from gfdeblur.cli import main, parse_grid, parse_psf_spec
+from gfdeblur.cli import _build_parser, _gfd_config, main, parse_grid, parse_psf_spec
 from gfdeblur.config import parse_run_config
 from gfdeblur.errors import ConfigError
+from gfdeblur.pipeline import GfdConfig
 from gfdeblur.pgm import read_image, write_image
 
 from conftest import natural_image, rand_int_image
@@ -141,23 +142,46 @@ def test_run_scenarios_command(tmp_path):
     assert lines[1].startswith("toy,3,")
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert main(["deblur", "--in", "x"]) == 1  # usage: missing required args
     assert main([
         "deblur", "--in", str(tmp_path / "missing.pgm"), "--psf", "boxcar:1",
         "--out", str(tmp_path / "o.pgm"),
     ]) == 2  # data error: file does not exist
+    src = tmp_path / "g.pgm"
+    write_image(src, rand_int_image(5, (16, 16)))
+    deblur = ["deblur", "--in", str(src), "--psf", "boxcar:1", "--out", str(tmp_path / "o.pgm")]
+    # usage: a known sigma and an estimated one exclude each other
+    assert main(deblur + ["--sigma", "0.5", "--estimate-sigma"]) == 1
+    # data error: a config key that no setting reads is rejected, not ignored
+    conf = tmp_path / "run.conf"
+    for line in ("seed = 1", "grad_w = 3", "in = g.pgm"):
+        conf.write_text(f"iterations = 1\n{line}\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(deblur + ["--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert "line 2" in err and repr(line.split(" ")[0]) in err
+    # numerical failure: a constant observation has no BSNR
+    flat = tmp_path / "flat.pgm"
+    write_image(flat, np.full((16, 16), 7.0))
+    assert main([
+        "evaluate", "--clean", str(src), "--observed", str(flat),
+        "--restored", str(src), "--sigma", "1",
+    ]) == 3
 
 
 # -------------------------------------------------------------- config
 
 
 def test_config_defaults_match_pipeline_defaults():
-    cfg = parse_run_config("")
-    assert cfg.iterations == 30
-    assert cfg.tau == 0.6
-    assert cfg.rel_tol == 1e-3
-    assert cfg.max_bisect == 60
+    # An empty file and no flags leave every setting at GfdConfig's default.
+    assert parse_run_config("") == {}
+    for argv in (
+        ["deblur", "--in", "g.pgm", "--psf", "boxcar:1", "--out", "v.pgm"],
+        ["sweep-rho", "--in", "c.pgm", "--psf", "boxcar:1", "--out", "r.csv"],
+        ["run-scenarios", "--images", "imgs", "--out", "s.csv"],
+    ):
+        assert _gfd_config(_build_parser().parse_args(argv)) == GfdConfig()
 
 
 def test_config_unknown_key_named():
@@ -171,13 +195,10 @@ def test_config_malformed_value_line_number():
 
 
 def test_config_parses_values_and_paths():
-    cfg = parse_run_config(
-        "iterations = 12\nsigma = 2.5\ngf_w = 7\nin = g.pgm  # observation\n"
+    settings = parse_run_config(
+        "iterations = 12\nsigma = 2.5  # known noise\ngf_w = 7\n"
     )
-    assert cfg.iterations == 12
-    assert cfg.sigma == 2.5
-    assert cfg.gf_w == 7
-    assert cfg.paths["in"] == "g.pgm"
+    assert settings == {"iterations": 12, "sigma": 2.5, "gf_w": 7}
 
 
 def test_deblur_with_config_file(tmp_path):
@@ -193,3 +214,18 @@ def test_deblur_with_config_file(tmp_path):
     ])
     assert rc == 0
     np.testing.assert_array_equal(read_image(out), img)
+
+    # Flags override the file; settings neither gives keep their defaults.
+    write_image(src, natural_image(4, 32))
+    deblur = ["deblur", "--in", str(src), "--psf", "boxcar:3", "--out", str(out)]
+    trace = tmp_path / "trace.csv"
+    for text in ("sigma = 0.555\n", "sigma = 0.555\niterations = 5\n"):
+        conf.write_text(text, encoding="utf-8")
+        assert main(deblur + ["--config", str(conf), "--iters", "3", "--trace", str(trace)]) == 0
+        assert len(trace.read_text().splitlines()) == 1 + 3
+    # A window alone keeps the derived eps, so --gf-w 5 (the default) is a no-op.
+    outputs = []
+    for extra in ([], ["--gf-w", "5"]):
+        assert main(deblur + ["--sigma", "5", "--iters", "2"] + extra) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -4,27 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfdeblur.errors import WindowTooLarge
-from gfdeblur.image_core import as_image, box_sum, centered_sq_norm, mean
+from gfdeblur.image_core import as_image, box_sum, centered_sq_norm
 
 from conftest import box_sum_bruteforce, rand_image, rand_int_image
-
-
-def test_mean_constant():
-    assert mean(np.full((4, 4), 5.0)) == 5.0
-
-
-def test_mean_forced_arithmetic():
-    assert mean(np.array([[0.0, 0.0], [0.0, 4.0]])) == 1.0
-
-
-def test_mean_matches_naive_summation():
-    img = rand_image(1)
-    total = 0.0
-    for row in img:
-        for v in row:
-            total += v
-    expected = total / img.size
-    assert abs(mean(img) - expected) <= 1e-12 * abs(expected)
 
 
 def test_centered_sq_norm_constant_is_zero():

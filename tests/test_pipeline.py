@@ -23,7 +23,7 @@ def test_first_iteration_is_pure_tikhonov_solve():
     psf = Psf.from_taps(np.ones((3, 3)))
     cfg = GfdConfig(iterations=1, sigma=3.0)
     _, trace = run_gfd(g, psf, cfg)
-    lam = trace.records[0].lam
+    lam = trace[0].lam
     assert np.isfinite(lam)
     # With v = 0 the input solve reduces to F(h)* F(g) / (|F(h)|^2 + lam).
     H = psf_spectrum(psf, *g.shape)
@@ -39,7 +39,7 @@ def test_determinism():
     out1, tr1 = run_gfd(pair.observed, pair.psf, cfg)
     out2, tr2 = run_gfd(pair.observed, pair.psf, cfg)
     np.testing.assert_array_equal(out1, out2)
-    assert tr1.records == tr2.records
+    assert tr1 == tr2
 
 
 def test_trace_integrity():
@@ -65,7 +65,7 @@ def test_trace_isnr_recorded_with_reference():
     cfg = GfdConfig(iterations=3, sigma=pair.sigma, reference=clean)
     out, trace = run_gfd(pair.observed, pair.psf, cfg)
     assert all(rec.isnr is not None for rec in trace)
-    assert trace.records[-1].isnr == pytest.approx(isnr(clean, pair.observed, out), abs=1e-12)
+    assert trace[-1].isnr == pytest.approx(isnr(clean, pair.observed, out), abs=1e-12)
 
 
 def test_output_finite():
