@@ -16,6 +16,7 @@ from .regparam import (
 from .spectral import (
     INFINITY,
     Psf,
+    SpectralPlan,
     circ_convolve,
     derivative_spectra,
     discrepancy,
@@ -30,7 +31,7 @@ __all__ = [
     "GfdConfig", "IterationRecord", "run_gfd",
     "DiscrepancySpec", "LambdaChoice", "NoiseEstimate",
     "choose_lambda", "compute_rho", "estimate_sigma",
-    "INFINITY", "Psf", "circ_convolve", "derivative_spectra",
+    "INFINITY", "Psf", "SpectralPlan", "circ_convolve", "derivative_spectra",
     "discrepancy", "psf_spectrum", "solve_guidance", "solve_input",
 ]
 

@@ -39,7 +39,8 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
 
     Per window: a = cov(guide, src) / (var(guide) + eps), b = mean(src)
     - a * mean(guide); the output at each pixel uses the window averages
-    of a and b.
+    of a and b.  A self-guided call (src is guide) reuses the guide's
+    window statistics for src.
     """
     if guide.shape != src.shape:
         raise DimensionMismatch(
@@ -49,9 +50,12 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
         raise ValueError("GfParams.eps is unresolved (None)")
     w = params.win
     mean_g = box_mean(guide, w)
-    mean_s = box_mean(src, w)
     corr_gg = box_mean(guide * guide, w)
-    corr_gs = box_mean(guide * src, w)
+    if src is guide:
+        mean_s, corr_gs = mean_g, corr_gg
+    else:
+        mean_s = box_mean(src, w)
+        corr_gs = box_mean(guide * src, w)
     var_g = corr_gg - mean_g * mean_g
     cov_gs = corr_gs - mean_g * mean_s
     a = cov_gs / (var_g + params.eps)

@@ -50,7 +50,9 @@ def box_sum(img: np.ndarray, w: int) -> np.ndarray:
     r = (w - 1) // 2
     padded = np.pad(img, r, mode="symmetric")
     sat = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.float64)
-    sat[1:, 1:] = padded.cumsum(axis=0).cumsum(axis=1)
+    inner = sat[1:, 1:]
+    np.cumsum(padded, axis=0, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
     return sat[w:, w:] - sat[:-w, w:] - sat[w:, :-w] + sat[:-w, :-w]
 
 

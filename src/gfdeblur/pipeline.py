@@ -13,6 +13,7 @@ import numpy as np
 
 from .guided_filter import GfParams, guidfilter, smooth_gradients
 from .errors import BracketFailure
+from .image_core import as_image
 from .regparam import (
     DiscrepancySpec,
     LambdaChoice,
@@ -21,7 +22,14 @@ from .regparam import (
     compute_rho,
     estimate_sigma,
 )
-from .spectral import INFINITY, Psf, circ_convolve, solve_guidance, solve_input
+from .spectral import (
+    INFINITY,
+    Psf,
+    SpectralPlan,
+    circ_convolve,
+    solve_guidance,
+    solve_input,
+)
 
 log = logging.getLogger(__name__)
 
@@ -72,8 +80,10 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     Iteration k: pick rho and the bound from the current pre-estimate v,
     bisect for lambda, solve for the guidance and input images, then
     denoise with the guided filter and re-smooth the gradients of the
-    new v.  v starts as a black image.
+    new v.  v starts as a black image.  The spectral invariants of (g,
+    psf) are built once, and F(v) once per iteration.
     """
+    g = as_image(g)
     est = NoiseEstimate(cfg.sigma) if cfg.sigma is not None else estimate_sigma(g)
     eps = max((2.0 * est.sigma) ** 2, EPS_FLOOR)
     gf_main, gf_grad = (
@@ -81,6 +91,7 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         for p in (cfg.gf_main, cfg.gf_grad if cfg.gf_grad is not None else cfg.gf_main)
     )
 
+    plan = SpectralPlan(g, psf)
     npix = g.size
     v = np.zeros_like(g)
     vx = np.zeros_like(g)
@@ -97,10 +108,9 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         else:
             rho = compute_rho(g, v, est, cfg.tau)
         spec = DiscrepancySpec.from_noise(rho, npix, est.variance, tau=cfg.tau)
+        v_hat = plan.spectrum(v)
         try:
-            choice = choose_lambda(
-                g, psf, v, spec, rel_tol=cfg.rel_tol, max_iter=cfg.max_bisect
-            )
+            choice = choose_lambda(plan, v_hat, spec, cfg.rel_tol, cfg.max_bisect)
         except BracketFailure:
             # Bound sits above the finite-lambda asymptote only through
             # numerical slack; the asymptote residual is that of v itself.
@@ -108,12 +118,10 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
             choice = LambdaChoice(value=INFINITY, residual=resid, iterations=0)
             log.warning("iteration %d: bracket failure, falling back to lambda=inf", k)
 
-        if choice.is_infinite:
-            u_i = v
-            u_p = v
-        else:
-            u_i = solve_guidance(g, psf, vx, vy, choice.value, v)
-            u_p = solve_input(g, psf, v, choice.value)
+        lam = choice.value
+        u_p = v if choice.is_infinite else solve_input(plan, v_hat, v, lam)
+        del v_hat  # F(v) is not needed past here; free it before the filters
+        u_i = v if choice.is_infinite else solve_guidance(plan, vx, vy, lam, v)
 
         v = guidfilter(u_i, u_p, gf_main)
         vx, vy = smooth_gradients(v, gf_grad)

@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import BracketFailure, DimensionMismatch, ImageTooSmall
 from .image_core import centered_sq_norm
-from .spectral import INFINITY, Psf, _Infinity, discrepancy_from_terms, discrepancy_terms
+from .spectral import (
+    INFINITY,
+    SpectralPlan,
+    _Infinity,
+    discrepancy_from_terms,
+    discrepancy_terms,
+)
 
 # Gaussian consistency factor for the median absolute deviation.
 MAD_FACTOR = 0.6745
@@ -126,14 +132,14 @@ def compute_rho(g: np.ndarray, v: np.ndarray, est: NoiseEstimate, tau: float) ->
 
 
 def choose_lambda(
-    g: np.ndarray,
-    psf: Psf,
-    v: np.ndarray,
+    plan: SpectralPlan,
+    v_hat: np.ndarray,
     spec: DiscrepancySpec,
-    rel_tol: float = 1e-3,
-    max_iter: int = 60,
+    rel_tol: float,
+    max_iter: int,
 ) -> LambdaChoice:
-    """Solve the discrepancy equation for lambda by bisection.
+    """Solve the discrepancy equation for lambda by bisection, given the
+    pre-estimate's spectrum v_hat = plan.spectrum(v).
 
     If the pre-estimate v already meets the bound, returns INFINITY
     (downstream then takes u_I = u_p = v).  Otherwise brackets by
@@ -143,7 +149,7 @@ def choose_lambda(
         raise ValueError(f"rel_tol must be in (0, 0.1], got {rel_tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
-    a, b, npix = discrepancy_terms(g, psf, v)
+    a, b, npix = discrepancy_terms(plan, v_hat)
     c = spec.bound_c
     # lam -> inf asymptote equals the residual of v itself (Parseval).
     entry = float(b.sum() / npix)

@@ -36,6 +36,7 @@ from gfdeblur.regparam import (
 )
 from gfdeblur.spectral import (
     Psf,
+    SpectralPlan,
     circ_convolve,
     derivative_spectra,
     discrepancy,
@@ -107,10 +108,11 @@ def test_criterion_2_spectral_solve_residuals():
         H = psf_spectrum(psf, 16, 16)
         dx, dy = derivative_spectra(16, 16)
 
-        u_i = solve_guidance(g, psf, vx, vy, lam, v)
+        plan = SpectralPlan(g, psf)
+        u_i = solve_guidance(plan, vx, vy, lam, v)
         res_i = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u_i) \
             - np.conj(H) * G - lam * (np.conj(dx) * np.fft.fft2(vx) + np.conj(dy) * np.fft.fft2(vy))
-        u_p = solve_input(g, psf, v, lam)
+        u_p = solve_input(plan, plan.spectrum(v), v, lam)
         res_p = (np.abs(H) ** 2 + lam) * np.fft.fft2(u_p) - np.conj(H) * G - lam * np.fft.fft2(v)
         worst = max(worst, float(np.max(np.abs(res_i))) / scale, float(np.max(np.abs(res_p))) / scale)
     assert worst < 1e-8
@@ -131,7 +133,8 @@ def test_criterion_3_discrepancy_consistency():
         for lam, val in zip(lams, vals):
             assert val <= bound * (1 + 1e-7)  # Parseval upper bound
         lam = float(gen.uniform(0.1, 10.0))
-        u_p = solve_input(g, psf, v, lam)
+        plan = SpectralPlan(g, psf)
+        u_p = solve_input(plan, plan.spectrum(v), v, lam)
         spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
         assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
     report(3, "spectral = spatial discrepancy, monotone in lambda, bound never violated")
@@ -146,13 +149,15 @@ def test_criterion_4_bisection_contract():
         asymptote = float(np.sum((circ_convolve(v, psf) - g) ** 2))
         bound = float(gen.uniform(0.05, 0.8)) * asymptote
         spec = DiscrepancySpec(rho=1.0, bound_c=bound)
-        choice = choose_lambda(g, psf, v, spec, rel_tol=1e-3)
+        plan = SpectralPlan(g, psf)
+        choice = choose_lambda(plan, plan.spectrum(v), spec, rel_tol=1e-3, max_iter=60)
         assert not choice.is_infinite
         assert abs(choice.residual - bound) <= 1e-3 * bound
     g = gen.uniform(0, 255, (16, 16))
     bound = 0.25 * float(np.sum(g * g))
+    plan = SpectralPlan(g, Psf.delta())
     choice = choose_lambda(
-        g, Psf.delta(), np.zeros_like(g),
+        plan, plan.spectrum(np.zeros_like(g)),
         DiscrepancySpec(rho=1.0, bound_c=bound), rel_tol=1e-8, max_iter=200,
     )
     assert choice.value == pytest.approx(1.0, abs=1e-6)

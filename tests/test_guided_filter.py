@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+
+import gfdeblur.guided_filter as guided_filter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -97,3 +99,19 @@ def test_smooth_gradients_matches_composition():
     np.testing.assert_allclose(
         gy, guidfilter_bruteforce(diff_y(v), diff_y(v), 5, 0.04), atol=1e-8
     )
+
+
+def test_self_guided_reuse_is_bit_identical(monkeypatch):
+    # src is guide reuses the guide's window statistics: 4 box means per
+    # filter instead of 6, and the same bits as the general path.
+    v = rand_image(15, (20, 17))
+    p = GfParams(5, 0.04)
+    calls = []
+    box_mean = guided_filter.box_mean
+    monkeypatch.setattr(guided_filter, "box_mean", lambda *a: calls.append(1) or box_mean(*a))
+    gx, gy = smooth_gradients(v, p)
+    assert len(calls) == 8
+    monkeypatch.undo()
+    dx, dy = diff_x(v), diff_y(v)
+    np.testing.assert_array_equal(gx, guidfilter(dx, dx.copy(), p))
+    np.testing.assert_array_equal(gy, guidfilter(dy, dy.copy(), p))

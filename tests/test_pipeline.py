@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+
+import gfdeblur.pipeline as pipeline
 
 from gfdeblur.bench import SCENARIOS, degrade, isnr
 from gfdeblur.guided_filter import GfParams
 from gfdeblur.pipeline import GfdConfig, run_gfd
-from gfdeblur.spectral import Psf, psf_spectrum, solve_input
+from gfdeblur.spectral import Psf, SpectralPlan, psf_spectrum, solve_input
 
 from conftest import natural_image, rand_image
 
@@ -28,7 +32,8 @@ def test_first_iteration_is_pure_tikhonov_solve():
     # With v = 0 the input solve reduces to F(h)* F(g) / (|F(h)|^2 + lam).
     H = psf_spectrum(psf, *g.shape)
     direct = np.real(np.fft.ifft2(np.conj(H) * np.fft.fft2(g) / (np.abs(H) ** 2 + lam)))
-    via_solver = solve_input(g, psf, np.zeros_like(g), lam)
+    plan, z = SpectralPlan(g, psf), np.zeros_like(g)
+    via_solver = solve_input(plan, plan.spectrum(z), z, lam)
     np.testing.assert_allclose(via_solver, direct, atol=1e-10)
 
 
@@ -95,3 +100,39 @@ def test_config_validation():
         GfdConfig(iterations=0)
     with pytest.raises(ValueError):
         GfdConfig(rho_override=1.5)
+
+
+def test_nonfinite_observation_rejected():
+    g = natural_image(10, 32)
+    g[5, 7] = np.nan
+    psf = Psf.from_taps(np.ones((3, 3)))
+    for sigma in (2.0, None):
+        with pytest.raises(ValueError, match="non-finite"):
+            run_gfd(g, psf, GfdConfig(iterations=2, sigma=sigma))
+
+
+FFT_NAMES = [n for n in np.fft.__all__ if n.endswith(("fft", "fft2", "fftn"))]
+
+
+def test_fft_calls_per_iteration(monkeypatch):
+    # The plan costs 2 transforms per restore; an iteration costs F(v) plus,
+    # for finite lambda, the input solve's inverse and the guidance solve's
+    # stacked forward and inverse.
+    # Scenario 5 at 32x32 mixes finite and infinite lambda within 6 iterations.
+    clean = natural_image(1, 32)
+    pair = degrade(clean, SCENARIOS[5], seed=0)
+    calls = []
+    for name in FFT_NAMES:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    per_iter = []
+    smooth = pipeline.smooth_gradients
+    monkeypatch.setattr(
+        pipeline, "smooth_gradients", lambda *a: per_iter.append(len(calls)) or smooth(*a)
+    )
+    _, trace = run_gfd(pair.observed, pair.psf, GfdConfig(iterations=6, sigma=pair.sigma))
+    infinite = [math.isinf(rec.lam) for rec in trace]
+    assert any(infinite) and not all(infinite)
+    expected = [1 if inf else 4 for inf in infinite]
+    expected[0] += 2
+    assert np.diff([0] + per_iter).tolist() == expected

@@ -13,7 +13,7 @@ from gfdeblur.regparam import (
     compute_rho,
     estimate_sigma,
 )
-from gfdeblur.spectral import INFINITY, Psf, circ_convolve, discrepancy
+from gfdeblur.spectral import INFINITY, Psf, SpectralPlan, circ_convolve, discrepancy
 
 from conftest import natural_image, rand_image
 
@@ -21,6 +21,11 @@ from conftest import natural_image, rand_image
 def random_psf(seed, size=5):
     gen = np.random.default_rng(seed)
     return Psf.from_taps(gen.uniform(0.1, 1.0, (size, size)))
+
+
+def plan_and_spectrum(g, psf, v):
+    plan = SpectralPlan(g, psf)
+    return plan, plan.spectrum(v)
 
 
 # ------------------------------------------------------ estimate_sigma
@@ -123,7 +128,7 @@ def test_square_branch_never_exceeds_linear_branch():
 def test_perfect_preestimate_returns_infinity():
     g = rand_image(5)
     spec = DiscrepancySpec(rho=0.5, bound_c=1.0)
-    choice = choose_lambda(g, Psf.delta(), g, spec)
+    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), g), spec, 1e-3, 60)
     assert choice.value is INFINITY
     assert choice.residual <= spec.bound_c
 
@@ -133,7 +138,8 @@ def test_infinity_implies_v_meets_bound():
     psf = random_psf(7)
     v = circ_convolve(g, psf)  # decent pre-estimate
     bound = float(np.sum((circ_convolve(v, psf) - g) ** 2)) * 1.5
-    choice = choose_lambda(g, psf, v, DiscrepancySpec(rho=1.0, bound_c=bound))
+    spec = DiscrepancySpec(rho=1.0, bound_c=bound)
+    choice = choose_lambda(*plan_and_spectrum(g, psf, v), spec, 1e-3, 60)
     assert choice.value is INFINITY
     assert float(np.sum((circ_convolve(v, psf) - g) ** 2)) <= bound
 
@@ -143,7 +149,8 @@ def test_closed_form_lambda_equals_one():
     z = np.zeros_like(g)
     bound = 0.25 * float(np.sum(g * g))
     choice = choose_lambda(
-        g, Psf.delta(), z, DiscrepancySpec(rho=1.0, bound_c=bound), rel_tol=1e-8, max_iter=200
+        *plan_and_spectrum(g, Psf.delta(), z), DiscrepancySpec(rho=1.0, bound_c=bound),
+        rel_tol=1e-8, max_iter=200,
     )
     assert choice.value == pytest.approx(1.0, abs=1e-6)
 
@@ -154,7 +161,7 @@ def test_returned_residual_meets_tolerance():
     v = np.zeros_like(g)
     bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
     spec = DiscrepancySpec(rho=1.0, bound_c=bound)
-    choice = choose_lambda(g, psf, v, spec, rel_tol=1e-3)
+    choice = choose_lambda(*plan_and_spectrum(g, psf, v), spec, rel_tol=1e-3, max_iter=60)
     assert abs(choice.residual - bound) <= 1e-3 * bound
     assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
 
@@ -165,8 +172,9 @@ def test_lambda_unique_up_to_tolerance():
     v = np.zeros_like(g)
     bound = 0.4 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
     spec = DiscrepancySpec(rho=1.0, bound_c=bound)
-    coarse = choose_lambda(g, psf, v, spec, rel_tol=1e-3, max_iter=200)
-    fine = choose_lambda(g, psf, v, spec, rel_tol=1e-4, max_iter=200)
+    plan, v_hat = plan_and_spectrum(g, psf, v)
+    coarse = choose_lambda(plan, v_hat, spec, rel_tol=1e-3, max_iter=200)
+    fine = choose_lambda(plan, v_hat, spec, rel_tol=1e-4, max_iter=200)
     # The finer solve's residual still satisfies the coarser band.
     assert abs(discrepancy(g, psf, v, fine.value) - bound) <= 1e-3 * bound
     assert abs(discrepancy(g, psf, v, coarse.value) - bound) <= 1e-3 * bound
@@ -175,10 +183,11 @@ def test_lambda_unique_up_to_tolerance():
 def test_choose_lambda_rejects_bad_tolerances():
     g = rand_image(13)
     spec = DiscrepancySpec(rho=0.5, bound_c=1.0)
+    plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
     with pytest.raises(ValueError):
-        choose_lambda(g, Psf.delta(), np.zeros_like(g), spec, rel_tol=0.5)
+        choose_lambda(plan, v_hat, spec, rel_tol=0.5, max_iter=60)
     with pytest.raises(ValueError):
-        choose_lambda(g, Psf.delta(), np.zeros_like(g), spec, max_iter=0)
+        choose_lambda(plan, v_hat, spec, rel_tol=1e-3, max_iter=0)
 
 
 def test_noise_estimate_variance_consistency():

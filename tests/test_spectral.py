@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from gfdeblur.errors import KernelTooLarge, SingularDenominator
+from gfdeblur.errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 from gfdeblur.spectral import (
     INFINITY,
     Psf,
+    SpectralPlan,
     circ_convolve,
     derivative_spectra,
     diff_x,
     diff_y,
     discrepancy,
+    discrepancy_from_terms,
+    discrepancy_terms,
     psf_spectrum,
     solve_guidance,
     solve_input,
@@ -132,7 +135,7 @@ def test_derivative_spectral_equals_direct_differencing():
 def test_solve_guidance_inverse_filter_limit():
     g = rand_image(7)
     z = np.zeros_like(g)
-    out = solve_guidance(g, Psf.delta(), z, z, 1e-12, z)
+    out = solve_guidance(SpectralPlan(g, Psf.delta()), z, z, 1e-12, z)
     np.testing.assert_allclose(out, g, atol=1e-6)
 
 
@@ -140,53 +143,79 @@ def test_solve_guidance_infinity_returns_v():
     g = rand_image(8)
     v = rand_image(9)
     z = np.zeros_like(g)
-    np.testing.assert_array_equal(solve_guidance(g, random_psf(10), z, z, INFINITY, v), v)
+    plan = SpectralPlan(g, random_psf(10))
+    np.testing.assert_array_equal(solve_guidance(plan, z, z, INFINITY, v), v)
 
 
 def test_solve_guidance_normal_equation_residual():
-    g = rand_image(11)
-    vx, vy, v = rand_image(12), rand_image(13), rand_image(14)
-    psf = random_psf(15)
-    lam = 0.5
-    u = solve_guidance(g, psf, vx, vy, lam, v)
-    H = psf_spectrum(psf, *g.shape)
-    dx, dy = derivative_spectra(*g.shape)
-    lhs = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u)
-    rhs = np.conj(H) * np.fft.fft2(g) + lam * (
-        np.conj(dx) * np.fft.fft2(vx) + np.conj(dy) * np.fft.fft2(vy)
-    )
-    assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(np.fft.fft2(g)))
+    # Odd and even widths exercise both half-plane layouts.
+    for shape in ((16, 16), (12, 9), (12, 10)):
+        g = rand_image(11, shape)
+        vx, vy, v = rand_image(12, shape), rand_image(13, shape), rand_image(14, shape)
+        psf = random_psf(15)
+        lam = 0.5
+        u = solve_guidance(SpectralPlan(g, psf), vx, vy, lam, v)
+        H = psf_spectrum(psf, *g.shape)
+        dx, dy = derivative_spectra(*g.shape)
+        lhs = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u)
+        rhs = np.conj(H) * np.fft.fft2(g) + lam * (
+            np.conj(dx) * np.fft.fft2(vx) + np.conj(dy) * np.fft.fft2(vy)
+        )
+        assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(np.fft.fft2(g)))
 
 
 def test_solve_input_fixed_point():
     g = rand_image(16)
-    out = solve_input(g, Psf.delta(), g, 1.0)
+    plan = SpectralPlan(g, Psf.delta())
+    out = solve_input(plan, plan.spectrum(g), g, 1.0)
     np.testing.assert_allclose(out, g, atol=1e-10)
 
 
 def test_solve_input_infinity_returns_v():
     g, v = rand_image(17), rand_image(18)
-    np.testing.assert_array_equal(solve_input(g, random_psf(19), v, INFINITY), v)
+    plan = SpectralPlan(g, random_psf(19))
+    np.testing.assert_array_equal(solve_input(plan, plan.spectrum(v), v, INFINITY), v)
 
 
 def test_solve_input_normal_equation_residual():
-    g, v = rand_image(20), rand_image(21)
-    psf = random_psf(22)
-    lam = 2.0
-    u = solve_input(g, psf, v, lam)
-    H = psf_spectrum(psf, *g.shape)
-    lhs = (np.abs(H) ** 2 + lam) * np.fft.fft2(u)
-    rhs = np.conj(H) * np.fft.fft2(g) + lam * np.fft.fft2(v)
-    assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(np.fft.fft2(g)))
+    for shape in ((16, 16), (12, 9), (12, 10)):
+        g, v = rand_image(20, shape), rand_image(21, shape)
+        psf = random_psf(22)
+        lam = 2.0
+        plan = SpectralPlan(g, psf)
+        u = solve_input(plan, plan.spectrum(v), v, lam)
+        H = psf_spectrum(psf, *g.shape)
+        lhs = (np.abs(H) ** 2 + lam) * np.fft.fft2(u)
+        rhs = np.conj(H) * np.fft.fft2(g) + lam * np.fft.fft2(v)
+        assert np.max(np.abs(lhs - rhs)) < 1e-8 * np.max(np.abs(np.fft.fft2(g)))
 
 
 def test_solve_rejects_nonpositive_lambda():
     g = rand_image(23)
     z = np.zeros_like(g)
+    plan = SpectralPlan(g, Psf.delta())
     with pytest.raises(ValueError):
-        solve_input(g, Psf.delta(), z, 0.0)
+        solve_input(plan, plan.spectrum(z), z, 0.0)
     with pytest.raises(ValueError):
-        solve_guidance(g, Psf.delta(), z, z, -1.0, z)
+        solve_guidance(plan, z, z, -1.0, z)
+
+
+def test_plan_rejects_mismatched_shapes():
+    g = rand_image(38)
+    plan = SpectralPlan(g, Psf.delta())
+    z, small = np.zeros_like(g), np.zeros((16, 15))
+    with pytest.raises(DimensionMismatch):
+        plan.spectrum(small)
+    with pytest.raises(DimensionMismatch):
+        solve_input(plan, plan.spectrum(z), small, 1.0)
+    with pytest.raises(DimensionMismatch):
+        solve_input(plan, np.fft.fft2(z), z, 1.0)
+    with pytest.raises(DimensionMismatch):
+        solve_guidance(plan, z, small, 1.0, z)
+    with pytest.raises(DimensionMismatch):
+        discrepancy_terms(plan, np.fft.rfft2(small))
+    with pytest.raises(KernelTooLarge):
+        SpectralPlan(np.zeros((4, 4)), random_psf(1, 5))
 
 
 # -------------------------------------------------------- discrepancy
@@ -206,12 +235,19 @@ def test_discrepancy_closed_form_flat_spectrum():
 
 
 def test_discrepancy_equals_spatial_recomputation():
-    g, v = rand_image(28), rand_image(29)
-    psf = random_psf(30)
-    for lam in (0.1, 1.0, 10.0):
-        u_p = solve_input(g, psf, v, lam)
-        spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
-        assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
+    # The half-plane plan path and the full-plane reference both equal the
+    # spatial residual; odd and even widths exercise both Parseval weightings.
+    for shape in ((16, 16), (12, 9), (12, 10)):
+        g, v = rand_image(28, shape), rand_image(29, shape)
+        psf = random_psf(30)
+        plan = SpectralPlan(g, psf)
+        v_hat = plan.spectrum(v)
+        for lam in (0.1, 1.0, 10.0):
+            u_p = solve_input(plan, v_hat, v, lam)
+            spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
+            assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
+            planned = discrepancy_from_terms(*discrepancy_terms(plan, v_hat), lam)
+            assert planned == pytest.approx(spatial, rel=1e-7)
 
 
 def test_discrepancy_monotone_in_lambda():
