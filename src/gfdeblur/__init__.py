@@ -6,7 +6,6 @@ from .guided_filter import GfParams, guidfilter, smooth_gradients
 from .image_core import as_image, box_mean, box_sum, centered_sq_norm
 from .pipeline import GfdConfig, IterationRecord, run_gfd
 from .regparam import (
-    DiscrepancySpec,
     LambdaChoice,
     NoiseEstimate,
     choose_lambda,
@@ -29,7 +28,7 @@ __all__ = [
     "GfParams", "guidfilter", "smooth_gradients",
     "as_image", "box_mean", "box_sum", "centered_sq_norm",
     "GfdConfig", "IterationRecord", "run_gfd",
-    "DiscrepancySpec", "LambdaChoice", "NoiseEstimate",
+    "LambdaChoice", "NoiseEstimate",
     "choose_lambda", "compute_rho", "estimate_sigma",
     "INFINITY", "Psf", "SpectralPlan", "circ_convolve", "derivative_spectra",
     "discrepancy", "psf_spectrum", "solve_guidance", "solve_input",

@@ -41,6 +41,11 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
     - a * mean(guide); the output at each pixel uses the window averages
     of a and b.  A self-guided call (src is guide) reuses the guide's
     window statistics for src.
+
+    The filter commutes with adding a constant to either image, so both
+    are centred on their global means first: the window moments
+    E[x^2] - E[x]^2 then cancel far less on a large, near-constant
+    image, and var(guide) is clamped at 0 against what remains.
     """
     if guide.shape != src.shape:
         raise DimensionMismatch(
@@ -49,18 +54,35 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
     if params.eps is None:
         raise ValueError("GfParams.eps is unresolved (None)")
     w = params.win
+    self_guided = src is guide
+    guide_mean = guide.mean()
+    src_mean = guide_mean if self_guided else src.mean()
+    guide = guide - guide_mean
+    src = guide if self_guided else src - src_mean
+    # Updated in place, each statistic dropped once used: at 1024^2 every
+    # image-sized temporary is a visible share of peak memory.
     mean_g = box_mean(guide, w)
-    corr_gg = box_mean(guide * guide, w)
-    if src is guide:
-        mean_s, corr_gs = mean_g, corr_gg
+    var_g = box_mean(guide * guide, w)
+    var_g -= mean_g * mean_g
+    if self_guided:
+        mean_s, a = mean_g, var_g.copy()
     else:
         mean_s = box_mean(src, w)
-        corr_gs = box_mean(guide * src, w)
-    var_g = corr_gg - mean_g * mean_g
-    cov_gs = corr_gs - mean_g * mean_s
-    a = cov_gs / (var_g + params.eps)
-    b = mean_s - a * mean_g
-    return box_mean(a, w) * guide + box_mean(b, w)
+        a = box_mean(guide * src, w)
+        a -= mean_g * mean_s  # cov(guide, src)
+    np.maximum(var_g, 0.0, out=var_g)
+    var_g += params.eps
+    a /= var_g
+    del var_g
+    b = a * mean_g
+    np.subtract(mean_s, b, out=b)
+    del mean_g, mean_s
+    out = box_mean(a, w)
+    out *= guide
+    del a
+    out += box_mean(b, w)
+    out += src_mean
+    return out
 
 
 def smooth_gradients(v: np.ndarray, params: GfParams):

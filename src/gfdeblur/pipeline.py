@@ -15,7 +15,6 @@ from .guided_filter import GfParams, guidfilter, smooth_gradients
 from .errors import BracketFailure
 from .image_core import as_image
 from .regparam import (
-    DiscrepancySpec,
     LambdaChoice,
     NoiseEstimate,
     choose_lambda,
@@ -42,14 +41,13 @@ class GfdConfig:
     """Run configuration and the single source of its defaults; None
     fields are derived at run time.
 
-    A GfParams eps of None means (2 * sigma_hat)^2, floored at EPS_FLOOR;
-    gf_grad None means gf_main.  sigma None means estimate from the
-    observation.
+    gf_main sets the main guided filter and both gradient filters; its
+    eps None means (2 * sigma_hat)^2, floored at EPS_FLOOR.  sigma None
+    means estimate from the observation.
     """
 
     iterations: int = 30
     gf_main: GfParams = field(default_factory=GfParams)
-    gf_grad: Optional[GfParams] = None
     tau: float = 0.6
     rel_tol: float = 1e-3
     max_bisect: int = 60
@@ -67,7 +65,7 @@ class GfdConfig:
 @dataclass(frozen=True)
 class IterationRecord:
     k: int
-    lam: float  # math.inf for the short-circuit branch
+    lam: float  # INFINITY (math.inf) for the short-circuit branch
     rho: float
     residual: float
     isnr: Optional[float] = None
@@ -86,10 +84,7 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     g = as_image(g)
     est = NoiseEstimate(cfg.sigma) if cfg.sigma is not None else estimate_sigma(g)
     eps = max((2.0 * est.sigma) ** 2, EPS_FLOOR)
-    gf_main, gf_grad = (
-        p if p.eps is not None else replace(p, eps=eps)
-        for p in (cfg.gf_main, cfg.gf_grad if cfg.gf_grad is not None else cfg.gf_main)
-    )
+    gf = cfg.gf_main if cfg.gf_main.eps is not None else replace(cfg.gf_main, eps=eps)
 
     plan = SpectralPlan(g, psf)
     npix = g.size
@@ -107,10 +102,10 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
             rho = cfg.rho_override
         else:
             rho = compute_rho(g, v, est, cfg.tau)
-        spec = DiscrepancySpec.from_noise(rho, npix, est.variance, tau=cfg.tau)
+        bound_c = rho * npix * est.variance
         v_hat = plan.spectrum(v)
         try:
-            choice = choose_lambda(plan, v_hat, spec, cfg.rel_tol, cfg.max_bisect)
+            choice = choose_lambda(plan, v_hat, bound_c, cfg.rel_tol, cfg.max_bisect)
         except BracketFailure:
             # Bound sits above the finite-lambda asymptote only through
             # numerical slack; the asymptote residual is that of v itself.
@@ -119,12 +114,13 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
             log.warning("iteration %d: bracket failure, falling back to lambda=inf", k)
 
         lam = choice.value
-        u_p = v if choice.is_infinite else solve_input(plan, v_hat, v, lam)
+        # lambda = INFINITY: v already meets the bound, so both solves are v.
+        u_p = v if choice.is_infinite else solve_input(plan, v_hat, lam)
         del v_hat  # F(v) is not needed past here; free it before the filters
-        u_i = v if choice.is_infinite else solve_guidance(plan, vx, vy, lam, v)
+        u_i = v if choice.is_infinite else solve_guidance(plan, vx, vy, lam)
 
-        v = guidfilter(u_i, u_p, gf_main)
-        vx, vy = smooth_gradients(v, gf_grad)
+        v = guidfilter(u_i, u_p, gf)
+        vx, vy = smooth_gradients(v, gf)
 
         isnr = None
         if ref is not None:
@@ -133,7 +129,7 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         trace.append(
             IterationRecord(
                 k=k,
-                lam=float("inf") if choice.is_infinite else float(choice.value),
+                lam=lam,
                 rho=rho,
                 residual=choice.residual,
                 isnr=isnr,

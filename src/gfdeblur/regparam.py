@@ -8,7 +8,6 @@ for the lambda whose data-fit residual meets the bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .image_core import centered_sq_norm
 from .spectral import (
     INFINITY,
     SpectralPlan,
-    _Infinity,
     discrepancy_from_terms,
     discrepancy_terms,
 )
@@ -48,35 +46,16 @@ class NoiseEstimate:
 
 
 @dataclass(frozen=True)
-class DiscrepancySpec:
-    """Discrepancy fraction rho, the bound c, and the branch threshold tau."""
-
-    rho: float
-    bound_c: float
-    tau: float = 0.6
-
-    def __post_init__(self):
-        if not 0 < self.rho <= 1:
-            raise ValueError(f"rho must be in (0, 1], got {self.rho!r}")
-        if self.bound_c < 0:
-            raise ValueError(f"bound_c must be nonnegative, got {self.bound_c!r}")
-
-    @classmethod
-    def from_noise(cls, rho: float, npix: int, variance: float, tau: float = 0.6):
-        return cls(rho=rho, bound_c=rho * npix * variance, tau=tau)
-
-
-@dataclass(frozen=True)
 class LambdaChoice:
     """Selected regularization weight and the residual it achieves."""
 
-    value: Union[float, _Infinity]
+    value: float  # INFINITY when the pre-estimate already meets the bound
     residual: float
     iterations: int
 
     @property
     def is_infinite(self) -> bool:
-        return self.value is INFINITY
+        return self.value == INFINITY
 
 
 def estimate_sigma(g: np.ndarray) -> NoiseEstimate:
@@ -134,30 +113,33 @@ def compute_rho(g: np.ndarray, v: np.ndarray, est: NoiseEstimate, tau: float) ->
 def choose_lambda(
     plan: SpectralPlan,
     v_hat: np.ndarray,
-    spec: DiscrepancySpec,
+    bound_c: float,
     rel_tol: float,
     max_iter: int,
 ) -> LambdaChoice:
-    """Solve the discrepancy equation for lambda by bisection, given the
-    pre-estimate's spectrum v_hat = plan.spectrum(v).
+    """Solve the discrepancy equation residual(lambda) = bound_c by
+    bisection, given the pre-estimate's spectrum v_hat = plan.spectrum(v).
 
     If the pre-estimate v already meets the bound, returns INFINITY
     (downstream then takes u_I = u_p = v).  Otherwise brackets by
     doubling from lambda = 1 and bisects on the monotone residual curve.
+    A bound_c that is negative or not finite (an overflowed rho or
+    sigma) raises ValueError.
     """
     if not 0 < rel_tol <= 0.1:
         raise ValueError(f"rel_tol must be in (0, 0.1], got {rel_tol!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
+    if not 0 <= bound_c < INFINITY:
+        raise ValueError(f"bound_c must be finite and nonnegative, got {bound_c!r}")
     a, b, npix = discrepancy_terms(plan, v_hat)
-    c = spec.bound_c
     # lam -> inf asymptote equals the residual of v itself (Parseval).
     entry = float(b.sum() / npix)
-    if entry <= c:
+    if entry <= bound_c:
         return LambdaChoice(value=INFINITY, residual=entry, iterations=0)
 
     hi = 1.0
-    while discrepancy_from_terms(a, b, npix, hi) < c:
+    while discrepancy_from_terms(a, b, npix, hi) < bound_c:
         hi *= 2.0
         if hi > LAMBDA_BRACKET_CAP:
             raise BracketFailure(
@@ -167,11 +149,11 @@ def choose_lambda(
     mid = hi
     res = discrepancy_from_terms(a, b, npix, mid)
     steps = 0
-    while steps < max_iter and abs(res - c) > rel_tol * c:
+    while steps < max_iter and abs(res - bound_c) > rel_tol * bound_c:
         mid = 0.5 * (lo + hi)
         res = discrepancy_from_terms(a, b, npix, mid)
         steps += 1
-        if res < c:
+        if res < bound_c:
             lo = mid
         else:
             hi = mid

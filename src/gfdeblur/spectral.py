@@ -20,23 +20,16 @@ stay on the full plane as references.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 
-
-class _Infinity:
-    """Distinguished lambda = infinity value (not a float sentinel)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
+# lambda = infinity: the pre-estimate v already meets the discrepancy
+# bound, and the restore loop takes both solves to be v.
+INFINITY = math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,17 +184,15 @@ class SpectralPlan:
             )
 
 
-def solve_guidance(plan: SpectralPlan, vx, vy, lam, v):
+def solve_guidance(plan: SpectralPlan, vx, vy, lam):
     """Closed-form guidance solve: data fit plus gradient-matching prior.
 
     Minimizes ||h * u - g||^2 + lam (||dx u - vx||^2 + ||dy u - vy||^2)
-    in the Fourier domain.  lam = INFINITY short-circuits to v.
+    in the Fourier domain, for finite lam > 0.
     """
-    plan._check_images(vx, vy, v)
-    if lam is INFINITY:
-        return v.copy()
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive or INFINITY, got {lam!r}")
+    plan._check_images(vx, vy)
+    if not 0 < lam < INFINITY:
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
     denom = plan.H_sq + lam * plan.D_sq
     if np.min(denom) < 1e-15:
         raise SingularDenominator("guidance solve denominator vanishes")
@@ -218,18 +209,15 @@ def solve_guidance(plan: SpectralPlan, vx, vy, lam, v):
     return np.fft.irfft2(num, s=plan.shape)
 
 
-def solve_input(plan: SpectralPlan, v_hat, v, lam):
+def solve_input(plan: SpectralPlan, v_hat, lam):
     """Closed-form input solve: data fit plus proximity-to-v prior.
 
     Minimizes ||h * u - g||^2 + lam ||u - v||^2 in the Fourier domain,
-    given v_hat = plan.spectrum(v).  lam = INFINITY short-circuits to v.
+    given v_hat = plan.spectrum(v), for finite lam > 0.
     """
-    plan._check_images(v)
     plan._check_spectrum(v_hat)
-    if lam is INFINITY:
-        return v.copy()
-    if not lam > 0:
-        raise ValueError(f"lambda must be positive or INFINITY, got {lam!r}")
+    if not 0 < lam < INFINITY:
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
     num = lam * v_hat
     num += plan.conj_H_G
     num /= plan.H_sq + lam

@@ -28,7 +28,6 @@ from gfdeblur.guided_filter import GfParams, guidfilter
 from gfdeblur.image_core import centered_sq_norm
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.regparam import (
-    DiscrepancySpec,
     NoiseEstimate,
     choose_lambda,
     compute_rho,
@@ -109,10 +108,10 @@ def test_criterion_2_spectral_solve_residuals():
         dx, dy = derivative_spectra(16, 16)
 
         plan = SpectralPlan(g, psf)
-        u_i = solve_guidance(plan, vx, vy, lam, v)
+        u_i = solve_guidance(plan, vx, vy, lam)
         res_i = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u_i) \
             - np.conj(H) * G - lam * (np.conj(dx) * np.fft.fft2(vx) + np.conj(dy) * np.fft.fft2(vy))
-        u_p = solve_input(plan, plan.spectrum(v), v, lam)
+        u_p = solve_input(plan, plan.spectrum(v), lam)
         res_p = (np.abs(H) ** 2 + lam) * np.fft.fft2(u_p) - np.conj(H) * G - lam * np.fft.fft2(v)
         worst = max(worst, float(np.max(np.abs(res_i))) / scale, float(np.max(np.abs(res_p))) / scale)
     assert worst < 1e-8
@@ -134,7 +133,7 @@ def test_criterion_3_discrepancy_consistency():
             assert val <= bound * (1 + 1e-7)  # Parseval upper bound
         lam = float(gen.uniform(0.1, 10.0))
         plan = SpectralPlan(g, psf)
-        u_p = solve_input(plan, plan.spectrum(v), v, lam)
+        u_p = solve_input(plan, plan.spectrum(v), lam)
         spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
         assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
     report(3, "spectral = spatial discrepancy, monotone in lambda, bound never violated")
@@ -148,17 +147,15 @@ def test_criterion_4_bisection_contract():
         psf = random_psf(300 + i)
         asymptote = float(np.sum((circ_convolve(v, psf) - g) ** 2))
         bound = float(gen.uniform(0.05, 0.8)) * asymptote
-        spec = DiscrepancySpec(rho=1.0, bound_c=bound)
         plan = SpectralPlan(g, psf)
-        choice = choose_lambda(plan, plan.spectrum(v), spec, rel_tol=1e-3, max_iter=60)
+        choice = choose_lambda(plan, plan.spectrum(v), bound, rel_tol=1e-3, max_iter=60)
         assert not choice.is_infinite
         assert abs(choice.residual - bound) <= 1e-3 * bound
     g = gen.uniform(0, 255, (16, 16))
     bound = 0.25 * float(np.sum(g * g))
     plan = SpectralPlan(g, Psf.delta())
     choice = choose_lambda(
-        plan, plan.spectrum(np.zeros_like(g)),
-        DiscrepancySpec(rho=1.0, bound_c=bound), rel_tol=1e-8, max_iter=200,
+        plan, plan.spectrum(np.zeros_like(g)), bound, rel_tol=1e-8, max_iter=200
     )
     assert choice.value == pytest.approx(1.0, abs=1e-6)
     report(4, "bisection hits the bound to 1e-3 on 50 instances; closed form lambda = 1")

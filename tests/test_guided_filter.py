@@ -115,3 +115,17 @@ def test_self_guided_reuse_is_bit_identical(monkeypatch):
     dx, dy = diff_x(v), diff_y(v)
     np.testing.assert_array_equal(gx, guidfilter(dx, dx.copy(), p))
     np.testing.assert_array_equal(gy, guidfilter(dy, dy.copy(), p))
+
+
+def test_large_near_constant_input_is_smoothed():
+    # At 2048^2 the uncentred window moments E[x^2] - E[x]^2 of a
+    # near-constant image cancel to negative variances, and at eps = 1e-6
+    # the filter amplified the noise (output spread 2.26x the input's).
+    # Centred, it also matches filtering the zero-mean image to rounding;
+    # clamping the variance alone leaves a 1.6e-3 error.
+    x = 128.0 + 1e-3 * np.random.default_rng(0).standard_normal((2048, 2048))
+    p = GfParams(5, 1e-6)
+    out = guidfilter(x, x, p)
+    assert out.std() < x.std()
+    y = x - 128.0
+    np.testing.assert_allclose(out, guidfilter(y, y, p) + 128.0, rtol=0, atol=1e-9)

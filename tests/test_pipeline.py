@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import gfdeblur.pipeline as pipeline
 
 from gfdeblur.bench import SCENARIOS, degrade, isnr
+from gfdeblur.errors import BracketFailure
 from gfdeblur.guided_filter import GfParams
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, psf_spectrum, solve_input
@@ -33,7 +35,7 @@ def test_first_iteration_is_pure_tikhonov_solve():
     H = psf_spectrum(psf, *g.shape)
     direct = np.real(np.fft.ifft2(np.conj(H) * np.fft.fft2(g) / (np.abs(H) ** 2 + lam)))
     plan, z = SpectralPlan(g, psf), np.zeros_like(g)
-    via_solver = solve_input(plan, plan.spectrum(z), z, lam)
+    via_solver = solve_input(plan, plan.spectrum(z), lam)
     np.testing.assert_allclose(via_solver, direct, atol=1e-10)
 
 
@@ -111,6 +113,14 @@ def test_nonfinite_observation_rejected():
             run_gfd(g, psf, GfdConfig(iterations=2, sigma=sigma))
 
 
+def test_overflowing_observation_rejected():
+    # Pixels near 1e200 overflow the rho statistics to nan; the bound check
+    # refuses that instead of returning a non-finite image.
+    g = 1e200 * (1.0 + natural_image(10, 32) / 255.0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError):
+        run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2, sigma=1.0))
+
+
 FFT_NAMES = [n for n in np.fft.__all__ if n.endswith(("fft", "fft2", "fftn"))]
 
 
@@ -136,3 +146,50 @@ def test_fft_calls_per_iteration(monkeypatch):
     expected = [1 if inf else 4 for inf in infinite]
     expected[0] += 2
     assert np.diff([0] + per_iter).tolist() == expected
+
+
+def test_bracket_failure_falls_back_to_infinity(monkeypatch, caplog):
+    def fail(*args):
+        raise BracketFailure("forced")
+
+    monkeypatch.setattr(pipeline, "choose_lambda", fail)
+    pair = degrade(natural_image(13, 32), SCENARIOS[3], seed=8)
+    with caplog.at_level(logging.WARNING, logger="gfdeblur.pipeline"):
+        out, trace = run_gfd(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
+    assert all(math.isinf(rec.lam) for rec in trace)
+    # v = 0 on iteration 1, so the fallback residual is ||g||^2.
+    g_sq = float(np.sum(pair.observed ** 2))
+    assert trace[0].residual == pytest.approx(g_sq, rel=1e-12)
+    assert np.all(np.isfinite(out))
+    assert "bracket failure" in caplog.text
+
+
+# Metamorphic properties over blur x noise-source cells at 64^2, 8 iterations.
+METAMORPHIC_CELLS = [(scenario, known) for scenario in (3, 5) for known in (True, False)]
+
+
+def _metamorphic_pair(scenario):
+    return degrade(natural_image(12, 64), SCENARIOS[scenario], seed=9)
+
+
+@pytest.mark.parametrize("scenario,known", METAMORPHIC_CELLS)
+def test_power_of_two_scaling_is_bit_exact(scenario, known):
+    pair = _metamorphic_pair(scenario)
+
+    def restore(scale):
+        sigma = scale * pair.sigma if known else None
+        return run_gfd(scale * pair.observed, pair.psf, GfdConfig(iterations=8, sigma=sigma))
+
+    out, trace = restore(1.0)
+    out2, trace2 = restore(2.0)
+    np.testing.assert_array_equal(out2, 2.0 * out)
+    assert [rec.lam for rec in trace2] == [rec.lam for rec in trace]
+
+
+@pytest.mark.parametrize("scenario,known", METAMORPHIC_CELLS)
+def test_transpose_commutes(scenario, known):
+    pair = _metamorphic_pair(scenario)
+    cfg = GfdConfig(iterations=8, sigma=pair.sigma if known else None)
+    out, _ = run_gfd(pair.observed, pair.psf, cfg)
+    out_t, _ = run_gfd(pair.observed.T, Psf(pair.psf.taps.T), cfg)
+    np.testing.assert_allclose(out_t, out.T, rtol=0, atol=1e-9)

@@ -4,16 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfdeblur.bench import SCENARIOS, degrade, gaussian_field
-from gfdeblur.errors import ImageTooSmall
+from gfdeblur.errors import BracketFailure, ImageTooSmall
 from gfdeblur.image_core import centered_sq_norm
 from gfdeblur.regparam import (
-    DiscrepancySpec,
     NoiseEstimate,
     choose_lambda,
     compute_rho,
     estimate_sigma,
 )
-from gfdeblur.spectral import INFINITY, Psf, SpectralPlan, circ_convolve, discrepancy
+from gfdeblur.spectral import Psf, SpectralPlan, circ_convolve, discrepancy
 
 from conftest import natural_image, rand_image
 
@@ -127,10 +126,9 @@ def test_square_branch_never_exceeds_linear_branch():
 
 def test_perfect_preestimate_returns_infinity():
     g = rand_image(5)
-    spec = DiscrepancySpec(rho=0.5, bound_c=1.0)
-    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), g), spec, 1e-3, 60)
-    assert choice.value is INFINITY
-    assert choice.residual <= spec.bound_c
+    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), g), 1.0, 1e-3, 60)
+    assert choice.is_infinite
+    assert choice.residual <= 1.0
 
 
 def test_infinity_implies_v_meets_bound():
@@ -138,9 +136,8 @@ def test_infinity_implies_v_meets_bound():
     psf = random_psf(7)
     v = circ_convolve(g, psf)  # decent pre-estimate
     bound = float(np.sum((circ_convolve(v, psf) - g) ** 2)) * 1.5
-    spec = DiscrepancySpec(rho=1.0, bound_c=bound)
-    choice = choose_lambda(*plan_and_spectrum(g, psf, v), spec, 1e-3, 60)
-    assert choice.value is INFINITY
+    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, 1e-3, 60)
+    assert choice.is_infinite
     assert float(np.sum((circ_convolve(v, psf) - g) ** 2)) <= bound
 
 
@@ -149,8 +146,7 @@ def test_closed_form_lambda_equals_one():
     z = np.zeros_like(g)
     bound = 0.25 * float(np.sum(g * g))
     choice = choose_lambda(
-        *plan_and_spectrum(g, Psf.delta(), z), DiscrepancySpec(rho=1.0, bound_c=bound),
-        rel_tol=1e-8, max_iter=200,
+        *plan_and_spectrum(g, Psf.delta(), z), bound, rel_tol=1e-8, max_iter=200
     )
     assert choice.value == pytest.approx(1.0, abs=1e-6)
 
@@ -160,8 +156,7 @@ def test_returned_residual_meets_tolerance():
     psf = random_psf(10)
     v = np.zeros_like(g)
     bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
-    spec = DiscrepancySpec(rho=1.0, bound_c=bound)
-    choice = choose_lambda(*plan_and_spectrum(g, psf, v), spec, rel_tol=1e-3, max_iter=60)
+    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, rel_tol=1e-3, max_iter=60)
     assert abs(choice.residual - bound) <= 1e-3 * bound
     assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
 
@@ -171,10 +166,9 @@ def test_lambda_unique_up_to_tolerance():
     psf = random_psf(12)
     v = np.zeros_like(g)
     bound = 0.4 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
-    spec = DiscrepancySpec(rho=1.0, bound_c=bound)
     plan, v_hat = plan_and_spectrum(g, psf, v)
-    coarse = choose_lambda(plan, v_hat, spec, rel_tol=1e-3, max_iter=200)
-    fine = choose_lambda(plan, v_hat, spec, rel_tol=1e-4, max_iter=200)
+    coarse = choose_lambda(plan, v_hat, bound, rel_tol=1e-3, max_iter=200)
+    fine = choose_lambda(plan, v_hat, bound, rel_tol=1e-4, max_iter=200)
     # The finer solve's residual still satisfies the coarser band.
     assert abs(discrepancy(g, psf, v, fine.value) - bound) <= 1e-3 * bound
     assert abs(discrepancy(g, psf, v, coarse.value) - bound) <= 1e-3 * bound
@@ -182,12 +176,22 @@ def test_lambda_unique_up_to_tolerance():
 
 def test_choose_lambda_rejects_bad_tolerances():
     g = rand_image(13)
-    spec = DiscrepancySpec(rho=0.5, bound_c=1.0)
     plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
     with pytest.raises(ValueError):
-        choose_lambda(plan, v_hat, spec, rel_tol=0.5, max_iter=60)
+        choose_lambda(plan, v_hat, 1.0, rel_tol=0.5, max_iter=60)
     with pytest.raises(ValueError):
-        choose_lambda(plan, v_hat, spec, rel_tol=1e-3, max_iter=0)
+        choose_lambda(plan, v_hat, 1.0, rel_tol=1e-3, max_iter=0)
+
+
+def test_unreachable_bound_raises_bracket_failure():
+    # Delta PSF and v = 0: the residual approaches ||g||^2 only as lambda
+    # grows without bound, so a bound just below it is not bracketed
+    # below the cap.
+    g = rand_image(14)
+    bound = float(np.sum(g * g)) * (1 - 1e-15)
+    plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
+    with pytest.raises(BracketFailure):
+        choose_lambda(plan, v_hat, bound, rel_tol=1e-3, max_iter=60)
 
 
 def test_noise_estimate_variance_consistency():
@@ -195,10 +199,9 @@ def test_noise_estimate_variance_consistency():
     assert est.variance == pytest.approx(9.0, abs=1e-12)
 
 
-def test_discrepancy_spec_validation():
-    with pytest.raises(ValueError):
-        DiscrepancySpec(rho=0.0, bound_c=1.0)
-    with pytest.raises(ValueError):
-        DiscrepancySpec(rho=1.5, bound_c=1.0)
-    spec = DiscrepancySpec.from_noise(rho=0.5, npix=100, variance=4.0)
-    assert spec.bound_c == pytest.approx(200.0, rel=1e-9)
+def test_choose_lambda_rejects_bad_bound():
+    g = rand_image(13)
+    plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
+    for bound in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bound_c"):
+            choose_lambda(plan, v_hat, bound, rel_tol=1e-3, max_iter=60)
