@@ -8,9 +8,11 @@ from .pipeline import GfdConfig, IterationRecord, run_gfd
 from .regparam import (
     LambdaChoice,
     NoiseEstimate,
+    RhoTerms,
     choose_lambda,
     compute_rho,
     estimate_sigma,
+    rho_terms,
 )
 from .spectral import (
     INFINITY,
@@ -28,8 +30,8 @@ __all__ = [
     "GfParams", "guidfilter", "smooth_gradients",
     "as_image", "box_mean", "box_sum", "centered_sq_norm",
     "GfdConfig", "IterationRecord", "run_gfd",
-    "LambdaChoice", "NoiseEstimate",
-    "choose_lambda", "compute_rho", "estimate_sigma",
+    "LambdaChoice", "NoiseEstimate", "RhoTerms",
+    "choose_lambda", "compute_rho", "estimate_sigma", "rho_terms",
     "INFINITY", "Psf", "SpectralPlan", "circ_convolve", "derivative_spectra",
     "discrepancy", "psf_spectrum", "solve_guidance", "solve_input",
 ]

@@ -1,8 +1,9 @@
-"""Grayscale image helpers and O(1)-per-pixel windowed box sums.
+"""Grayscale image helpers and windowed box sums.
 
 Images are plain 2-D float64 numpy arrays, row-major, immutable by
-convention.  Window sums use a summed-area table over a symmetric
-(mirror) extension, so every window covers exactly w*w samples.
+convention.  Window sums add the window's entries directly, one axis at
+a time, over a symmetric (mirror) extension, so every window covers
+exactly w*w samples and no partial sum grows with the image.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ def validate_window(w: int) -> int:
     return int(w)
 
 
+def check_window_fits(w: int, shape) -> None:
+    """validate_window, then WindowTooLarge if w exceeds either side."""
+    validate_window(w)
+    h, wd = shape
+    if w > h or w > wd:
+        raise WindowTooLarge(f"window {w} exceeds image dimensions {h}x{wd}")
+
+
 def centered_sq_norm(img: np.ndarray) -> float:
     """Sum of squared deviations from the image mean."""
     d = img - img.mean()
@@ -38,23 +47,26 @@ def centered_sq_norm(img: np.ndarray) -> float:
 def box_sum(img: np.ndarray, w: int) -> np.ndarray:
     """Sum over the w*w window centered at each pixel, mirror boundaries.
 
-    Computed with a summed-area table in double precision; O(1) work per
-    pixel independent of w.
+    Separable direct sums: the w shifted row slices of the padded image
+    are added into one array, then the w shifted column slices of that
+    into the output.  O(w) work per pixel; each sum adds only the
+    window's own entries, so its rounding does not grow with the image.
     """
-    validate_window(w)
-    h, wd = img.shape
-    if w > h or w > wd:
-        raise WindowTooLarge(f"window {w} exceeds image dimensions {h}x{wd}")
+    check_window_fits(w, img.shape)
     if w == 1:
         return img.copy()
-    r = (w - 1) // 2
-    padded = np.pad(img, r, mode="symmetric")
-    sat = np.zeros((padded.shape[0] + 1, padded.shape[1] + 1), dtype=np.float64)
-    inner = sat[1:, 1:]
-    np.cumsum(padded, axis=0, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    return sat[w:, w:] - sat[:-w, w:] - sat[w:, :-w] + sat[:-w, :-w]
+    h, wd = img.shape
+    padded = np.pad(img, (w - 1) // 2, mode="symmetric")
+    rows = padded[:h] + padded[1 : h + 1]
+    for i in range(2, w):
+        rows += padded[i : i + h]
+    out = rows[:, :wd] + rows[:, 1 : wd + 1]
+    for j in range(2, w):
+        out += rows[:, j : j + wd]
+    return out
 
 
 def box_mean(img: np.ndarray, w: int) -> np.ndarray:
-    return box_sum(img, w) / float(w * w)
+    out = box_sum(img, w)
+    out /= float(w * w)
+    return out

@@ -13,13 +13,14 @@ import numpy as np
 
 from .guided_filter import GfParams, guidfilter, smooth_gradients
 from .errors import BracketFailure
-from .image_core import as_image
+from .image_core import as_image, check_window_fits
 from .regparam import (
     LambdaChoice,
     NoiseEstimate,
     choose_lambda,
     compute_rho,
     estimate_sigma,
+    rho_terms,
 )
 from .spectral import (
     INFINITY,
@@ -82,10 +83,12 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     psf) are built once, and F(v) once per iteration.
     """
     g = as_image(g)
+    check_window_fits(cfg.gf_main.win, g.shape)  # before any spectral work
     est = NoiseEstimate(cfg.sigma) if cfg.sigma is not None else estimate_sigma(g)
     eps = max((2.0 * est.sigma) ** 2, EPS_FLOOR)
     gf = cfg.gf_main if cfg.gf_main.eps is not None else replace(cfg.gf_main, eps=eps)
 
+    g_terms = rho_terms(g, est)  # also refuses an overflowing observation
     plan = SpectralPlan(g, psf)
     npix = g.size
     v = np.zeros_like(g)
@@ -101,7 +104,7 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         if cfg.rho_override is not None:
             rho = cfg.rho_override
         else:
-            rho = compute_rho(g, v, est, cfg.tau)
+            rho = compute_rho(g_terms, v, cfg.tau)
         bound_c = rho * npix * est.variance
         v_hat = plan.spectrum(v)
         try:

@@ -80,27 +80,47 @@ def estimate_sigma(g: np.ndarray) -> NoiseEstimate:
     return NoiseEstimate(sigma=sigma)
 
 
-def compute_rho(g: np.ndarray, v: np.ndarray, est: NoiseEstimate, tau: float) -> float:
-    """Data-driven discrepancy fraction.
+@dataclass(frozen=True)
+class RhoTerms:
+    """The observation's part of the rho schedule, fixed for a restore."""
 
-    s compares the centered energy of g against the noise energy; the
-    thresh statistic picks between rho = s^2 (noisy / uninformative v)
-    and rho = s (v already carries structure).
+    shape: tuple
+    s: float  # clamped to [S_FLOOR, S_CEIL]
+    noise_energy: float  # npix * sigma^2
+    excess: float  # centered energy of g minus noise_energy
+
+
+def rho_terms(g: np.ndarray, est: NoiseEstimate) -> RhoTerms:
+    """s compares the centered energy of g against the noise energy.
+
+    Raises ValueError when the energy g.g overflows float64: no rho or
+    discrepancy bound can be formed for an observation at that scale.
     """
-    if g.shape != v.shape:
-        raise DimensionMismatch(f"g {g.shape} and v {v.shape} differ")
-    npix = g.size
-    noise_energy = npix * est.variance
+    noise_energy = g.size * est.variance
     g_sq = float(np.dot(g.ravel(), g.ravel()))
+    if not np.isfinite(g_sq):
+        raise ValueError(
+            "observation energy g.g overflows float64; rescale the observation"
+        )
     cvar_g = centered_sq_norm(g)
     if g_sq > 0:
         s = 1.0 - (cvar_g - noise_energy) / g_sq
     else:
         s = 1.0
     s = min(max(s, S_FLOOR), S_CEIL)
+    return RhoTerms(g.shape, s, noise_energy, cvar_g - noise_energy)
 
+
+def compute_rho(terms: RhoTerms, v: np.ndarray, tau: float) -> float:
+    """Data-driven discrepancy fraction.
+
+    The thresh statistic picks between rho = s^2 (noisy / uninformative
+    v) and rho = s (v already carries structure).
+    """
+    if terms.shape != v.shape:
+        raise DimensionMismatch(f"g {terms.shape} and v {v.shape} differ")
+    s, noise_energy, excess = terms.s, terms.noise_energy, terms.excess
     cvar_v = centered_sq_norm(v)
-    excess = cvar_g - noise_energy
     if cvar_v <= 0.0 or noise_energy <= 0.0:
         thresh = np.inf
     elif excess <= 0.0:

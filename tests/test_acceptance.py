@@ -32,6 +32,7 @@ from gfdeblur.regparam import (
     choose_lambda,
     compute_rho,
     estimate_sigma,
+    rho_terms,
 )
 from gfdeblur.spectral import (
     Psf,
@@ -180,7 +181,7 @@ def test_criterion_6_rho_schedule():
         v = gen.uniform(0, 255, (20, 20)) * gen.uniform(0, 1.2)
         est = NoiseEstimate(float(gen.uniform(0.0, 30.0)))
         tau = 0.6
-        rho = compute_rho(g, v, est, tau)
+        rho = compute_rho(rho_terms(g, est), v, tau)
         assert 0.0 < rho <= 1.0
         # independent scripted evaluation
         npix = g.size

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from gfdeblur.errors import WindowTooLarge
 from gfdeblur.image_core import as_image, box_sum, centered_sq_norm
 
-from conftest import box_sum_bruteforce, rand_image, rand_int_image
+from conftest import box_sum_bruteforce, rand_image, rand_int_image, window_values
 
 
 def test_centered_sq_norm_constant_is_zero():
@@ -36,9 +38,26 @@ def test_box_sum_w1_identity():
 
 
 def test_box_sum_matches_bruteforce_exactly():
-    # Integer-valued intensities: both summation orders are exact.
-    img = rand_int_image(4)
-    np.testing.assert_array_equal(box_sum(img, 5), box_sum_bruteforce(img, 5))
+    # Integer-valued intensities: both summation orders are exact.  The
+    # small shapes let the mirror pad reach the far edge.
+    for shape, w in (((16, 16), 5), ((7, 9), 7), ((5, 12), 5)):
+        img = rand_int_image(4, shape)
+        np.testing.assert_array_equal(box_sum(img, w), box_sum_bruteforce(img, w))
+
+
+def test_box_sum_accurate_at_2048():
+    # Each window sum adds only its own 25 entries, so the error stays at
+    # rounding of those; a summed-area table's partial sums grow with the
+    # image area (1.4e-7 here).
+    n, w = 2048, 5
+    img = rand_image(16, (n, n))
+    out = box_sum(img, w)
+    gen = np.random.default_rng(17)
+    points = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 2)]
+    points += [tuple(p) for p in gen.integers(0, n, (300, 2))]
+    for y, x in points:
+        exact = math.fsum(window_values(img, y, x, w).ravel())
+        assert abs(out[y, x] - exact) <= 1e-11, (y, x)
 
 
 def test_box_sum_rectangular():

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import gfdeblur.guided_filter as guided_filter
 import gfdeblur.pipeline as pipeline
 
 from gfdeblur.bench import SCENARIOS, degrade, isnr
-from gfdeblur.errors import BracketFailure
+from gfdeblur.errors import BracketFailure, WindowTooLarge
 from gfdeblur.guided_filter import GfParams
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, psf_spectrum, solve_input
@@ -114,14 +115,33 @@ def test_nonfinite_observation_rejected():
 
 
 def test_overflowing_observation_rejected():
-    # Pixels near 1e200 overflow the rho statistics to nan; the bound check
-    # refuses that instead of returning a non-finite image.
+    # Pixels near 1e200 overflow the energy g.g; the error names the
+    # observation's scale instead of a nan rho or bound further in.
     g = 1e200 * (1.0 + natural_image(10, 32) / 255.0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="observation energy"):
         run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2, sigma=1.0))
 
 
 FFT_NAMES = [n for n in np.fft.__all__ if n.endswith(("fft", "fft2", "fftn"))]
+
+
+def _count_fft_calls(monkeypatch):
+    calls = []
+    for name in FFT_NAMES:
+        fn = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    return calls
+
+
+def test_window_checked_before_spectral_work(monkeypatch):
+    # A guided-filter window wider than the image fails before the plan
+    # and the first solves are paid for.
+    g = rand_image(11, (4, 32))
+    calls = _count_fft_calls(monkeypatch)
+    for sigma in (2.0, None):
+        with pytest.raises(WindowTooLarge):
+            run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2, sigma=sigma))
+    assert calls == []
 
 
 def test_fft_calls_per_iteration(monkeypatch):
@@ -131,10 +151,7 @@ def test_fft_calls_per_iteration(monkeypatch):
     # Scenario 5 at 32x32 mixes finite and infinite lambda within 6 iterations.
     clean = natural_image(1, 32)
     pair = degrade(clean, SCENARIOS[5], seed=0)
-    calls = []
-    for name in FFT_NAMES:
-        fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+    calls = _count_fft_calls(monkeypatch)
     per_iter = []
     smooth = pipeline.smooth_gradients
     monkeypatch.setattr(
@@ -146,6 +163,28 @@ def test_fft_calls_per_iteration(monkeypatch):
     expected = [1 if inf else 4 for inf in infinite]
     expected[0] += 2
     assert np.diff([0] + per_iter).tolist() == expected
+
+
+def test_box_mean_calls_per_iteration(monkeypatch):
+    # The main filter takes 6 box means (4 when lambda = inf makes it
+    # self-guided) and each self-guided gradient filter 4.
+    pair = degrade(natural_image(1, 32), SCENARIOS[5], seed=0)
+    calls = []
+    box_mean = guided_filter.box_mean
+    monkeypatch.setattr(guided_filter, "box_mean", lambda *a: calls.append(1) or box_mean(*a))
+    per_iter = []
+    smooth = pipeline.smooth_gradients
+
+    def counted_smooth(*a):
+        out = smooth(*a)
+        per_iter.append(len(calls))
+        return out
+
+    monkeypatch.setattr(pipeline, "smooth_gradients", counted_smooth)
+    _, trace = run_gfd(pair.observed, pair.psf, GfdConfig(iterations=6, sigma=pair.sigma))
+    infinite = [math.isinf(rec.lam) for rec in trace]
+    assert any(infinite) and not all(infinite)
+    assert np.diff([0] + per_iter).tolist() == [12 if inf else 14 for inf in infinite]
 
 
 def test_bracket_failure_falls_back_to_infinity(monkeypatch, caplog):

@@ -11,6 +11,7 @@ from gfdeblur.regparam import (
     choose_lambda,
     compute_rho,
     estimate_sigma,
+    rho_terms,
 )
 from gfdeblur.spectral import Psf, SpectralPlan, circ_convolve, discrepancy
 
@@ -70,7 +71,7 @@ def test_estimate_sigma_blurred_natural_scene():
 def test_rho_is_one_when_centered_energy_equals_noise_energy():
     g = rand_image(0)
     sigma = np.sqrt(centered_sq_norm(g) / g.size)
-    rho = compute_rho(g, rand_image(1), NoiseEstimate(sigma), tau=0.6)
+    rho = compute_rho(rho_terms(g, NoiseEstimate(sigma)), rand_image(1), tau=0.6)
     assert rho == pytest.approx(1.0, abs=1e-12)
 
 
@@ -78,7 +79,7 @@ def test_rho_zero_v_forces_square_branch():
     g = rand_image(2)
     est = NoiseEstimate(5.0)
     v = np.zeros_like(g)
-    rho = compute_rho(g, v, est, tau=0.6)
+    rho = compute_rho(rho_terms(g, est), v, tau=0.6)
     g_sq = float(np.sum(g * g))
     s = 1.0 - (centered_sq_norm(g) - g.size * est.variance) / g_sq
     s = min(max(s, 0.05), 1.0)
@@ -100,7 +101,7 @@ def test_rho_matches_scripted_formula():
         excess = centered_sq_norm(g) - ne
         thresh = np.sqrt(max(excess, 0.0) / (ne * cvar_v)) if cvar_v > 0 and ne > 0 else np.inf
         expected = s * s if thresh > tau else s
-        assert compute_rho(g, v, est, tau) == pytest.approx(expected, rel=1e-10)
+        assert compute_rho(rho_terms(g, est), v, tau) == pytest.approx(expected, rel=1e-10)
 
 
 @settings(max_examples=30, deadline=None)
@@ -108,7 +109,7 @@ def test_rho_matches_scripted_formula():
 def test_rho_always_in_unit_interval(seed, sigma):
     g = rand_image(seed)
     v = rand_image(seed + 1)
-    rho = compute_rho(g, v, NoiseEstimate(sigma), tau=0.6)
+    rho = compute_rho(rho_terms(g, NoiseEstimate(sigma)), v, tau=0.6)
     assert 0.0 < rho <= 1.0
 
 
@@ -116,8 +117,8 @@ def test_square_branch_never_exceeds_linear_branch():
     g = rand_image(3)
     v = rand_image(4)
     est = NoiseEstimate(4.0)
-    squared = compute_rho(g, np.zeros_like(g), est, tau=0.6)  # thresh = inf
-    linear = compute_rho(g, v, est, tau=np.inf)  # thresh <= tau
+    squared = compute_rho(rho_terms(g, est), np.zeros_like(g), tau=0.6)  # thresh = inf
+    linear = compute_rho(rho_terms(g, est), v, tau=np.inf)  # thresh <= tau
     assert squared <= linear + 1e-15
 
 
