@@ -19,8 +19,6 @@ from .spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    derivative_spectra,
-    discrepancy,
     psf_spectrum,
     solve_guidance,
     solve_input,
@@ -32,8 +30,8 @@ __all__ = [
     "GfdConfig", "IterationRecord", "run_gfd",
     "LambdaChoice", "NoiseEstimate", "RhoTerms",
     "choose_lambda", "compute_rho", "estimate_sigma", "rho_terms",
-    "INFINITY", "Psf", "SpectralPlan", "circ_convolve", "derivative_spectra",
-    "discrepancy", "psf_spectrum", "solve_guidance", "solve_input",
+    "INFINITY", "Psf", "SpectralPlan", "circ_convolve", "psf_spectrum",
+    "solve_guidance", "solve_input",
 ]
 
 __version__ = "0.1.0"

@@ -1,18 +1,19 @@
-"""Benchmark harness: degradation scenarios, seeded noise, BSNR/ISNR
-metrics, the rho-sweep experiment, and the reference comparison table.
+"""Benchmark harness: the PSF mini-language, degradation scenarios,
+seeded noise, BSNR/ISNR metrics, the rho-sweep experiment, and the
+reference comparison table.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateInput, DimensionMismatch
-from .image_core import centered_sq_norm
+from . import pgm
+from .errors import DegenerateInput
+from .image_core import centered_sq_norm, isnr
 from .pipeline import GfdConfig, run_gfd
 from .spectral import Psf, circ_convolve
 
@@ -20,8 +21,6 @@ from .spectral import Psf, circ_convolve
 # Gaussians via Box-Muller, so degraded pairs are reproducible
 # bit-for-bit across platforms.
 PRNG_ID = "pcg64:box-muller"
-
-SECS_PER_ITER_REFERENCE = 0.057  # published per-iteration time, 256x256
 
 
 def gaussian_field(shape: Tuple[int, int], sigma: float, seed: int) -> np.ndarray:
@@ -43,11 +42,11 @@ def gaussian_field(shape: Tuple[int, int], sigma: float, seed: int) -> np.ndarra
 
 @dataclass(frozen=True)
 class Scenario:
-    """One degradation setting: a PSF family and a noise variance."""
+    """One degradation setting: a PSF (in the parse_psf_spec mini-language)
+    and a noise variance."""
 
     id: int
-    psf_kind: str  # rational | boxcar | binomial5 | gaussian
-    psf_args: Tuple[float, ...]
+    psf_spec: str
     sigma_sq: float
     psf_text: str = ""
 
@@ -63,11 +62,11 @@ class Scenario:
 # Scenario 3's "approximately 0.3" is stored as 0.308, the value that
 # puts Cameraman at BSNR 40 dB in this benchmark lineage.
 SCENARIOS: Dict[int, Scenario] = {
-    1: Scenario(1, "rational", (7,), 2.0, "1/(1+i^2+j^2), i,j=-7..7"),
-    2: Scenario(2, "rational", (7,), 8.0, "1/(1+i^2+j^2), i,j=-7..7"),
-    3: Scenario(3, "boxcar", (9,), 0.308, "9x9 uniform (boxcar)"),
-    4: Scenario(4, "binomial5", (), 49.0, "[1 4 6 4 1]ᵀ[1 4 6 4 1]/256"),
-    5: Scenario(5, "gaussian", (25, 1.6), 4.0, "25x25 Gaussian, std=1.6"),
+    1: Scenario(1, "rational:7", 2.0, "1/(1+i^2+j^2), i,j=-7..7"),
+    2: Scenario(2, "rational:7", 8.0, "1/(1+i^2+j^2), i,j=-7..7"),
+    3: Scenario(3, "boxcar:9", 0.308, "9x9 uniform (boxcar)"),
+    4: Scenario(4, "binomial5", 49.0, "[1 4 6 4 1]ᵀ[1 4 6 4 1]/256"),
+    5: Scenario(5, "gaussian:25:1.6", 4.0, "25x25 Gaussian, std=1.6"),
 }
 
 
@@ -91,36 +90,36 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
     return np.exp(-(i[:, None] ** 2 + i[None, :] ** 2) / (2.0 * std * std))
 
 
-def make_psf(scn: Scenario) -> Psf:
-    if scn.psf_kind == "rational":
-        taps = rational_kernel(int(scn.psf_args[0]))
-    elif scn.psf_kind == "boxcar":
-        taps = boxcar_kernel(int(scn.psf_args[0]))
-    elif scn.psf_kind == "binomial5":
-        taps = binomial5_kernel()
-    elif scn.psf_kind == "gaussian":
-        taps = gaussian_kernel(int(scn.psf_args[0]), float(scn.psf_args[1]))
-    else:
-        raise ValueError(f"unknown psf kind {scn.psf_kind!r}")
-    return Psf.from_taps(taps)
+def parse_psf_spec(spec: str) -> Psf:
+    """PSF mini-language: boxcar:N, gaussian:SIZE:STD, rational:R,
+    binomial5, or file:PATH (a PGM whose samples are kernel weights)."""
+    kind, _, rest = spec.partition(":")
+    if kind == "boxcar":
+        return Psf.from_taps(boxcar_kernel(int(rest)))
+    if kind == "gaussian":
+        size_s, _, std_s = rest.partition(":")
+        return Psf.from_taps(gaussian_kernel(int(size_s), float(std_s)))
+    if kind == "rational":
+        return Psf.from_taps(rational_kernel(int(rest)))
+    if kind == "binomial5":
+        return Psf.from_taps(binomial5_kernel())
+    if kind == "file":
+        return Psf.from_taps(pgm.read_image(rest))
+    raise ValueError(f"unknown PSF spec {spec!r}")
 
 
 @dataclass(frozen=True)
 class DegradedPair:
-    clean: np.ndarray
     observed: np.ndarray
     psf: Psf
     sigma: float
-    seed: int
 
 
 def degrade(clean: np.ndarray, scn: Scenario, seed: int) -> DegradedPair:
     """Circular blur plus seeded Gaussian noise; deterministic per seed."""
-    psf = make_psf(scn)
+    psf = parse_psf_spec(scn.psf_spec)
     observed = circ_convolve(clean, psf) + gaussian_field(clean.shape, scn.sigma, seed)
-    return DegradedPair(
-        clean=clean, observed=observed, psf=psf, sigma=scn.sigma, seed=seed
-    )
+    return DegradedPair(observed=observed, psf=psf, sigma=scn.sigma)
 
 
 # --------------------------------------------------------------------
@@ -135,17 +134,6 @@ def bsnr(g: np.ndarray, sigma_sq: float) -> float:
     if cvar == 0.0:
         raise DegenerateInput("constant observation has no BSNR")
     return 10.0 * np.log10(cvar / (g.size * sigma_sq))
-
-
-def isnr(clean: np.ndarray, observed: np.ndarray, restored: np.ndarray) -> float:
-    """Improvement in SNR of the restoration over the observation, dB."""
-    if not clean.shape == observed.shape == restored.shape:
-        raise DimensionMismatch("isnr inputs differ in shape")
-    num = float(np.sum((clean - observed) ** 2))
-    den = float(np.sum((clean - restored) ** 2))
-    if den == 0.0:
-        return float(np.inf)
-    return 10.0 * np.log10(num / den)
 
 
 # --------------------------------------------------------------------
@@ -291,21 +279,6 @@ REFERENCE_BSNR: Dict[Tuple[str, int], float] = {
     for image, row in _REF_ROWS.items()
     for scn in range(1, 6)
 }
-
-
-def reference_table_to_json() -> str:
-    items = [
-        {"image": img, "scenario": scn, "method": m, "isnr_db": val}
-        for (img, scn, m), val in sorted(REFERENCE_ISNR.items())
-    ]
-    return json.dumps(items, indent=1)
-
-
-def reference_table_from_json(text: str) -> Dict[Tuple[str, int, str], float]:
-    return {
-        (d["image"], d["scenario"], d["method"]): d["isnr_db"]
-        for d in json.loads(text)
-    }
 
 
 # --------------------------------------------------------------------

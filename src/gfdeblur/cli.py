@@ -14,7 +14,6 @@ from . import bench, config, pgm
 from .errors import BracketFailure, DegenerateInput, GfdError, SingularDenominator
 from .guided_filter import GfParams
 from .pipeline import GfdConfig, run_gfd
-from .spectral import Psf
 
 _NUMERIC_ERRORS = (SingularDenominator, BracketFailure, DegenerateInput)
 
@@ -24,24 +23,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def parse_psf_spec(spec: str) -> Psf:
-    """PSF mini-language: boxcar:N, gaussian:SIZE:STD, rational:R,
-    binomial5, or file:PATH (a PGM whose samples are kernel weights)."""
-    kind, _, rest = spec.partition(":")
-    if kind == "boxcar":
-        return Psf.from_taps(bench.boxcar_kernel(int(rest)))
-    if kind == "gaussian":
-        size_s, _, std_s = rest.partition(":")
-        return Psf.from_taps(bench.gaussian_kernel(int(size_s), float(std_s)))
-    if kind == "rational":
-        return Psf.from_taps(bench.rational_kernel(int(rest)))
-    if kind == "binomial5":
-        return Psf.from_taps(bench.binomial5_kernel())
-    if kind == "file":
-        return Psf.from_taps(pgm.read_image(rest))
-    raise ValueError(f"unknown PSF spec {spec!r}")
 
 
 def parse_grid(spec: str):
@@ -59,6 +40,19 @@ def parse_grid(spec: str):
 
 def _parse_levels(spec: str):
     return [float(p) for p in spec.split(",") if p]
+
+
+def _parse_scenarios(spec: str):
+    """Comma-separated scenario ids, each a key of bench.SCENARIOS."""
+    scenarios = []
+    for token in filter(None, spec.split(",")):
+        try:
+            scenarios.append(bench.SCENARIOS[int(token)])
+        except (KeyError, ValueError):
+            raise argparse.ArgumentTypeError(
+                f"unknown scenario {token!r}; known: {sorted(bench.SCENARIOS)}"
+            ) from None
+    return scenarios
 
 
 def _build_parser() -> _Parser:
@@ -106,7 +100,7 @@ def _build_parser() -> _Parser:
     r.add_argument("--images", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--scenarios", default="1,2,3,4,5")
+    r.add_argument("--scenarios", type=_parse_scenarios, default="1,2,3,4,5")
     r.add_argument("--iters", dest="iterations", type=int)
     r.add_argument("--known-sigma", action="store_true")
     return p
@@ -129,7 +123,7 @@ def _cmd_deblur(args) -> int:
     if args.estimate_sigma:
         settings.pop("sigma", None)
     g = pgm.read_image(args.infile)
-    psf = parse_psf_spec(args.psf)
+    psf = bench.parse_psf_spec(args.psf)
     ref = pgm.read_image(args.ref) if args.ref else None
     cfg = _gfd_config(args, settings, reference=ref)
     restored, trace = run_gfd(g, psf, cfg)
@@ -171,7 +165,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep_rho(args) -> int:
     clean = pgm.read_image(args.infile)
-    psf = parse_psf_spec(args.psf)
+    psf = bench.parse_psf_spec(args.psf)
     rows = bench.rho_sweep(
         clean,
         psf,
@@ -191,11 +185,9 @@ def _cmd_run_scenarios(args) -> int:
     if not files:
         raise ValueError(f"no .pgm images found in {image_dir}")
     images = [(f.stem, pgm.read_image(f)) for f in files]
-    ids = [int(t) for t in args.scenarios.split(",") if t]
-    scenarios = [bench.SCENARIOS[i] for i in ids]
     rows = bench.run_scenarios(
         images,
-        scenarios,
+        args.scenarios,
         cfg=_gfd_config(args),
         seed=args.seed,
         known_sigma=args.known_sigma,

@@ -1,9 +1,10 @@
 """Plain-text run configuration: `key = value` lines, # comments.
 
-Each key names a GfdConfig setting (gf_w and gf_eps those of the main
-guided filter); a key the file omits keeps GfdConfig's default.  Unknown
-keys and malformed values are rejected with the offending key and line
-number.
+The keys are exactly iterations, tau, gf_w, gf_eps and sigma.  Each
+names a GfdConfig setting (gf_w and gf_eps the window and eps of the
+guided filters); a key the file omits keeps GfdConfig's default.
+Unknown keys and malformed values are rejected with the offending key
+and line number.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ def _positive_int(text: str) -> int:
 _KEY_PARSERS = {
     "iterations": _positive_int,
     "tau": float,
-    "rel_tol": float,
-    "max_bisect": _positive_int,
     "gf_w": _positive_int,
     "gf_eps": float,
     "sigma": float,

@@ -1,4 +1,4 @@
-"""Grayscale image helpers and windowed box sums.
+"""Grayscale image helpers, the ISNR metric, and windowed box sums.
 
 Images are plain 2-D float64 numpy arrays, row-major, immutable by
 convention.  Window sums add the window's entries directly, one axis at
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import WindowTooLarge
+from .errors import DimensionMismatch, WindowTooLarge
 
 
 def as_image(data) -> np.ndarray:
@@ -42,6 +42,17 @@ def centered_sq_norm(img: np.ndarray) -> float:
     """Sum of squared deviations from the image mean."""
     d = img - img.mean()
     return float(np.dot(d.ravel(), d.ravel()))
+
+
+def isnr(clean: np.ndarray, observed: np.ndarray, restored: np.ndarray) -> float:
+    """Improvement in SNR of the restoration over the observation, dB."""
+    if not clean.shape == observed.shape == restored.shape:
+        raise DimensionMismatch("isnr inputs differ in shape")
+    num = float(np.sum((clean - observed) ** 2))
+    den = float(np.sum((clean - restored) ** 2))
+    if den == 0.0:
+        return float(np.inf)
+    return 10.0 * np.log10(num / den)
 
 
 def box_sum(img: np.ndarray, w: int) -> np.ndarray:

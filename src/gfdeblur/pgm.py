@@ -1,9 +1,9 @@
 """PGM (portable graymap) reading and writing.
 
-Supported: binary P5 with 8-bit or 16-bit (big-endian) samples, and
-ASCII P2.  Intensities map to [0, 255] reals on read; writes clamp to
-[0, maxval] and round half away from zero, so written files round-trip
-bit-exactly.
+Reads binary P5 with 8-bit or 16-bit (big-endian) samples, and ASCII
+P2; intensities map to [0, 255] reals, and a sample outside [0, maxval]
+is rejected.  Writes 8-bit binary P5, clamped to [0, 255] and rounded
+half away from zero, so written files round-trip bit-exactly.
 """
 
 from __future__ import annotations
@@ -75,35 +75,28 @@ def read_image(path) -> np.ndarray:
             )
         try:
             vals = np.array([int(f) for f in fields[: width * height]], dtype=np.float64)
-        except ValueError as exc:
-            raise PgmParseError(f"non-integer P2 sample: {exc}") from exc
+        except (ValueError, OverflowError) as exc:  # OverflowError: beyond float64
+            raise PgmParseError(f"bad P2 sample: {exc}") from exc
 
+    bad = (vals < 0) | (vals > maxval)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise PgmParseError(f"sample {int(vals[i])} at index {i} outside 0..maxval {maxval}")
     img = vals.reshape(height, width)
     if maxval != 255:
         img = img * (255.0 / maxval)
     return img
 
 
-def quantize(img: np.ndarray, maxval: int = 255) -> np.ndarray:
-    """Clamp to [0, maxval] and round half away from zero."""
-    clamped = np.clip(img, 0.0, float(maxval))
-    return np.floor(clamped + 0.5)
+def quantize(img: np.ndarray) -> np.ndarray:
+    """Clamp to [0, 255] and round half away from zero."""
+    return np.floor(np.clip(img, 0.0, 255.0) + 0.5)
 
 
-def write_image(path, img: np.ndarray, maxval: int = 255, ascii_format: bool = False):
-    """Write an image as P5 (default) or P2, quantized to [0, maxval]."""
-    if not 0 < maxval < 65536:
-        raise ValueError(f"bad maxval {maxval}")
-    q = quantize(img, maxval)
+def write_image(path, img: np.ndarray):
+    """Write an image as 8-bit binary P5, quantized to [0, 255]."""
+    q = quantize(img)
     height, width = q.shape
-    header = f"P{'2' if ascii_format else '5'}\n{width} {height}\n{maxval}\n"
     with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        if ascii_format:
-            body = "\n".join(
-                " ".join(str(int(v)) for v in row) for row in q
-            )
-            fh.write(body.encode("ascii") + b"\n")
-        else:
-            dtype = np.uint8 if maxval < 256 else np.dtype(">u2")
-            fh.write(q.astype(dtype).tobytes())
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(q.astype(np.uint8).tobytes())

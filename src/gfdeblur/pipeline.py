@@ -12,8 +12,8 @@ from typing import Optional
 import numpy as np
 
 from .guided_filter import GfParams, guidfilter, smooth_gradients
-from .errors import BracketFailure
-from .image_core import as_image, check_window_fits
+from .errors import BracketFailure, DimensionMismatch
+from .image_core import as_image, check_window_fits, isnr
 from .regparam import (
     LambdaChoice,
     NoiseEstimate,
@@ -50,8 +50,6 @@ class GfdConfig:
     iterations: int = 30
     gf_main: GfParams = field(default_factory=GfParams)
     tau: float = 0.6
-    rel_tol: float = 1e-3
-    max_bisect: int = 60
     sigma: Optional[float] = None
     rho_override: Optional[float] = None
     reference: Optional[np.ndarray] = None
@@ -83,7 +81,11 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     psf) are built once, and F(v) once per iteration.
     """
     g = as_image(g)
-    check_window_fits(cfg.gf_main.win, g.shape)  # before any spectral work
+    # Inputs are checked before any spectral work.
+    check_window_fits(cfg.gf_main.win, g.shape)
+    ref = None if cfg.reference is None else as_image(cfg.reference)
+    if ref is not None and ref.shape != g.shape:
+        raise DimensionMismatch(f"reference {ref.shape} differs from observation {g.shape}")
     est = NoiseEstimate(cfg.sigma) if cfg.sigma is not None else estimate_sigma(g)
     eps = max((2.0 * est.sigma) ** 2, EPS_FLOOR)
     gf = cfg.gf_main if cfg.gf_main.eps is not None else replace(cfg.gf_main, eps=eps)
@@ -95,10 +97,6 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     vx = np.zeros_like(g)
     vy = np.zeros_like(g)
 
-    ref = cfg.reference
-    if ref is not None:
-        ref_err_obs = float(np.sum((ref - g) ** 2))
-
     trace: list[IterationRecord] = []
     for k in range(1, cfg.iterations + 1):
         if cfg.rho_override is not None:
@@ -108,7 +106,7 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         bound_c = rho * npix * est.variance
         v_hat = plan.spectrum(v)
         try:
-            choice = choose_lambda(plan, v_hat, bound_c, cfg.rel_tol, cfg.max_bisect)
+            choice = choose_lambda(plan, v_hat, bound_c)
         except BracketFailure:
             # Bound sits above the finite-lambda asymptote only through
             # numerical slack; the asymptote residual is that of v itself.
@@ -125,17 +123,8 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         v = guidfilter(u_i, u_p, gf)
         vx, vy = smooth_gradients(v, gf)
 
-        isnr = None
-        if ref is not None:
-            err = float(np.sum((ref - v) ** 2))
-            isnr = float(np.inf) if err == 0 else 10.0 * np.log10(ref_err_obs / err)
-        trace.append(
-            IterationRecord(
-                k=k,
-                lam=lam,
-                rho=rho,
-                residual=choice.residual,
-                isnr=isnr,
-            )
-        )
+        trace.append(IterationRecord(
+            k=k, lam=lam, rho=rho, residual=choice.residual,
+            isnr=isnr(ref, g, v) if ref is not None else None,
+        ))
     return v, trace

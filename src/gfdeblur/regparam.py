@@ -29,6 +29,11 @@ S_CEIL = 1.0
 
 LAMBDA_BRACKET_CAP = 1e12
 
+# Bisection stops once the residual is within REL_TOL * bound of the
+# bound, or after MAX_BISECT halvings.
+REL_TOL = 1e-3
+MAX_BISECT = 60
+
 
 @dataclass(frozen=True)
 class NoiseEstimate:
@@ -134,8 +139,8 @@ def choose_lambda(
     plan: SpectralPlan,
     v_hat: np.ndarray,
     bound_c: float,
-    rel_tol: float,
-    max_iter: int,
+    rel_tol: float = REL_TOL,
+    max_iter: int = MAX_BISECT,
 ) -> LambdaChoice:
     """Solve the discrepancy equation residual(lambda) = bound_c by
     bisection, given the pre-estimate's spectrum v_hat = plan.spectrum(v).

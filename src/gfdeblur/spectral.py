@@ -14,8 +14,8 @@ A real image's spectrum is Hermitian, so the half-plane holds columns
 them.  The full-plane sum of |F(x)|^2 is therefore the half-plane sum
 with column 0 counted once, interior columns twice, and, for even
 widths, column width / 2 once; discrepancy_terms folds these weights
-into b.  psf_spectrum, derivative_spectra, circ_convolve and discrepancy
-stay on the full plane as references.
+into b.  psf_spectrum and circ_convolve stay on the full plane: they
+blur clean images for the benchmark.
 """
 
 from __future__ import annotations
@@ -101,20 +101,6 @@ def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     return np.real(np.fft.ifft2(np.fft.fft2(img) * spec))
 
 
-def derivative_spectra(height: int, width: int):
-    """Spectra of the circular forward-difference operators.
-
-    dx: u(i, j+1) - u(i, j);  dy: u(i+1, j) - u(i, j).
-    """
-    kx = np.arange(width)
-    ky = np.arange(height)
-    dx_row = np.exp(2j * np.pi * kx / width) - 1.0
-    dy_col = np.exp(2j * np.pi * ky / height) - 1.0
-    dx = np.tile(dx_row, (height, 1))
-    dy = np.tile(dy_col[:, None], (1, width))
-    return dx, dy
-
-
 def diff_x(img: np.ndarray) -> np.ndarray:
     """Forward difference along columns with circular wrap."""
     return np.roll(img, -1, axis=1) - img
@@ -123,12 +109,6 @@ def diff_x(img: np.ndarray) -> np.ndarray:
 def diff_y(img: np.ndarray) -> np.ndarray:
     """Forward difference along rows with circular wrap."""
     return np.roll(img, -1, axis=0) - img
-
-
-def _check_same_shape(*imgs):
-    shapes = {im.shape for im in imgs}
-    if len(shapes) > 1:
-        raise DimensionMismatch(f"images differ in shape: {sorted(shapes)}")
 
 
 class SpectralPlan:
@@ -245,17 +225,3 @@ def discrepancy_from_terms(a, b, npix: int, lam: float) -> float:
         return 0.0
     r = lam / (a + lam)
     return float(np.sum(r * r * b) / npix)
-
-
-def discrepancy(g, psf: Psf, v, lam: float) -> float:
-    """Squared data-fit residual ||h * u_p(lam) - g||^2 over the full
-    spectrum; the reference for the plan's half-plane discrepancy_terms.
-
-    Equals the spatial squared norm thanks to the 1/npix Parseval factor.
-    """
-    if lam < 0:
-        raise ValueError(f"lambda must be nonnegative, got {lam!r}")
-    _check_same_shape(g, v)
-    H = psf_spectrum(psf, *g.shape)
-    b = np.abs(H * np.fft.fft2(v) - np.fft.fft2(g)) ** 2
-    return discrepancy_from_terms(np.abs(H) ** 2, b, g.size, lam)

@@ -1,6 +1,6 @@
-"""Shared helpers: seeded random images, brute-force oracles, and a
-procedurally generated natural-looking test image so the suite needs no
-image assets."""
+"""Shared helpers: seeded random images, brute-force oracles, full-plane
+spectral references, and a procedurally generated natural-looking test
+image so the suite needs no image assets."""
 
 from __future__ import annotations
 
@@ -9,6 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from gfdeblur.errors import DimensionMismatch
+from gfdeblur.spectral import (
+    Psf,
+    SpectralPlan,
+    discrepancy_from_terms,
+    discrepancy_terms,
+    psf_spectrum,
+)
 
 
 def rand_image(seed: int, shape=(16, 16), lo=0.0, hi=255.0) -> np.ndarray:
@@ -81,6 +90,47 @@ def guidfilter_bruteforce(guide: np.ndarray, src: np.ndarray, w: int, eps: float
                 + np.mean(window_values(b, y, x, w))
             )
     return out
+
+
+def derivative_spectra(height: int, width: int):
+    """Full-plane spectra of the circular forward-difference operators.
+
+    dx: u(i, j+1) - u(i, j);  dy: u(i+1, j) - u(i, j).
+    """
+    kx = np.arange(width)
+    ky = np.arange(height)
+    dx_row = np.exp(2j * np.pi * kx / width) - 1.0
+    dy_col = np.exp(2j * np.pi * ky / height) - 1.0
+    dx = np.tile(dx_row, (height, 1))
+    dy = np.tile(dy_col[:, None], (1, width))
+    return dx, dy
+
+
+def _check_same_shape(*imgs):
+    shapes = {im.shape for im in imgs}
+    if len(shapes) > 1:
+        raise DimensionMismatch(f"images differ in shape: {sorted(shapes)}")
+
+
+def discrepancy(g, psf: Psf, v, lam: float) -> float:
+    """Squared data-fit residual ||h * u_p(lam) - g||^2 of the input solve
+    at lam > 0, over the full spectrum: the reference for the plan's
+    half-plane discrepancy_terms and discrepancy_from_terms.
+
+    h * u_p - g has spectrum lam (H F(v) - F(g)) / (|H|^2 + lam); its
+    spatial squared norm is the spectral one over npix (Parseval).
+    """
+    _check_same_shape(g, v)
+    H = psf_spectrum(psf, *g.shape)
+    r = lam * (H * np.fft.fft2(v) - np.fft.fft2(g)) / (np.abs(H) ** 2 + lam)
+    return float(np.sum(np.abs(r) ** 2) / g.size)
+
+
+def plan_discrepancy(g, psf: Psf, v):
+    """The restorer's discrepancy curve, lam -> residual, from the plan."""
+    plan = SpectralPlan(g, psf)
+    terms = discrepancy_terms(plan, plan.spectrum(v))
+    return lambda lam: discrepancy_from_terms(*terms, lam)
 
 
 def natural_image(seed: int = 7, size: int = 256) -> np.ndarray:

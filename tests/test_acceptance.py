@@ -20,7 +20,7 @@ from gfdeblur.bench import (
     degrade,
     gaussian_field,
     isnr,
-    make_psf,
+    parse_psf_spec,
     sigma_sq_for_bsnr,
     write_trace_csv,
 )
@@ -38,14 +38,18 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    derivative_spectra,
-    discrepancy,
     psf_spectrum,
     solve_guidance,
     solve_input,
 )
 
-from conftest import natural_image, require_asset
+from conftest import (
+    derivative_spectra,
+    discrepancy,
+    natural_image,
+    plan_discrepancy,
+    require_asset,
+)
 
 
 def report(criterion: int, text: str) -> None:
@@ -127,7 +131,8 @@ def test_criterion_3_discrepancy_consistency():
         psf = random_psf(200 + i)
         bound = float(np.sum((circ_convolve(v, psf) - g) ** 2))
         lams = np.geomspace(1e-3, 1e8, 25)
-        vals = [discrepancy(g, psf, v, lam) for lam in lams]
+        curve = plan_discrepancy(g, psf, v)
+        vals = [curve(lam) for lam in lams]
         for lo, hi in zip(vals, vals[1:]):
             assert lo <= hi + 1e-12  # monotone in lambda
         for lam, val in zip(lams, vals):
@@ -240,7 +245,7 @@ def test_criterion_8_isnr_targets():
 
 def test_criterion_9_adaptive_rho_dominance():
     clean = natural_image(7, 256)
-    psf = make_psf(SCENARIOS[3])  # boxcar 9x9
+    psf = parse_psf_spec(SCENARIOS[3].psf_spec)  # boxcar 9x9
     blurred = circ_convolve(clean, psf)
     sigma = float(np.sqrt(sigma_sq_for_bsnr(blurred, 30.0)))
     observed = blurred + gaussian_field(clean.shape, sigma, 0)

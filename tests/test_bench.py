@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -13,9 +11,7 @@ from gfdeblur.bench import (
     degrade,
     gaussian_field,
     isnr,
-    make_psf,
-    reference_table_from_json,
-    reference_table_to_json,
+    parse_psf_spec,
     rho_sweep,
     run_scenarios,
     sigma_sq_for_bsnr,
@@ -30,26 +26,26 @@ from gfdeblur.spectral import circ_convolve
 from conftest import natural_image, rand_image
 
 
-# ------------------------------------------------------------ make_psf
+# ------------------------------------------------------ parse_psf_spec
 
 
 def test_scenario4_kernel_is_already_normalized():
     from gfdeblur.bench import binomial5_kernel
 
     assert binomial5_kernel().sum() == pytest.approx(1.0, abs=1e-15)
-    psf = make_psf(SCENARIOS[4])
+    psf = parse_psf_spec(SCENARIOS[4].psf_spec)
     np.testing.assert_allclose(psf.taps, binomial5_kernel(), atol=1e-15)
 
 
 def test_scenario1_kernel_symmetry():
-    taps = make_psf(SCENARIOS[1]).taps
+    taps = parse_psf_spec(SCENARIOS[1].psf_spec).taps
     assert taps.shape == (15, 15)
     np.testing.assert_array_equal(taps, taps[::-1, ::-1])
     np.testing.assert_array_equal(taps, taps.T)
 
 
 def test_scenario5_gaussian_matches_direct_formula():
-    taps = make_psf(SCENARIOS[5]).taps
+    taps = parse_psf_spec(SCENARIOS[5].psf_spec).taps
     assert taps.shape == (25, 25)
     i = np.arange(-12, 13)
     direct = np.exp(-(i[:, None] ** 2 + i[None, :] ** 2) / (2 * 1.6**2))
@@ -66,7 +62,7 @@ def test_scenario3_variance_stored_value():
 
 def test_degrade_noiseless_delta():
     clean = rand_image(0, (32, 32))
-    scn = Scenario(1, "boxcar", (1,), 0.0)  # 1x1 boxcar is the identity
+    scn = Scenario(1, "boxcar:1", 0.0)  # 1x1 boxcar is the identity
     pair = degrade(clean, scn, seed=0)
     np.testing.assert_allclose(pair.observed, clean, atol=1e-10)
 
@@ -83,7 +79,7 @@ def test_degrade_deterministic_per_seed():
 def test_degrade_noise_statistics():
     clean = natural_image(2, 256)
     scn = SCENARIOS[4]  # sigma^2 = 49
-    blurred = circ_convolve(clean, make_psf(scn))
+    blurred = circ_convolve(clean, parse_psf_spec(scn.psf_spec))
     noise = degrade(clean, scn, seed=3).observed - blurred
     assert np.var(noise) == pytest.approx(scn.sigma_sq, rel=0.03)
     assert abs(noise.mean()) <= 0.05 * scn.sigma
@@ -140,7 +136,7 @@ def test_isnr_dimension_mismatch():
 
 def test_rho_sweep_single_grid_value_two_rows():
     clean = natural_image(10, 48)
-    psf = make_psf(SCENARIOS[3])
+    psf = parse_psf_spec(SCENARIOS[3].psf_spec)
     rows = rho_sweep(clean, psf, [30.0], [0.5], cfg=GfdConfig(iterations=2), seed=0)
     assert len(rows) == 2
     assert [r["adaptive_flag"] for r in rows] == [0, 1]
@@ -149,7 +145,7 @@ def test_rho_sweep_single_grid_value_two_rows():
 def test_rho_sweep_rejects_bad_grid():
     clean = natural_image(11, 48)
     with pytest.raises(ValueError):
-        rho_sweep(clean, make_psf(SCENARIOS[3]), [30.0], [0.0])
+        rho_sweep(clean, parse_psf_spec(SCENARIOS[3].psf_spec), [30.0], [0.0])
 
 
 def test_sigma_sq_for_bsnr_inverts():
@@ -190,20 +186,12 @@ def test_reference_values_verbatim():
     assert REFERENCE_BSNR[("house", 4)] == 15.99
 
 
-def test_reference_table_round_trips():
-    text = reference_table_to_json()
-    assert reference_table_from_json(text) == REFERENCE_ISNR
-    # bit-exact floats through serialization
-    again = reference_table_to_json()
-    assert json.loads(text) == json.loads(again)
-
-
 # ------------------------------------------------------------ CSV emit
 
 
 def test_csv_schemas(tmp_path):
     clean = natural_image(14, 48)
-    psf = make_psf(SCENARIOS[3])
+    psf = parse_psf_spec(SCENARIOS[3].psf_spec)
     rows = rho_sweep(clean, psf, [30.0], [1.0], cfg=GfdConfig(iterations=2), seed=0)
     p1 = tmp_path / "rho_sweep.csv"
     write_rho_sweep_csv(p1, rows)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gfdeblur.cli import _build_parser, _gfd_config, main, parse_grid, parse_psf_spec
+from gfdeblur.bench import parse_psf_spec
+from gfdeblur.cli import _build_parser, _gfd_config, main, parse_grid
 from gfdeblur.config import parse_run_config
 from gfdeblur.errors import ConfigError
 from gfdeblur.pipeline import GfdConfig
@@ -142,6 +143,20 @@ def test_run_scenarios_command(tmp_path):
     assert lines[1].startswith("toy,3,")
 
 
+def test_deblur_mismatched_reference_writes_nothing(tmp_path, capsys):
+    src, ref = tmp_path / "g.pgm", tmp_path / "row.pgm"
+    write_image(src, rand_int_image(6, (16, 16)))
+    write_image(ref, rand_int_image(7, (1, 16)))
+    out, trace = tmp_path / "v.pgm", tmp_path / "t.csv"
+    rc = main([
+        "deblur", "--in", str(src), "--psf", "boxcar:3", "--out", str(out), "--sigma", "1",
+        "--iters", "2", "--ref", str(ref), "--trace", str(trace),
+    ])
+    assert rc == 2
+    assert "reference (1, 16) differs from observation (16, 16)" in capsys.readouterr().err
+    assert not out.exists() and not trace.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     assert main(["deblur", "--in", "x"]) == 1  # usage: missing required args
     assert main([
@@ -153,6 +168,13 @@ def test_exit_codes(tmp_path, capsys):
     deblur = ["deblur", "--in", str(src), "--psf", "boxcar:1", "--out", str(tmp_path / "o.pgm")]
     # usage: a known sigma and an estimated one exclude each other
     assert main(deblur + ["--sigma", "0.5", "--estimate-sigma"]) == 1
+    # usage: an unknown scenario id is named, as degrade --scenario 9 is
+    capsys.readouterr()
+    assert main([
+        "run-scenarios", "--images", str(tmp_path), "--out", str(tmp_path / "s.csv"),
+        "--scenarios", "3,9",
+    ]) == 1
+    assert "unknown scenario '9'" in capsys.readouterr().err
     # data error: a config key that no setting reads is rejected, not ignored
     conf = tmp_path / "run.conf"
     for line in ("seed = 1", "grad_w = 3", "in = g.pgm"):
@@ -161,6 +183,14 @@ def test_exit_codes(tmp_path, capsys):
         assert main(deblur + ["--config", str(conf)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and repr(line.split(" ")[0]) in err
+    # numerical failure: a 15x15 boxcar on a 15x15 canvas zeroes every
+    # nonzero frequency of H, and the guidance solve's denominator vanishes
+    canvas = tmp_path / "canvas.pgm"
+    write_image(canvas, rand_int_image(8, (15, 15)))
+    assert main([
+        "deblur", "--in", str(canvas), "--psf", "boxcar:15", "--out", str(tmp_path / "c.pgm"),
+        "--sigma", "1", "--iters", "2",
+    ]) == 3
     # numerical failure: a constant observation has no BSNR
     flat = tmp_path / "flat.pgm"
     write_image(flat, np.full((16, 16), 7.0))
@@ -191,7 +221,7 @@ def test_config_unknown_key_named():
 
 def test_config_malformed_value_line_number():
     with pytest.raises(ConfigError, match="line 3"):
-        parse_run_config("iterations = 5\ntau = 0.6\nrel_tol = banana\n")
+        parse_run_config("iterations = 5\ntau = 0.6\ngf_eps = banana\n")
 
 
 def test_config_parses_values_and_paths():

@@ -29,19 +29,29 @@ def test_p5_round_trip(tmp_path):
     np.testing.assert_array_equal(read_image(p), quantize(img))
 
 
-def test_p2_round_trip(tmp_path):
-    img = rand_image(1, (5, 7))
-    p = tmp_path / "rt.pgm"
-    write_image(p, img, ascii_format=True)
-    np.testing.assert_array_equal(read_image(p), quantize(img))
-
-
 def test_sixteen_bit_round_trip_and_scaling(tmp_path):
     img = rand_image(2, (6, 6))
+    samples = np.floor(np.clip(img, 0, 255) * (65535.0 / 255.0) + 0.5)
     p = tmp_path / "deep.pgm"
-    write_image(p, img * (65535.0 / 255.0), maxval=65535)
+    p.write_bytes(b"P5\n6 6\n65535\n" + samples.astype(">u2").tobytes())
     back = read_image(p)  # scaled to [0, 255]
     np.testing.assert_allclose(back, np.clip(img, 0, 255), atol=255.0 / 65535.0 + 1e-9)
+
+
+def test_out_of_range_samples_rejected(tmp_path):
+    p = tmp_path / "bad.pgm"
+    for data, sample, maxval in (
+        (b"P5\n2 1\n100\n" + bytes([50, 200]), 200, 100),
+        (b"P5\n1 1\n1000\n" + (60000).to_bytes(2, "big"), 60000, 1000),
+        (b"P2 2 1 255 -5 300", -5, 255),
+        (b"P2 2 1 255 0 300", 300, 255),
+    ):
+        p.write_bytes(data)
+        with pytest.raises(PgmParseError, match=f"sample {sample} .*maxval {maxval}"):
+            read_image(p)
+    p.write_bytes(b"P2 1 1 255 1" + b"0" * 400)  # beyond float64
+    with pytest.raises(PgmParseError, match="P2 sample"):
+        read_image(p)
 
 
 def test_truncated_p5_names_byte_counts(tmp_path):

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfdeblur.guided_filter as guided_filter
 import gfdeblur.pipeline as pipeline
 
 from gfdeblur.bench import SCENARIOS, degrade, isnr
-from gfdeblur.errors import BracketFailure, WindowTooLarge
+from gfdeblur.errors import BracketFailure, DimensionMismatch, WindowTooLarge
 from gfdeblur.guided_filter import GfParams
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, psf_spectrum, solve_input
@@ -53,7 +55,7 @@ def test_determinism():
 def test_trace_integrity():
     clean = natural_image(5, 64)
     pair = degrade(clean, SCENARIOS[2], seed=2)
-    cfg = GfdConfig(iterations=6, sigma=pair.sigma, rel_tol=1e-3)
+    cfg = GfdConfig(iterations=6, sigma=pair.sigma)
     _, trace = run_gfd(pair.observed, pair.psf, cfg)
     npix = clean.size
     assert len(trace) == 6
@@ -114,6 +116,27 @@ def test_nonfinite_observation_rejected():
             run_gfd(g, psf, GfdConfig(iterations=2, sigma=sigma))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(8, 24), st.integers(8, 24)),
+    taps=st.tuples(st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5])),
+    sigma=st.one_of(st.none(), st.floats(0.0, 20.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_run_gfd_property(shape, taps, sigma, seed):
+    # Any small image and positive PSF restore to a finite image of g's
+    # shape, identically on a second call.
+    gen = np.random.default_rng(seed)
+    g = gen.uniform(0.0, 255.0, shape)
+    psf = Psf.from_taps(gen.uniform(0.1, 1.0, taps))
+    cfg = GfdConfig(iterations=3, sigma=sigma)
+    out, trace = run_gfd(g, psf, cfg)
+    assert out.shape == g.shape and np.all(np.isfinite(out))
+    out2, trace2 = run_gfd(g, psf, cfg)
+    np.testing.assert_array_equal(out2, out)
+    assert trace2 == trace
+
+
 def test_overflowing_observation_rejected():
     # Pixels near 1e200 overflow the energy g.g; the error names the
     # observation's scale instead of a nan rho or bound further in.
@@ -141,6 +164,16 @@ def test_window_checked_before_spectral_work(monkeypatch):
     for sigma in (2.0, None):
         with pytest.raises(WindowTooLarge):
             run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2, sigma=sigma))
+    assert calls == []
+
+
+def test_mismatched_reference_rejected(monkeypatch):
+    # A reference that would broadcast against g fails before any spectral work.
+    clean = natural_image(10, 32)
+    calls = _count_fft_calls(monkeypatch)
+    for ref in (clean[:1], clean[:, :31]):
+        with pytest.raises(DimensionMismatch, match="reference"):
+            run_gfd(clean, Psf.delta(), GfdConfig(iterations=2, sigma=1.0, reference=ref))
     assert calls == []
 
 

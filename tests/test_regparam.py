@@ -13,9 +13,9 @@ from gfdeblur.regparam import (
     estimate_sigma,
     rho_terms,
 )
-from gfdeblur.spectral import Psf, SpectralPlan, circ_convolve, discrepancy
+from gfdeblur.spectral import Psf, SpectralPlan, circ_convolve
 
-from conftest import natural_image, rand_image
+from conftest import discrepancy, natural_image, rand_image
 
 
 def random_psf(seed, size=5):
@@ -127,7 +127,7 @@ def test_square_branch_never_exceeds_linear_branch():
 
 def test_perfect_preestimate_returns_infinity():
     g = rand_image(5)
-    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), g), 1.0, 1e-3, 60)
+    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), g), 1.0)
     assert choice.is_infinite
     assert choice.residual <= 1.0
 
@@ -137,7 +137,7 @@ def test_infinity_implies_v_meets_bound():
     psf = random_psf(7)
     v = circ_convolve(g, psf)  # decent pre-estimate
     bound = float(np.sum((circ_convolve(v, psf) - g) ** 2)) * 1.5
-    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, 1e-3, 60)
+    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
     assert choice.is_infinite
     assert float(np.sum((circ_convolve(v, psf) - g) ** 2)) <= bound
 
@@ -181,7 +181,7 @@ def test_choose_lambda_rejects_bad_tolerances():
     with pytest.raises(ValueError):
         choose_lambda(plan, v_hat, 1.0, rel_tol=0.5, max_iter=60)
     with pytest.raises(ValueError):
-        choose_lambda(plan, v_hat, 1.0, rel_tol=1e-3, max_iter=0)
+        choose_lambda(plan, v_hat, 1.0, max_iter=0)
 
 
 def test_unreachable_bound_raises_bracket_failure():
@@ -192,7 +192,7 @@ def test_unreachable_bound_raises_bracket_failure():
     bound = float(np.sum(g * g)) * (1 - 1e-15)
     plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
     with pytest.raises(BracketFailure):
-        choose_lambda(plan, v_hat, bound, rel_tol=1e-3, max_iter=60)
+        choose_lambda(plan, v_hat, bound)
 
 
 def test_noise_estimate_variance_consistency():
@@ -205,4 +205,4 @@ def test_choose_lambda_rejects_bad_bound():
     plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
     for bound in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bound_c"):
-            choose_lambda(plan, v_hat, bound, rel_tol=1e-3, max_iter=60)
+            choose_lambda(plan, v_hat, bound)

@@ -7,10 +7,8 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    derivative_spectra,
     diff_x,
     diff_y,
-    discrepancy,
     discrepancy_from_terms,
     discrepancy_terms,
     psf_spectrum,
@@ -18,7 +16,7 @@ from gfdeblur.spectral import (
     solve_input,
 )
 
-from conftest import rand_image
+from conftest import derivative_spectra, discrepancy, plan_discrepancy, rand_image
 
 
 def random_psf(seed: int, size: int = 5) -> Psf:
@@ -207,16 +205,17 @@ def test_plan_rejects_mismatched_shapes():
 
 
 def test_discrepancy_zero_lambda():
-    assert discrepancy(rand_image(24), random_psf(25), rand_image(26), 0.0) == 0.0
+    assert plan_discrepancy(rand_image(24), random_psf(25), rand_image(26))(0.0) == 0.0
 
 
 def test_discrepancy_closed_form_flat_spectrum():
     g = rand_image(27)
     z = np.zeros_like(g)
     g_sq = float(np.sum(g * g))
+    curve = plan_discrepancy(g, Psf.delta(), z)
     for lam in (0.5, 1.0, 4.0):
         expected = (lam / (1.0 + lam)) ** 2 * g_sq
-        assert discrepancy(g, Psf.delta(), z, lam) == pytest.approx(expected, rel=1e-10)
+        assert curve(lam) == pytest.approx(expected, rel=1e-10)
 
 
 def test_discrepancy_equals_spatial_recomputation():
@@ -239,7 +238,8 @@ def test_discrepancy_monotone_in_lambda():
     g, v = rand_image(31), rand_image(32)
     psf = random_psf(33)
     lams = np.geomspace(1e-3, 1e6, 30)
-    vals = [discrepancy(g, psf, v, lam) for lam in lams]
+    curve = plan_discrepancy(g, psf, v)
+    vals = [curve(lam) for lam in lams]
     for lo, hi in zip(vals, vals[1:]):
         assert lo <= hi + 1e-12
 
@@ -248,8 +248,9 @@ def test_discrepancy_parseval_upper_bound():
     g, v = rand_image(34), rand_image(35)
     psf = random_psf(36)
     bound = float(np.sum((circ_convolve(v, psf) - g) ** 2))
+    curve = plan_discrepancy(g, psf, v)
     for lam in (0.0, 0.5, 3.0, 1e4, 1e9):
-        assert discrepancy(g, psf, v, lam) <= bound * (1 + 1e-7)
+        assert curve(lam) <= bound * (1 + 1e-7)
 
 
 def test_fft_round_trip():
