@@ -19,7 +19,6 @@ from .spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    psf_spectrum,
     solve_guidance,
     solve_input,
 )
@@ -30,7 +29,7 @@ __all__ = [
     "GfdConfig", "IterationRecord", "run_gfd",
     "LambdaChoice", "NoiseEstimate", "RhoTerms",
     "choose_lambda", "compute_rho", "estimate_sigma", "rho_terms",
-    "INFINITY", "Psf", "SpectralPlan", "circ_convolve", "psf_spectrum",
+    "INFINITY", "Psf", "SpectralPlan", "circ_convolve",
     "solve_guidance", "solve_input",
 ]
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -26,20 +27,23 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(spec: str):
-    """Grid mini-language start:step:stop, inclusive of stop."""
+    """Grid mini-language start:step:stop, inclusive of stop and clamped to it."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {spec!r}")
     start, step, stop = (float(p) for p in parts)
-    if step <= 0 or stop < start:
+    if not (step > 0 and start <= stop and math.isfinite(stop - start)):
         raise ValueError(f"bad grid {spec!r}")
     n = int(round((stop - start) / step)) + 1
-    vals = [start + i * step for i in range(n) if start + i * step <= stop + 1e-9]
-    return vals
+    return [min(start + i * step, stop) for i in range(n) if start + i * step <= stop + 1e-9]
 
 
 def _parse_levels(spec: str):
-    return [float(p) for p in spec.split(",") if p]
+    """Comma-separated BSNR levels in dB."""
+    levels = [float(p) for p in spec.split(",") if p]
+    if not levels or any(map(math.isnan, levels)):
+        raise ValueError(f"bad BSNR levels {spec!r}")
+    return levels
 
 
 def _parse_scenarios(spec: str):
@@ -52,6 +56,8 @@ def _parse_scenarios(spec: str):
             raise argparse.ArgumentTypeError(
                 f"unknown scenario {token!r}; known: {sorted(bench.SCENARIOS)}"
             ) from None
+    if not scenarios:
+        raise argparse.ArgumentTypeError(f"no scenario id in {spec!r}")
     return scenarios
 
 
@@ -90,8 +96,8 @@ def _build_parser() -> _Parser:
     s = sub.add_parser("sweep-rho", help="ISNR across forced rho values")
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--psf", required=True)
-    s.add_argument("--bsnr", default="20,30,40")
-    s.add_argument("--grid", default="0.1:0.05:1.0")
+    s.add_argument("--bsnr", type=_parse_levels, default="20,30,40")
+    s.add_argument("--grid", type=parse_grid, default="0.1:0.05:1.0")
     s.add_argument("--out", required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--iters", dest="iterations", type=int)
@@ -169,8 +175,8 @@ def _cmd_sweep_rho(args) -> int:
     rows = bench.rho_sweep(
         clean,
         psf,
-        bsnr_levels=_parse_levels(args.bsnr),
-        rho_grid=parse_grid(args.grid),
+        bsnr_levels=args.bsnr,
+        rho_grid=args.grid,
         cfg=_gfd_config(args),
         seed=args.seed,
         image_name=Path(args.infile).stem,

@@ -8,14 +8,13 @@ The spatial squared norm of an image equals sum(|F(x)|^2) / npix under
 numpy's unnormalized forward FFT; the discrepancy evaluation includes
 that factor so spectral and spatial values agree.
 
-The restore loop works on the rfft2 half-plane through a SpectralPlan.
-A real image's spectrum is Hermitian, so the half-plane holds columns
-0 .. width // 2 and every other column is the conjugate mirror of one of
-them.  The full-plane sum of |F(x)|^2 is therefore the half-plane sum
-with column 0 counted once, interior columns twice, and, for even
-widths, column width / 2 once; discrepancy_terms folds these weights
-into b.  psf_spectrum and circ_convolve stay on the full plane: they
-blur clean images for the benchmark.
+One transform pair serves everything: rfft2, and irfft2 told the image
+shape.  A real image's spectrum is Hermitian, so the rfft2 half-plane
+(columns 0 .. width // 2) holds all of it; discrepancy_terms weights
+column 0 once, interior columns twice and, for even widths, column
+width / 2 once to recover full-plane sums of |F(x)|^2.  The guidance solve
+transforms Dx^T vx + Dy^T vy, whose spectrum is conj(Dx) F(vx) +
+conj(Dy) F(vy): a circular forward difference's adjoint is the backward one.
 """
 
 from __future__ import annotations
@@ -90,15 +89,10 @@ def _embed_psf(psf: Psf, height: int, width: int) -> np.ndarray:
     return canvas
 
 
-def psf_spectrum(psf: Psf, height: int, width: int) -> np.ndarray:
-    """Full-plane spectrum of the PSF embedded in a height x width canvas."""
-    return np.fft.fft2(_embed_psf(psf, height, width))
-
-
 def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     """Centered circular convolution of an image with a PSF."""
-    spec = psf_spectrum(psf, *img.shape)
-    return np.real(np.fft.ifft2(np.fft.fft2(img) * spec))
+    spec = np.fft.rfft2(_embed_psf(psf, *img.shape))
+    return np.fft.irfft2(np.fft.rfft2(img) * spec, s=img.shape)
 
 
 def diff_x(img: np.ndarray) -> np.ndarray:
@@ -115,14 +109,11 @@ class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
 
-    H and |H|^2, F(g) and conj(H) F(g), the closed-form |Dx|^2 + |Dy|^2
-    with the conjugate derivative factors as a broadcast row (x) and
-    column (y), and the Parseval column weights that discrepancy_terms
-    folds into b.
+    H and |H|^2, F(g) and conj(H) F(g), the closed-form |Dx|^2 + |Dy|^2,
+    and the Parseval column weights that discrepancy_terms folds into b.
     """
 
-    __slots__ = ("shape", "H", "H_sq", "G", "conj_H_G", "D_sq", "conj_dx", "conj_dy",
-                 "weights")
+    __slots__ = ("shape", "H", "H_sq", "G", "conj_H_G", "D_sq", "weights")
 
     def __init__(self, g: np.ndarray, psf: Psf):
         height, width = self.shape = g.shape
@@ -132,8 +123,6 @@ class SpectralPlan:
         self.conj_H_G = np.conj(self.H) * self.G
         kx = np.arange(width // 2 + 1)
         ky = np.arange(height)
-        self.conj_dx = np.conj(np.exp(2j * np.pi * kx / width) - 1.0)[None, :]
-        self.conj_dy = np.conj(np.exp(2j * np.pi * ky / height) - 1.0)[:, None]
         # |exp(i t) - 1|^2 = 4 sin^2(t / 2)
         self.D_sq = (4.0 * np.sin(np.pi * ky / height) ** 2)[:, None] + (
             4.0 * np.sin(np.pi * kx / width) ** 2
@@ -176,13 +165,13 @@ def solve_guidance(plan: SpectralPlan, vx, vy, lam):
     denom = plan.H_sq + lam * plan.D_sq
     if np.min(denom) < 1e-15:
         raise SingularDenominator("guidance solve denominator vanishes")
-    # Updated in place: at 1024^2 each spectrum-sized temporary is a
-    # measurable share of the solve.
-    f = np.fft.rfft2(np.stack((vx, vy)))
-    num = f[0]
-    num *= plan.conj_dx
-    f[1] *= plan.conj_dy
-    num += f[1]
+    # Dx^T vx + Dy^T vy in place: at 1024^2 each temporary costs time and memory.
+    adj = np.roll(vx, 1, axis=1)
+    adj -= vx
+    adj += np.roll(vy, 1, axis=0)
+    adj -= vy
+    num = np.fft.rfft2(adj)
+    del adj
     num *= lam
     num += plan.conj_H_G
     num /= denom

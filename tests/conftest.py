@@ -14,9 +14,9 @@ from gfdeblur.errors import DimensionMismatch
 from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
+    _embed_psf,
     discrepancy_from_terms,
     discrepancy_terms,
-    psf_spectrum,
 )
 
 
@@ -90,6 +90,11 @@ def guidfilter_bruteforce(guide: np.ndarray, src: np.ndarray, w: int, eps: float
                 + np.mean(window_values(b, y, x, w))
             )
     return out
+
+
+def psf_spectrum(psf: Psf, height: int, width: int) -> np.ndarray:
+    """Full-plane spectrum of the PSF embedded in a height x width canvas."""
+    return np.fft.fft2(_embed_psf(psf, height, width))
 
 
 def derivative_spectra(height: int, width: int):

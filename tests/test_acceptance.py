@@ -38,7 +38,6 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    psf_spectrum,
     solve_guidance,
     solve_input,
 )
@@ -48,6 +47,7 @@ from conftest import (
     discrepancy,
     natural_image,
     plan_discrepancy,
+    psf_spectrum,
     require_asset,
 )
 

@@ -51,8 +51,12 @@ def test_psf_spec_unknown():
 
 def test_parse_grid():
     assert parse_grid("0.1:0.05:0.2") == pytest.approx([0.1, 0.15, 0.2])
-    with pytest.raises(ValueError):
-        parse_grid("0.1:0.05")
+    # 0.09 + 13 * 0.07 rounds to just past 1.0; the last point is stop itself.
+    grid = parse_grid("0.09:0.07:1.0")
+    assert len(grid) == 14 and grid[-1] == 1.0
+    for spec in ("0.1:0.05", "1:0:2", "1:0.1:0.5", "0.1:0.1:inf", "0.1:nan:1"):
+        with pytest.raises(ValueError):
+            parse_grid(spec)
 
 
 # ------------------------------------------------------------ commands
@@ -175,6 +179,15 @@ def test_exit_codes(tmp_path, capsys):
         "--scenarios", "3,9",
     ]) == 1
     assert "unknown scenario '9'" in capsys.readouterr().err
+    # usage: a list flag that is empty or malformed runs nothing
+    sweep = ["sweep-rho", "--in", str(src), "--psf", "boxcar:3", "--out", str(tmp_path / "r.csv")]
+    for flags in (["--bsnr", ","], ["--bsnr", "abc"], ["--bsnr", "30,nan"], ["--grid", "1:0:2"]):
+        assert main(sweep + flags) == 1
+    assert main([
+        "run-scenarios", "--images", str(tmp_path), "--out", str(tmp_path / "s.csv"),
+        "--scenarios", ",",
+    ]) == 1
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
     # data error: a config key that no setting reads is rejected, not ignored
     conf = tmp_path / "run.conf"
     for line in ("seed = 1", "grad_w = 3", "in = g.pgm"):

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 import gfdeblur.guided_filter as guided_filter
 import gfdeblur.pipeline as pipeline
 
-from gfdeblur.bench import SCENARIOS, degrade, isnr
+from gfdeblur.bench import SCENARIOS, degrade, isnr, rho_sweep
 from gfdeblur.errors import BracketFailure, DimensionMismatch, WindowTooLarge
 from gfdeblur.guided_filter import GfParams
 from gfdeblur.pipeline import GfdConfig, run_gfd
-from gfdeblur.spectral import Psf, SpectralPlan, psf_spectrum, solve_input
+from gfdeblur.spectral import Psf, SpectralPlan, solve_input
 
-from conftest import natural_image, rand_image
+from conftest import natural_image, psf_spectrum, rand_image
 
 
 def test_noiseless_identity_degradation():
@@ -149,10 +149,18 @@ FFT_NAMES = [n for n in np.fft.__all__ if n.endswith(("fft", "fft2", "fftn"))]
 
 
 def _count_fft_calls(monkeypatch):
+    """One entry per numpy.fft call: the input's points for a forward
+    transform, 0 for an inverse one."""
     calls = []
     for name in FFT_NAMES:
         fn = getattr(np.fft, name)
-        monkeypatch.setattr(np.fft, name, lambda *a, _fn=fn, **kw: calls.append(1) or _fn(*a, **kw))
+        inverse = name.startswith("i")
+
+        def counted(a, *args, _fn=fn, _inverse=inverse, **kw):
+            calls.append(0 if _inverse else np.size(a))
+            return _fn(a, *args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
     return calls
 
 
@@ -178,24 +186,43 @@ def test_mismatched_reference_rejected(monkeypatch):
 
 
 def test_fft_calls_per_iteration(monkeypatch):
-    # The plan costs 2 transforms per restore; an iteration costs F(v) plus,
-    # for finite lambda, the input solve's inverse and the guidance solve's
-    # stacked forward and inverse.
+    # The plan costs 2 forward transforms per restore; an iteration costs
+    # F(v) plus, for finite lambda, the input solve's inverse and the
+    # guidance solve's forward transform of one image and its inverse.
     # Scenario 5 at 32x32 mixes finite and infinite lambda within 6 iterations.
     clean = natural_image(1, 32)
+    npix = clean.size
     pair = degrade(clean, SCENARIOS[5], seed=0)
     calls = _count_fft_calls(monkeypatch)
     per_iter = []
     smooth = pipeline.smooth_gradients
     monkeypatch.setattr(
-        pipeline, "smooth_gradients", lambda *a: per_iter.append(len(calls)) or smooth(*a)
+        pipeline, "smooth_gradients",
+        lambda *a: per_iter.append((len(calls), sum(calls))) or smooth(*a),
     )
     _, trace = run_gfd(pair.observed, pair.psf, GfdConfig(iterations=6, sigma=pair.sigma))
     infinite = [math.isinf(rec.lam) for rec in trace]
     assert any(infinite) and not all(infinite)
-    expected = [1 if inf else 4 for inf in infinite]
-    expected[0] += 2
-    assert np.diff([0] + per_iter).tolist() == expected
+    # (calls, forward-transform input points) per iteration
+    expected = [[1, npix] if inf else [4, 2 * npix] for inf in infinite]
+    expected[0][0] += 2
+    expected[0][1] += 2 * npix
+    assert np.diff([(0, 0)] + per_iter, axis=0).tolist() == expected
+
+
+def test_library_uses_only_the_half_plane_pair(monkeypatch):
+    # Restoring, degrading and sweeping rho take only rfft2 and irfft2.
+    def refuse(*a, **kw):
+        raise AssertionError("a numpy.fft transform other than rfft2/irfft2 was called")
+
+    for name in FFT_NAMES:
+        if name not in ("rfft2", "irfft2"):
+            monkeypatch.setattr(np.fft, name, refuse)
+    clean = natural_image(2, 32)
+    pair = degrade(clean, SCENARIOS[3], seed=0)
+    run_gfd(pair.observed, pair.psf, GfdConfig(iterations=2))
+    rows = rho_sweep(clean, pair.psf, [30.0], [0.5], cfg=GfdConfig(iterations=2))
+    assert len(rows) == 2
 
 
 def test_box_mean_calls_per_iteration(monkeypatch):
