@@ -163,6 +163,9 @@ def rho_sweep(
     for r in rho_grid:
         if not 0 < r <= 1:
             raise ValueError(f"rho grid values must be in (0, 1], got {r!r}")
+    for level in bsnr_levels:
+        if not np.isfinite(level):
+            raise ValueError(f"BSNR levels must be finite, got {level!r}")
     base = cfg if cfg is not None else GfdConfig()
     blurred = circ_convolve(clean, psf)
     rows: List[dict] = []

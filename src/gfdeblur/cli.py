@@ -41,7 +41,7 @@ def parse_grid(spec: str):
 def _parse_levels(spec: str):
     """Comma-separated BSNR levels in dB."""
     levels = [float(p) for p in spec.split(",") if p]
-    if not levels or any(map(math.isnan, levels)):
+    if not levels or not all(map(math.isfinite, levels)):
         raise ValueError(f"bad BSNR levels {spec!r}")
     return levels
 

@@ -3,7 +3,10 @@
 Images are plain 2-D float64 numpy arrays, row-major, immutable by
 convention.  Window sums add the window's entries directly, one axis at
 a time, over a symmetric (mirror) extension, so every window covers
-exactly w*w samples and no partial sum grows with the image.
+exactly w*w samples and no partial sum grows with the image.  They run
+one horizontal strip of rows at a time, each strip's mirror-padded rows
+about STRIP_BYTES, so a strip's passes stay in cache and the output is
+the only image-sized array.
 """
 
 from __future__ import annotations
@@ -11,6 +14,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, WindowTooLarge
+
+# Bytes of padded rows per box_sum strip.  With the row sums and the
+# output rows beside them a strip's working set is about three times
+# this, which fits a 2 MiB per-core L2.
+STRIP_BYTES = 512 * 1024
 
 
 def as_image(data) -> np.ndarray:
@@ -62,18 +70,49 @@ def box_sum(img: np.ndarray, w: int) -> np.ndarray:
     are added into one array, then the w shifted column slices of that
     into the output.  O(w) work per pixel; each sum adds only the
     window's own entries, so its rounding does not grow with the image.
+
+    Rows are taken in strips of near-equal height.  Each strip copies
+    only its own rows plus r = (w - 1) // 2 neighbours into a reused
+    buffer and mirrors them there as np.pad(mode="symmetric") would:
+    rows at the image's top and bottom, columns at both sides; between
+    strips the neighbours are real rows.  Every output pixel gets the
+    same additions in the same order as one pass over the whole padded
+    image, so the result does not depend on the strip height.
     """
     check_window_fits(w, img.shape)
     if w == 1:
         return img.copy()
     h, wd = img.shape
-    padded = np.pad(img, (w - 1) // 2, mode="symmetric")
-    rows = padded[:h] + padded[1 : h + 1]
-    for i in range(2, w):
-        rows += padded[i : i + h]
-    out = rows[:, :wd] + rows[:, 1 : wd + 1]
-    for j in range(2, w):
-        out += rows[:, j : j + wd]
+    r = (w - 1) // 2
+    pw = wd + 2 * r
+    n_strips = -(-h // max(1, STRIP_BYTES // (pw * img.itemsize)))
+    bounds = [h * k // n_strips for k in range(n_strips + 1)]
+    n_max = -(-h // n_strips)
+    # Both strip buffers are reused and allocated before out: a strip
+    # temporary allocated after out and freed on every strip lets the
+    # heap top be trimmed and refaulted, ~10% of a 256^2 restore.
+    pad = np.empty((n_max + 2 * r, pw), dtype=img.dtype)
+    rows = np.empty((n_max, pw), dtype=img.dtype)
+    out = np.empty((h, wd), dtype=img.dtype)
+    for i0, i1 in zip(bounds, bounds[1:]):
+        n = i1 - i0
+        lo, hi = max(0, i0 - r), min(h, i1 + r)
+        top = lo - (i0 - r)
+        end = top + hi - lo
+        p = pad[: n + 2 * r]
+        p[top:end, r : r + wd] = img[lo:hi]
+        p[:top] = p[top : 2 * top][::-1]
+        p[end:] = p[2 * end - len(p) : end][::-1]
+        p[:, :r] = p[:, r : 2 * r][:, ::-1]
+        p[:, r + wd :] = p[:, wd : r + wd][:, ::-1]
+        s = rows[:n]
+        np.add(p[:n], p[1 : n + 1], out=s)
+        for i in range(2, w):
+            s += p[i : i + n]
+        o = out[i0:i1]
+        np.add(s[:, :wd], s[:, 1 : wd + 1], out=o)
+        for j in range(2, w):
+            o += s[:, j : j + wd]
     return out
 
 

@@ -119,8 +119,12 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         u_p = v if choice.is_infinite else solve_input(plan, v_hat, lam)
         del v_hat  # F(v) is not needed past here; free it before the filters
         u_i = v if choice.is_infinite else solve_guidance(plan, vx, vy, lam)
+        # Dead arrays are dropped before each filter, which sets the peak.
+        # On a lambda = inf iteration u_i and u_p still hold v.
+        del v, vx, vy
 
         v = guidfilter(u_i, u_p, gf)
+        del u_i, u_p
         vx, vy = smooth_gradients(v, gf)
 
         trace.append(IterationRecord(

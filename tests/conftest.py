@@ -52,11 +52,16 @@ def window_values(img: np.ndarray, cy: int, cx: int, w: int) -> np.ndarray:
 
 
 def box_sum_bruteforce(img: np.ndarray, w: int) -> np.ndarray:
+    """Add all w*w window entries, gathered through mirror_index, at
+    every pixel at once (no separable pass, no np.pad)."""
+    r = (w - 1) // 2
     h, wd = img.shape
-    out = np.empty_like(img)
-    for y in range(h):
-        for x in range(wd):
-            out[y, x] = window_values(img, y, x, w).sum()
+    ext = img[np.ix_([mirror_index(i, h) for i in range(-r, h + r)],
+                     [mirror_index(j, wd) for j in range(-r, wd + r)])]
+    out = np.zeros_like(img)
+    for dy in range(w):
+        for dx in range(w):
+            out += ext[dy : dy + h, dx : dx + wd]
     return out
 
 

@@ -148,6 +148,16 @@ def test_rho_sweep_rejects_bad_grid():
         rho_sweep(clean, parse_psf_spec(SCENARIOS[3].psf_spec), [30.0], [0.0])
 
 
+def test_rho_sweep_rejects_nonfinite_level():
+    # Refused before any restore, with the level named, not blamed on
+    # the noisy image it would produce.
+    clean = natural_image(11, 48)
+    psf = parse_psf_spec(SCENARIOS[3].psf_spec)
+    for level in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=f"BSNR levels must be finite, got {level!r}"):
+            rho_sweep(clean, psf, [30.0, level], [0.5])
+
+
 def test_sigma_sq_for_bsnr_inverts():
     blurred = natural_image(12, 64)
     s2 = sigma_sq_for_bsnr(blurred, 25.0)

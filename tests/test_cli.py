@@ -181,7 +181,8 @@ def test_exit_codes(tmp_path, capsys):
     assert "unknown scenario '9'" in capsys.readouterr().err
     # usage: a list flag that is empty or malformed runs nothing
     sweep = ["sweep-rho", "--in", str(src), "--psf", "boxcar:3", "--out", str(tmp_path / "r.csv")]
-    for flags in (["--bsnr", ","], ["--bsnr", "abc"], ["--bsnr", "30,nan"], ["--grid", "1:0:2"]):
+    for flags in (["--bsnr", ","], ["--bsnr", "abc"], ["--bsnr", "30,nan"], ["--bsnr", "inf"],
+                  ["--grid", "1:0:2"]):
         assert main(sweep + flags) == 1
     assert main([
         "run-scenarios", "--images", str(tmp_path), "--out", str(tmp_path / "s.csv"),

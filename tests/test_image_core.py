@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfdeblur.errors import WindowTooLarge
-from gfdeblur.image_core import as_image, box_sum, centered_sq_norm
+from gfdeblur.image_core import STRIP_BYTES, as_image, box_sum, centered_sq_norm
 
 from conftest import box_sum_bruteforce, rand_image, rand_int_image, window_values
 
@@ -39,10 +40,32 @@ def test_box_sum_w1_identity():
 
 def test_box_sum_matches_bruteforce_exactly():
     # Integer-valued intensities: both summation orders are exact.  The
-    # small shapes let the mirror pad reach the far edge.
-    for shape, w in (((16, 16), 5), ((7, 9), 7), ((5, 12), 5)):
+    # small shapes let the mirror pad reach the far edge; (9, 40) and
+    # (5, 70000) at w = 5 have w equal to the image height.  (200, 700)
+    # and (600, 900) run in several strips of unequal height, so strip
+    # edges fall mid-image and take real neighbouring rows.  A (5, 70000)
+    # padded row is wider than STRIP_BYTES, so every strip is one row
+    # and inner strips still reach the mirror rows.
+    assert 70000 * 8 > STRIP_BYTES and 200 * 700 * 8 > 2 * STRIP_BYTES
+    cases = [((16, 16), 5), ((7, 9), 7), ((5, 12), 5), ((9, 40), 9), ((5, 70000), 3),
+             ((5, 70000), 5)]
+    cases += [(shape, w) for shape in ((200, 700), (600, 900)) for w in (3, 5, 7, 9)]
+    for shape, w in cases:
         img = rand_int_image(4, shape)
         np.testing.assert_array_equal(box_sum(img, w), box_sum_bruteforce(img, w))
+
+
+def test_box_sum_peak_memory_near_output():
+    # Strips keep every temporary small: the output is the only
+    # image-sized array (a whole-image pad and row sum peak near 3x).
+    img = rand_image(8, (1024, 1024))
+    tracemalloc.start()
+    try:
+        out = box_sum(img, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * out.nbytes, peak / out.nbytes
 
 
 def test_box_sum_accurate_at_2048():
