@@ -3,7 +3,7 @@ adaptive regularization-parameter selection via the discrepancy
 principle."""
 
 from .guided_filter import GfParams, guidfilter, smooth_gradients
-from .image_core import as_image, box_mean, box_sum, centered_sq_norm
+from .image_core import as_image, box_mean, centered_sq_norm
 from .pipeline import GfdConfig, IterationRecord, run_gfd
 from .regparam import (
     LambdaChoice,
@@ -25,7 +25,7 @@ from .spectral import (
 
 __all__ = [
     "GfParams", "guidfilter", "smooth_gradients",
-    "as_image", "box_mean", "box_sum", "centered_sq_norm",
+    "as_image", "box_mean", "centered_sq_norm",
     "GfdConfig", "IterationRecord", "run_gfd",
     "LambdaChoice", "NoiseEstimate", "RhoTerms",
     "choose_lambda", "compute_rho", "estimate_sigma", "rho_terms",

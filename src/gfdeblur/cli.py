@@ -13,7 +13,6 @@ from pathlib import Path
 
 from . import bench, config, pgm
 from .errors import BracketFailure, DegenerateInput, GfdError, SingularDenominator
-from .guided_filter import GfParams
 from .pipeline import GfdConfig, run_gfd
 
 _NUMERIC_ERRORS = (SingularDenominator, BracketFailure, DegenerateInput)
@@ -119,9 +118,7 @@ def _gfd_config(args, settings=(), **fixed) -> GfdConfig:
     merged.update(
         (k, v) for k, v in vars(args).items() if k in config.KEYS and v is not None
     )
-    gf = {name: merged.pop(key)
-          for key, name in (("gf_w", "win"), ("gf_eps", "eps")) if key in merged}
-    return GfdConfig(gf_main=GfParams(**gf), **merged, **fixed)
+    return GfdConfig(**merged, **fixed)
 
 
 def _cmd_deblur(args) -> int:

@@ -1,10 +1,11 @@
 """Plain-text run configuration: `key = value` lines, # comments.
 
-The keys are exactly iterations, tau, gf_w, gf_eps and sigma.  Each
-names a GfdConfig setting (gf_w and gf_eps the window and eps of the
-guided filters); a key the file omits keeps GfdConfig's default.
-Unknown keys and malformed values are rejected with the offending key
-and line number.
+The keys are exactly iterations, tau, gf_w, gf_eps and sigma, each the
+name of a GfdConfig field (gf_w and gf_eps are the window and eps of
+the guided filters), so the settings pass to GfdConfig unrenamed; a key
+the file omits keeps GfdConfig's default.  Unknown keys and malformed
+values are rejected with the offending key and line number; GfdConfig
+checks the values themselves.
 """
 
 from __future__ import annotations

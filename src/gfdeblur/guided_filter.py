@@ -8,7 +8,6 @@ windows.  All window means are box sums with mirror boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,18 +18,14 @@ from .spectral import diff_x, diff_y
 
 @dataclass(frozen=True)
 class GfParams:
-    """Window side length (odd) and slope regularizer eps (> 0).
+    """Window side length (odd) and slope regularizer eps (> 0)."""
 
-    eps None is resolved by run_gfd to (2 * sigma_hat)^2, floored at
-    pipeline.EPS_FLOOR; guidfilter needs it resolved.
-    """
-
-    win: int = 5
-    eps: Optional[float] = None
+    win: int
+    eps: float
 
     def __post_init__(self):
         validate_window(self.win)
-        if self.eps is not None and not self.eps > 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be strictly positive, got {self.eps!r}")
 
 
@@ -51,8 +46,6 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
         raise DimensionMismatch(
             f"guide {guide.shape} and input {src.shape} differ"
         )
-    if params.eps is None:
-        raise ValueError("GfParams.eps is unresolved (None)")
     w = params.win
     self_guided = src is guide
     guide_mean = guide.mean()

@@ -1,4 +1,4 @@
-"""Grayscale image helpers, the ISNR metric, and windowed box sums.
+"""Grayscale image helpers, the ISNR metric, and windowed box means.
 
 Images are plain 2-D float64 numpy arrays, row-major, immutable by
 convention.  Window sums add the window's entries directly, one axis at
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, WindowTooLarge
 
-# Bytes of padded rows per box_sum strip.  With the row sums and the
+# Bytes of padded rows per box_mean strip.  With the row sums and the
 # output rows beside them a strip's working set is about three times
 # this, which fits a 2 MiB per-core L2.
 STRIP_BYTES = 512 * 1024
@@ -63,13 +63,14 @@ def isnr(clean: np.ndarray, observed: np.ndarray, restored: np.ndarray) -> float
     return 10.0 * np.log10(num / den)
 
 
-def box_sum(img: np.ndarray, w: int) -> np.ndarray:
-    """Sum over the w*w window centered at each pixel, mirror boundaries.
+def box_mean(img: np.ndarray, w: int) -> np.ndarray:
+    """Mean over the w*w window centered at each pixel, mirror boundaries.
 
     Separable direct sums: the w shifted row slices of the padded image
     are added into one array, then the w shifted column slices of that
-    into the output.  O(w) work per pixel; each sum adds only the
-    window's own entries, so its rounding does not grow with the image.
+    into the output, which is divided by w*w while the strip is in
+    cache.  O(w) work per pixel; each sum adds only the window's own
+    entries, so its rounding does not grow with the image.
 
     Rows are taken in strips of near-equal height.  Each strip copies
     only its own rows plus r = (w - 1) // 2 neighbours into a reused
@@ -113,10 +114,5 @@ def box_sum(img: np.ndarray, w: int) -> np.ndarray:
         np.add(s[:, :wd], s[:, 1 : wd + 1], out=o)
         for j in range(2, w):
             o += s[:, j : j + wd]
-    return out
-
-
-def box_mean(img: np.ndarray, w: int) -> np.ndarray:
-    out = box_sum(img, w)
-    out /= float(w * w)
+        o /= float(w * w)
     return out

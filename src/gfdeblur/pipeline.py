@@ -6,14 +6,15 @@ re-selected every iteration from the discrepancy principle.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .guided_filter import GfParams, guidfilter, smooth_gradients
 from .errors import BracketFailure, DimensionMismatch
-from .image_core import as_image, check_window_fits, isnr
+from .image_core import as_image, check_window_fits, isnr, validate_window
 from .regparam import (
     LambdaChoice,
     NoiseEstimate,
@@ -40,15 +41,17 @@ EPS_FLOOR = 1e-6
 @dataclass
 class GfdConfig:
     """Run configuration and the single source of its defaults; None
-    fields are derived at run time.
+    fields are derived at run time.  The run-config keys and deblur
+    flags (config.KEYS) are field names.
 
-    gf_main sets the main guided filter and both gradient filters; its
-    eps None means (2 * sigma_hat)^2, floored at EPS_FLOOR.  sigma None
-    means estimate from the observation.
+    gf_w and gf_eps are the window and eps of the main guided filter and
+    both gradient filters; gf_eps None means (2 * sigma_hat)^2, floored
+    at EPS_FLOOR.  sigma None means estimate from the observation.
     """
 
     iterations: int = 30
-    gf_main: GfParams = field(default_factory=GfParams)
+    gf_w: int = 5
+    gf_eps: Optional[float] = None
     tau: float = 0.6
     sigma: Optional[float] = None
     rho_override: Optional[float] = None
@@ -57,6 +60,11 @@ class GfdConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
+        validate_window(self.gf_w)
+        if self.gf_eps is not None:
+            GfParams(self.gf_w, self.gf_eps)  # the filter's own eps check
+        if math.isnan(self.tau):
+            raise ValueError(f"tau must be a number, got {self.tau!r}")
         if self.rho_override is not None and not 0 < self.rho_override <= 1:
             raise ValueError(f"rho_override must be in (0, 1], got {self.rho_override!r}")
 
@@ -82,13 +90,13 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     """
     g = as_image(g)
     # Inputs are checked before any spectral work.
-    check_window_fits(cfg.gf_main.win, g.shape)
+    check_window_fits(cfg.gf_w, g.shape)
     ref = None if cfg.reference is None else as_image(cfg.reference)
     if ref is not None and ref.shape != g.shape:
         raise DimensionMismatch(f"reference {ref.shape} differs from observation {g.shape}")
     est = NoiseEstimate(cfg.sigma) if cfg.sigma is not None else estimate_sigma(g)
-    eps = max((2.0 * est.sigma) ** 2, EPS_FLOOR)
-    gf = cfg.gf_main if cfg.gf_main.eps is not None else replace(cfg.gf_main, eps=eps)
+    eps = cfg.gf_eps if cfg.gf_eps is not None else max((2.0 * est.sigma) ** 2, EPS_FLOOR)
+    gf = GfParams(cfg.gf_w, eps)
 
     g_terms = rho_terms(g, est)  # also refuses an overflowing observation
     plan = SpectralPlan(g, psf)

@@ -7,6 +7,7 @@ for the lambda whose data-fit residual meets the bound.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class NoiseEstimate:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma!r}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
 
     @property
     def variance(self) -> float:
@@ -135,26 +136,18 @@ def compute_rho(terms: RhoTerms, v: np.ndarray, tau: float) -> float:
     return s * s if thresh > tau else s
 
 
-def choose_lambda(
-    plan: SpectralPlan,
-    v_hat: np.ndarray,
-    bound_c: float,
-    rel_tol: float = REL_TOL,
-    max_iter: int = MAX_BISECT,
-) -> LambdaChoice:
+def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float) -> LambdaChoice:
     """Solve the discrepancy equation residual(lambda) = bound_c by
     bisection, given the pre-estimate's spectrum v_hat = plan.spectrum(v).
 
     If the pre-estimate v already meets the bound, returns INFINITY
     (downstream then takes u_I = u_p = v).  Otherwise brackets by
-    doubling from lambda = 1 and bisects on the monotone residual curve.
+    doubling from lambda = 1 and bisects on the monotone residual curve
+    until the residual is within REL_TOL of the bound or MAX_BISECT
+    halvings are spent; each lambda's residual is computed once.
     A bound_c that is negative or not finite (an overflowed rho or
     sigma) raises ValueError.
     """
-    if not 0 < rel_tol <= 0.1:
-        raise ValueError(f"rel_tol must be in (0, 0.1], got {rel_tol!r}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter!r}")
     if not 0 <= bound_c < INFINITY:
         raise ValueError(f"bound_c must be finite and nonnegative, got {bound_c!r}")
     a, b, npix = discrepancy_terms(plan, v_hat)
@@ -163,8 +156,12 @@ def choose_lambda(
     if entry <= bound_c:
         return LambdaChoice(value=INFINITY, residual=entry, iterations=0)
 
+    # The bisection starts at the bracket's last lambda, hi, and its
+    # first midpoint is the one before, hi / 2: each residual is cached.
+    residual = functools.cache(lambda lam: discrepancy_from_terms(a, b, npix, lam))
+
     hi = 1.0
-    while discrepancy_from_terms(a, b, npix, hi) < bound_c:
+    while residual(hi) < bound_c:
         hi *= 2.0
         if hi > LAMBDA_BRACKET_CAP:
             raise BracketFailure(
@@ -172,11 +169,11 @@ def choose_lambda(
             )
     lo = 0.0
     mid = hi
-    res = discrepancy_from_terms(a, b, npix, mid)
+    res = residual(mid)
     steps = 0
-    while steps < max_iter and abs(res - bound_c) > rel_tol * bound_c:
+    while steps < MAX_BISECT and abs(res - bound_c) > REL_TOL * bound_c:
         mid = 0.5 * (lo + hi)
-        res = discrepancy_from_terms(a, b, npix, mid)
+        res = residual(mid)
         steps += 1
         if res < bound_c:
             lo = mid

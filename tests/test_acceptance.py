@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import gfdeblur.regparam as regparam
 from gfdeblur.bench import (
     REFERENCE_BSNR,
     REFERENCE_ISNR,
@@ -145,7 +146,7 @@ def test_criterion_3_discrepancy_consistency():
     report(3, "spectral = spatial discrepancy, monotone in lambda, bound never violated")
 
 
-def test_criterion_4_bisection_contract():
+def test_criterion_4_bisection_contract(monkeypatch):
     gen = np.random.default_rng(4)
     for i in range(50):
         g = gen.uniform(0, 255, (24, 24))
@@ -154,15 +155,15 @@ def test_criterion_4_bisection_contract():
         asymptote = float(np.sum((circ_convolve(v, psf) - g) ** 2))
         bound = float(gen.uniform(0.05, 0.8)) * asymptote
         plan = SpectralPlan(g, psf)
-        choice = choose_lambda(plan, plan.spectrum(v), bound, rel_tol=1e-3, max_iter=60)
+        choice = choose_lambda(plan, plan.spectrum(v), bound)
         assert not choice.is_infinite
-        assert abs(choice.residual - bound) <= 1e-3 * bound
+        assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
     g = gen.uniform(0, 255, (16, 16))
     bound = 0.25 * float(np.sum(g * g))
     plan = SpectralPlan(g, Psf.delta())
-    choice = choose_lambda(
-        plan, plan.spectrum(np.zeros_like(g)), bound, rel_tol=1e-8, max_iter=200
-    )
+    monkeypatch.setattr(regparam, "REL_TOL", 1e-8)
+    monkeypatch.setattr(regparam, "MAX_BISECT", 200)
+    choice = choose_lambda(plan, plan.spectrum(np.zeros_like(g)), bound)
     assert choice.value == pytest.approx(1.0, abs=1e-6)
     report(4, "bisection hits the bound to 1e-3 on 50 instances; closed form lambda = 1")
 

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gfdeblur.bench import parse_psf_spec
 from gfdeblur.cli import _build_parser, _gfd_config, main, parse_grid
-from gfdeblur.config import parse_run_config
+from gfdeblur.config import KEYS, parse_run_config
 from gfdeblur.errors import ConfigError
 from gfdeblur.pipeline import GfdConfig
 from gfdeblur.pgm import read_image, write_image
@@ -197,6 +199,18 @@ def test_exit_codes(tmp_path, capsys):
         assert main(deblur + ["--config", str(conf)]) == 2
         err = capsys.readouterr().err
         assert "line 2" in err and repr(line.split(" ")[0]) in err
+    # data error: a bad setting is refused by name before any restore
+    for flags, msg in (
+        (["--tau", "nan", "--sigma", "1"], "tau must be a number, got nan"),
+        (["--sigma", "inf"], "sigma must be finite and nonnegative, got inf"),
+        (["--sigma", "nan"], "sigma must be finite and nonnegative, got nan"),
+        (["--gf-w", "4", "--sigma", "1"], "window side must be an odd positive integer, got 4"),
+        (["--gf-eps", "-1", "--sigma", "1"], "eps must be strictly positive, got -1.0"),
+    ):
+        capsys.readouterr()
+        assert main(deblur + flags) == 2
+        assert msg in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
     # numerical failure: a 15x15 boxcar on a 15x15 canvas zeroes every
     # nonzero frequency of H, and the guidance solve's denominator vanishes
     canvas = tmp_path / "canvas.pgm"
@@ -226,6 +240,11 @@ def test_config_defaults_match_pipeline_defaults():
         ["run-scenarios", "--images", "imgs", "--out", "s.csv"],
     ):
         assert _gfd_config(_build_parser().parse_args(argv)) == GfdConfig()
+
+
+def test_config_keys_are_gfd_config_fields():
+    # Flags, config keys and the library share one name per setting.
+    assert KEYS <= {f.name for f in dataclasses.fields(GfdConfig)}
 
 
 def test_config_unknown_key_named():

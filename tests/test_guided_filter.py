@@ -17,9 +17,6 @@ def test_params_reject_nonpositive_eps():
         GfParams(win=5, eps=0.0)
     with pytest.raises(ValueError):
         GfParams(win=5, eps=-1.0)
-    # eps None (the default) is derived by run_gfd; the filter refuses it.
-    with pytest.raises(ValueError, match="unresolved"):
-        guidfilter(np.zeros((4, 4)), np.zeros((4, 4)), GfParams(3))
 
 
 def test_params_reject_even_window():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfdeblur.errors import WindowTooLarge
-from gfdeblur.image_core import STRIP_BYTES, as_image, box_sum, centered_sq_norm
+from gfdeblur.image_core import STRIP_BYTES, as_image, box_mean, centered_sq_norm
 
 from conftest import box_sum_bruteforce, rand_image, rand_int_image, window_values
 
@@ -29,17 +29,18 @@ def test_centered_sq_norm_matches_two_pass_oracle():
 
 def test_box_sum_constant():
     for w in (1, 3, 5):
-        out = box_sum(np.full((8, 8), 3.5), w)
-        np.testing.assert_allclose(out, 3.5 * w * w, rtol=1e-12)
+        out = box_mean(np.full((8, 8), 3.5), w)
+        np.testing.assert_allclose(out, 3.5, rtol=1e-12)
 
 
 def test_box_sum_w1_identity():
     img = rand_image(3)
-    np.testing.assert_array_equal(box_sum(img, 1), img)
+    np.testing.assert_array_equal(box_mean(img, 1), img)
 
 
 def test_box_sum_matches_bruteforce_exactly():
-    # Integer-valued intensities: both summation orders are exact.  The
+    # Integer-valued intensities: both summation orders are exact, and
+    # each mean is that exact sum divided once by w*w.  The
     # small shapes let the mirror pad reach the far edge; (9, 40) and
     # (5, 70000) at w = 5 have w equal to the image height.  (200, 700)
     # and (600, 900) run in several strips of unequal height, so strip
@@ -52,7 +53,7 @@ def test_box_sum_matches_bruteforce_exactly():
     cases += [(shape, w) for shape in ((200, 700), (600, 900)) for w in (3, 5, 7, 9)]
     for shape, w in cases:
         img = rand_int_image(4, shape)
-        np.testing.assert_array_equal(box_sum(img, w), box_sum_bruteforce(img, w))
+        np.testing.assert_array_equal(box_mean(img, w), box_sum_bruteforce(img, w) / (w * w))
 
 
 def test_box_sum_peak_memory_near_output():
@@ -61,7 +62,7 @@ def test_box_sum_peak_memory_near_output():
     img = rand_image(8, (1024, 1024))
     tracemalloc.start()
     try:
-        out = box_sum(img, 5)
+        out = box_mean(img, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -74,28 +75,28 @@ def test_box_sum_accurate_at_2048():
     # image area (1.4e-7 here).
     n, w = 2048, 5
     img = rand_image(16, (n, n))
-    out = box_sum(img, w)
+    out = box_mean(img, w)
     gen = np.random.default_rng(17)
     points = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 2)]
     points += [tuple(p) for p in gen.integers(0, n, (300, 2))]
     for y, x in points:
-        exact = math.fsum(window_values(img, y, x, w).ravel())
-        assert abs(out[y, x] - exact) <= 1e-11, (y, x)
+        exact = math.fsum(window_values(img, y, x, w).ravel()) / (w * w)
+        assert abs(out[y, x] - exact) <= 1e-11 / (w * w), (y, x)
 
 
 def test_box_sum_rectangular():
     img = rand_int_image(5, (12, 20))
-    np.testing.assert_array_equal(box_sum(img, 7), box_sum_bruteforce(img, 7))
+    np.testing.assert_array_equal(box_mean(img, 7), box_sum_bruteforce(img, 7) / 49)
 
 
 def test_box_sum_window_too_large():
     with pytest.raises(WindowTooLarge):
-        box_sum(np.zeros((4, 4)), 5)
+        box_mean(np.zeros((4, 4)), 5)
 
 
 def test_box_sum_rejects_even_window():
     with pytest.raises(ValueError):
-        box_sum(np.zeros((8, 8)), 4)
+        box_mean(np.zeros((8, 8)), 4)
 
 
 @settings(max_examples=25, deadline=None)
@@ -108,8 +109,8 @@ def test_box_sum_rejects_even_window():
 def test_box_sum_linearity(seed, alpha, beta, w):
     a = rand_image(seed)
     b = rand_image(seed + 1)
-    lhs = box_sum(alpha * a + beta * b, w)
-    rhs = alpha * box_sum(a, w) + beta * box_sum(b, w)
+    lhs = box_mean(alpha * a + beta * b, w)
+    rhs = alpha * box_mean(a, w) + beta * box_mean(b, w)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-8)
 
 

@@ -11,7 +11,6 @@ import gfdeblur.pipeline as pipeline
 
 from gfdeblur.bench import SCENARIOS, degrade, isnr, rho_sweep
 from gfdeblur.errors import BracketFailure, DimensionMismatch, WindowTooLarge
-from gfdeblur.guided_filter import GfParams
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, solve_input
 
@@ -21,7 +20,7 @@ from conftest import natural_image, psf_spectrum, rand_image
 def test_noiseless_identity_degradation():
     # Clean observation, delta blur, known sigma 0: output returns the input.
     g = natural_image(3, 64)
-    cfg = GfdConfig(iterations=5, sigma=0.0, gf_main=GfParams(5, 1e-10))
+    cfg = GfdConfig(iterations=5, sigma=0.0, gf_w=5, gf_eps=1e-10)
     out, trace = run_gfd(g, Psf.delta(), cfg)
     np.testing.assert_allclose(out, g, atol=1e-3)
     assert len(trace) == 5
@@ -105,6 +104,22 @@ def test_config_validation():
         GfdConfig(iterations=0)
     with pytest.raises(ValueError):
         GfdConfig(rho_override=1.5)
+
+
+def test_config_rejects_bad_settings():
+    # Each bad setting fails where the config is built, naming the setting.
+    with pytest.raises(ValueError, match="window side must be an odd positive integer, got 4"):
+        GfdConfig(gf_w=4)
+    for eps in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="eps must be strictly positive"):
+            GfdConfig(gf_eps=eps)
+    with pytest.raises(ValueError, match="tau must be a number, got nan"):
+        GfdConfig(tau=math.nan)
+    # A non-finite known sigma is refused as sigma, not as the bound it feeds.
+    g = natural_image(10, 32)
+    for sigma in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            run_gfd(g, Psf.delta(), GfdConfig(iterations=2, sigma=sigma))
 
 
 def test_nonfinite_observation_rejected():

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfdeblur.regparam as regparam
 from gfdeblur.bench import SCENARIOS, degrade, gaussian_field
 from gfdeblur.errors import BracketFailure, ImageTooSmall
 from gfdeblur.image_core import centered_sq_norm
@@ -142,13 +145,13 @@ def test_infinity_implies_v_meets_bound():
     assert float(np.sum((circ_convolve(v, psf) - g) ** 2)) <= bound
 
 
-def test_closed_form_lambda_equals_one():
+def test_closed_form_lambda_equals_one(monkeypatch):
+    monkeypatch.setattr(regparam, "REL_TOL", 1e-8)
+    monkeypatch.setattr(regparam, "MAX_BISECT", 200)
     g = rand_image(8)
     z = np.zeros_like(g)
     bound = 0.25 * float(np.sum(g * g))
-    choice = choose_lambda(
-        *plan_and_spectrum(g, Psf.delta(), z), bound, rel_tol=1e-8, max_iter=200
-    )
+    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), z), bound)
     assert choice.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -157,31 +160,25 @@ def test_returned_residual_meets_tolerance():
     psf = random_psf(10)
     v = np.zeros_like(g)
     bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
-    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, rel_tol=1e-3, max_iter=60)
-    assert abs(choice.residual - bound) <= 1e-3 * bound
+    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
+    assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
     assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
 
 
-def test_lambda_unique_up_to_tolerance():
+def test_lambda_unique_up_to_tolerance(monkeypatch):
     g = rand_image(11, (32, 32))
     psf = random_psf(12)
     v = np.zeros_like(g)
     bound = 0.4 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
     plan, v_hat = plan_and_spectrum(g, psf, v)
-    coarse = choose_lambda(plan, v_hat, bound, rel_tol=1e-3, max_iter=200)
-    fine = choose_lambda(plan, v_hat, bound, rel_tol=1e-4, max_iter=200)
+    monkeypatch.setattr(regparam, "MAX_BISECT", 200)
+    monkeypatch.setattr(regparam, "REL_TOL", 1e-3)
+    coarse = choose_lambda(plan, v_hat, bound)
+    monkeypatch.setattr(regparam, "REL_TOL", 1e-4)
+    fine = choose_lambda(plan, v_hat, bound)
     # The finer solve's residual still satisfies the coarser band.
     assert abs(discrepancy(g, psf, v, fine.value) - bound) <= 1e-3 * bound
     assert abs(discrepancy(g, psf, v, coarse.value) - bound) <= 1e-3 * bound
-
-
-def test_choose_lambda_rejects_bad_tolerances():
-    g = rand_image(13)
-    plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
-    with pytest.raises(ValueError):
-        choose_lambda(plan, v_hat, 1.0, rel_tol=0.5, max_iter=60)
-    with pytest.raises(ValueError):
-        choose_lambda(plan, v_hat, 1.0, max_iter=0)
 
 
 def test_unreachable_bound_raises_bracket_failure():
@@ -198,6 +195,38 @@ def test_unreachable_bound_raises_bracket_failure():
 def test_noise_estimate_variance_consistency():
     est = NoiseEstimate(3.0)
     assert est.variance == pytest.approx(9.0, abs=1e-12)
+
+
+def test_noise_estimate_rejects_nonfinite_or_negative():
+    for sigma in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            NoiseEstimate(sigma)
+
+
+def test_choose_lambda_evaluates_each_lambda_once(monkeypatch):
+    # The bisection starts at the bracket's last lambda and first lands on
+    # the one before it (bounds here bracket at lambda up to 8); no lambda
+    # is evaluated twice in one call.
+    evaluated = []
+    real = regparam.discrepancy_from_terms
+
+    def spy(a, b, npix, lam):
+        evaluated.append(lam)
+        return real(a, b, npix, lam)
+
+    monkeypatch.setattr(regparam, "discrepancy_from_terms", spy)
+    for seed in range(5):
+        g = rand_image(20 + seed, (24, 24))
+        psf = random_psf(30 + seed)
+        v = np.zeros_like(g)
+        plan, v_hat = plan_and_spectrum(g, psf, v)
+        for frac in (0.05, 0.3, 0.8):
+            bound = frac * float(np.sum((circ_convolve(v, psf) - g) ** 2))
+            evaluated.clear()
+            choice = choose_lambda(plan, v_hat, bound)
+            assert not choice.is_infinite
+            assert len(evaluated) == len(set(evaluated)), evaluated
+            assert choice.residual == real(*regparam.discrepancy_terms(plan, v_hat), choice.value)
 
 
 def test_choose_lambda_rejects_bad_bound():
