@@ -193,9 +193,11 @@ def run_scenarios(
     scenarios: Sequence[Scenario],
     cfg: Optional[GfdConfig] = None,
     seed: int = 0,
-    known_sigma: bool = True,
+    *,
+    known_sigma: bool,
 ) -> List[dict]:
-    """Degrade, restore, and score every (image, scenario) cell.
+    """Degrade, restore, and score every (image, scenario) cell, with
+    each cell's true sigma if known_sigma, else sigma estimated.
 
     Rows are ordered by image name then scenario id regardless of
     execution order.  Reference GFD values are attached where the image
@@ -308,11 +310,7 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
 
 def write_rho_sweep_csv(path, rows: List[dict]) -> None:
     header = ["image", "bsnr_db", "rho", "adaptive_flag", "isnr_db"]
-    _write_csv(
-        path,
-        header,
-        ([r["image"], r["bsnr_db"], r["rho"], r["adaptive_flag"], r["isnr_db"]] for r in rows),
-    )
+    _write_csv(path, header, ([r[h] for h in header] for r in rows))
 
 
 def write_scenarios_csv(path, rows: List[dict]) -> None:

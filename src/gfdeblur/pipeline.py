@@ -65,6 +65,8 @@ class GfdConfig:
             GfParams(self.gf_w, self.gf_eps)  # the filter's own eps check
         if math.isnan(self.tau):
             raise ValueError(f"tau must be a number, got {self.tau!r}")
+        if self.sigma is not None:
+            NoiseEstimate(self.sigma)  # the one sigma check
         if self.rho_override is not None and not 0 < self.rho_override <= 1:
             raise ValueError(f"rho_override must be in (0, 1], got {self.rho_override!r}")
 

@@ -168,13 +168,14 @@ def test_sigma_sq_for_bsnr_inverts():
 
 
 def test_run_scenarios_empty():
-    assert run_scenarios([], []) == []
+    assert run_scenarios([], [], known_sigma=True) == []
 
 
 def test_run_scenarios_row_content():
     clean = natural_image(13, 64)
     rows = run_scenarios(
-        [("cameraman", clean)], [SCENARIOS[3]], cfg=GfdConfig(iterations=2), seed=0
+        [("cameraman", clean)], [SCENARIOS[3]], cfg=GfdConfig(iterations=2), seed=0,
+        known_sigma=True,
     )
     assert len(rows) == 1
     row = rows[0]
@@ -208,7 +209,9 @@ def test_csv_schemas(tmp_path):
     header = p1.read_text().splitlines()[0]
     assert header == "image,bsnr_db,rho,adaptive_flag,isnr_db"
 
-    srows = run_scenarios([("img", clean)], [SCENARIOS[3]], cfg=GfdConfig(iterations=2))
+    srows = run_scenarios(
+        [("img", clean)], [SCENARIOS[3]], cfg=GfdConfig(iterations=2), known_sigma=False
+    )
     p2 = tmp_path / "scenarios.csv"
     write_scenarios_csv(p2, srows)
     assert p2.read_text().splitlines()[0] == (

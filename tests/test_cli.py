@@ -1,9 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from gfdeblur.bench import parse_psf_spec
+from gfdeblur.bench import SCENARIOS, degrade, parse_psf_spec
 from gfdeblur.cli import _build_parser, _gfd_config, main, parse_grid
 from gfdeblur.config import KEYS, parse_run_config
 from gfdeblur.errors import ConfigError
@@ -149,6 +150,25 @@ def test_run_scenarios_command(tmp_path):
     assert lines[1].startswith("toy,3,")
 
 
+def test_deblur_reference_trace(tmp_path, capsys):
+    clean = natural_image(6, 32)
+    write_image(tmp_path / "clean.pgm", clean)
+    write_image(tmp_path / "g.pgm", degrade(clean, SCENARIOS[3], seed=0).observed)
+    trace = tmp_path / "t.csv"
+    rc = main([
+        "deblur", "--in", str(tmp_path / "g.pgm"), "--psf", "boxcar:9",
+        "--out", str(tmp_path / "v.pgm"), "--sigma", "0.555", "--iters", "4",
+        "--ref", str(tmp_path / "clean.pgm"), "--trace", str(trace),
+    ])
+    assert rc == 0
+    header, *rows = (line.split(",") for line in trace.read_text().splitlines())
+    assert header == ["k", "lambda", "rho", "residual", "isnr_db"]
+    assert [row[0] for row in rows] == ["1", "2", "3", "4"]
+    assert all(math.isfinite(float(row[4])) for row in rows)
+    # The printed score is the last iteration's, as the trace writes it.
+    assert capsys.readouterr().out == f"isnr_db={rows[-1][4]}\n"
+
+
 def test_deblur_mismatched_reference_writes_nothing(tmp_path, capsys):
     src, ref = tmp_path / "g.pgm", tmp_path / "row.pgm"
     write_image(src, rand_int_image(6, (16, 16)))
@@ -250,6 +270,34 @@ def test_config_keys_are_gfd_config_fields():
 def test_config_unknown_key_named():
     with pytest.raises(ConfigError, match=r"line 2: unknown key 'bogus'"):
         parse_run_config("iterations = 5\nbogus = 1\n")
+
+
+@pytest.mark.parametrize("line, msg", [
+    ("gf_w = 4", "window side must be an odd positive integer, got 4"),
+    ("gf_eps = 0", "eps must be strictly positive, got 0.0"),
+    ("tau = nan", "tau must be a number, got nan"),
+    ("sigma = -1", "sigma must be finite and nonnegative, got -1.0"),
+    ("sigma = nan", "sigma must be finite and nonnegative, got nan"),
+    ("iterations = 0", "iterations must be >= 1, got 0"),
+])
+def test_config_refused_value_named_with_line(tmp_path, capsys, line, msg):
+    # GfdConfig checks each value, and the file reports the check with its line.
+    key, value = (part.strip() for part in line.split("="))
+    text = f"# run settings\n{line}\n"
+    expected = f"line 2: bad value for {key!r}: {value!r} ({msg})"
+    with pytest.raises(ConfigError) as info:
+        parse_run_config(text)
+    assert str(info.value) == expected
+    src, conf, out = tmp_path / "g.pgm", tmp_path / "run.conf", tmp_path / "o.pgm"
+    write_image(src, rand_int_image(5, (16, 16)))
+    conf.write_text(text, encoding="utf-8")
+    rc = main([
+        "deblur", "--in", str(src), "--psf", "boxcar:1", "--out", str(out),
+        "--config", str(conf),
+    ])
+    assert rc == 2
+    assert capsys.readouterr().err == f"gfdeblur: {expected}\n"
+    assert not out.exists()
 
 
 def test_config_malformed_value_line_number():

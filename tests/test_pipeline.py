@@ -115,11 +115,9 @@ def test_config_rejects_bad_settings():
             GfdConfig(gf_eps=eps)
     with pytest.raises(ValueError, match="tau must be a number, got nan"):
         GfdConfig(tau=math.nan)
-    # A non-finite known sigma is refused as sigma, not as the bound it feeds.
-    g = natural_image(10, 32)
     for sigma in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
-            run_gfd(g, Psf.delta(), GfdConfig(iterations=2, sigma=sigma))
+            GfdConfig(sigma=sigma)
 
 
 def test_nonfinite_observation_rejected():
