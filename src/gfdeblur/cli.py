@@ -146,7 +146,8 @@ def _cmd_degrade(args) -> int:
     if args.meta:
         lines = [
             f"scenario={scn.id}",
-            f"psf={scn.psf_text}",
+            f"psf={scn.psf_spec}",
+            f"psf_text={scn.psf_text}",
             f"sigma={scn.sigma:.6g}",
             f"sigma_sq={scn.sigma_sq:.6g}",
             f"seed={args.seed}",

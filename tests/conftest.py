@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from gfdeblur.errors import DimensionMismatch
+from gfdeblur.guided_filter import GfParams
+from gfdeblur.image_core import box_mean
 from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
@@ -62,6 +64,45 @@ def box_sum_bruteforce(img: np.ndarray, w: int) -> np.ndarray:
     for dy in range(w):
         for dx in range(w):
             out += ext[dy : dy + h, dx : dx + wd]
+    return out
+
+
+def box_mean_padded(img: np.ndarray, w: int) -> np.ndarray:
+    """Window means of the whole image: the box_mean kernel applied once
+    to np.pad(img, r, mode="symmetric")."""
+    padded = np.pad(img, (w - 1) // 2, mode="symmetric")
+    rows = np.empty((img.shape[0], padded.shape[1]))
+    return box_mean(padded, w, np.empty(img.shape), rows)
+
+
+def guidfilter_unfused(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarray:
+    """The guided filter as whole-image passes, one image-sized array per
+    statistic: the reference the strip-fused guidfilter must match bit for
+    bit, since both add every pixel's terms in the same order."""
+    w = params.win
+    self_guided = src is guide
+    guide_mean = guide.mean()
+    src_mean = guide_mean if self_guided else src.mean()
+    guide = guide - guide_mean
+    src = guide if self_guided else src - src_mean
+    mean_g = box_mean_padded(guide, w)
+    var_g = box_mean_padded(guide * guide, w)
+    var_g -= mean_g * mean_g
+    if self_guided:
+        mean_s, a = mean_g, var_g.copy()
+    else:
+        mean_s = box_mean_padded(src, w)
+        a = box_mean_padded(guide * src, w)
+        a -= mean_g * mean_s
+    np.maximum(var_g, 0.0, out=var_g)
+    var_g += params.eps
+    a /= var_g
+    b = a * mean_g
+    np.subtract(mean_s, b, out=b)
+    out = box_mean_padded(a, w)
+    out *= guide
+    out += box_mean_padded(b, w)
+    out += src_mean
     return out
 
 

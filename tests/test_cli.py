@@ -93,10 +93,27 @@ def test_degrade_meta_and_reproducibility(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     meta = (tmp_path / "meta.txt").read_text(encoding="utf-8")
-    assert "[1 4 6 4 1]ᵀ[1 4 6 4 1]/256" in meta
+    assert "psf=binomial5\n" in meta
+    assert "psf_text=[1 4 6 4 1]ᵀ[1 4 6 4 1]/256" in meta
     assert "sigma_sq=49" in meta
     assert "seed=5" in meta
     assert "prng=pcg64:box-muller" in meta
+
+
+def test_degrade_meta_drives_deblur(tmp_path):
+    # The PSF and sigma that --meta records are what deblur reads.
+    clean, g, out = (tmp_path / name for name in ("c.pgm", "g.pgm", "v.pgm"))
+    write_image(clean, natural_image(3, 32))
+    meta = tmp_path / "meta.txt"
+    rc = main(["degrade", "--in", str(clean), "--scenario", "3", "--seed", "0",
+               "--out", str(g), "--meta", str(meta)])
+    assert rc == 0
+    fields = dict(line.split("=", 1) for line in meta.read_text(encoding="utf-8").splitlines())
+    assert fields["psf"] == "boxcar:9"
+    rc = main(["deblur", "--in", str(g), "--psf", fields["psf"], "--sigma", fields["sigma"],
+               "--iters", "2", "--out", str(out)])
+    assert rc == 0
+    assert read_image(out).shape == (32, 32)
 
 
 def test_evaluate_prints_isnr_and_bsnr(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ import gfdeblur.guided_filter as guided_filter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfdeblur.errors import DimensionMismatch
-from gfdeblur.guided_filter import GfParams, guidfilter, smooth_gradients
+from gfdeblur.errors import DimensionMismatch, WindowTooLarge
+from gfdeblur.guided_filter import STRIP_BYTES, GfParams, guidfilter, smooth_gradients
 from gfdeblur.spectral import diff_x, diff_y
 
-from conftest import guidfilter_bruteforce, rand_image, rand_int_image
+from conftest import guidfilter_bruteforce, guidfilter_unfused, rand_image, rand_int_image
 
 
 def test_params_reject_nonpositive_eps():
@@ -27,6 +29,51 @@ def test_params_reject_even_window():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         guidfilter(np.zeros((4, 4)), np.zeros((4, 5)), GfParams(3, 0.1))
+
+
+def test_window_too_large():
+    for shape in ((4, 4), (8, 4), (4, 8)):
+        with pytest.raises(WindowTooLarge):
+            guidfilter(np.zeros(shape), np.zeros(shape), GfParams(5, 0.1))
+
+
+def test_matches_unfused_reference_bit_exact():
+    # Strips, halos and mirrored a, b rows add every pixel's terms in the
+    # order whole-image passes do.  (200, 700) and (600, 900) run in
+    # several strips of unequal height, so strip edges fall mid-image and
+    # take real neighbouring rows.  A (5, 70000) padded row is wider than
+    # STRIP_BYTES, so every strip is one row and each strip's halo
+    # reaches the mirror rows at both the top and the bottom.  (131, 96)
+    # is one strip.
+    assert 70000 * 8 > STRIP_BYTES and 200 * 700 * 8 > 2 * STRIP_BYTES
+    for k, shape in enumerate(((200, 700), (600, 900), (5, 70000), (131, 96))):
+        guide = rand_image(20 + k, shape)
+        src = rand_image(30 + k, shape)
+        for w in (1, 3, 5, 7, 9):
+            if w > min(shape):
+                continue
+            p = GfParams(w, 40.0)
+            np.testing.assert_array_equal(
+                guidfilter(guide, src, p), guidfilter_unfused(guide, src, p), err_msg=f"{shape} {w}"
+            )
+            np.testing.assert_array_equal(
+                guidfilter(guide, guide, p), guidfilter_unfused(guide, guide, p),
+                err_msg=f"{shape} {w} self-guided",
+            )
+
+
+def test_peak_memory_near_output():
+    # Strips keep every temporary small: the output is the only
+    # image-sized array (whole-image passes peak near 7x).
+    guide = rand_image(8, (1024, 1024))
+    src = rand_image(9, (1024, 1024))
+    tracemalloc.start()
+    try:
+        out = guidfilter(guide, src, GfParams(5, 0.04))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes, peak / out.nbytes
 
 
 def test_self_guidance_identity_limit():

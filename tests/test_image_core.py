@@ -1,15 +1,19 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfdeblur.errors import WindowTooLarge
-from gfdeblur.image_core import STRIP_BYTES, as_image, box_mean, centered_sq_norm
+from gfdeblur.image_core import as_image, box_mean, centered_sq_norm
 
-from conftest import box_sum_bruteforce, rand_image, rand_int_image, window_values
+from conftest import (
+    box_mean_padded,
+    box_sum_bruteforce,
+    rand_image,
+    rand_int_image,
+    window_values,
+)
 
 
 def test_centered_sq_norm_constant_is_zero():
@@ -29,44 +33,48 @@ def test_centered_sq_norm_matches_two_pass_oracle():
 
 def test_box_sum_constant():
     for w in (1, 3, 5):
-        out = box_mean(np.full((8, 8), 3.5), w)
+        out = box_mean_padded(np.full((8, 8), 3.5), w)
         np.testing.assert_allclose(out, 3.5, rtol=1e-12)
 
 
 def test_box_sum_w1_identity():
     img = rand_image(3)
-    np.testing.assert_array_equal(box_mean(img, 1), img)
+    np.testing.assert_array_equal(box_mean_padded(img, 1), img)
 
 
 def test_box_sum_matches_bruteforce_exactly():
     # Integer-valued intensities: both summation orders are exact, and
-    # each mean is that exact sum divided once by w*w.  The
-    # small shapes let the mirror pad reach the far edge; (9, 40) and
-    # (5, 70000) at w = 5 have w equal to the image height.  (200, 700)
-    # and (600, 900) run in several strips of unequal height, so strip
-    # edges fall mid-image and take real neighbouring rows.  A (5, 70000)
-    # padded row is wider than STRIP_BYTES, so every strip is one row
-    # and inner strips still reach the mirror rows.
-    assert 70000 * 8 > STRIP_BYTES and 200 * 700 * 8 > 2 * STRIP_BYTES
+    # each mean is that exact sum divided once by w*w.  The small shapes
+    # let the mirror pad reach the far edge; (9, 40) and (5, 70000) at
+    # w = 5 have w equal to the image height.
     cases = [((16, 16), 5), ((7, 9), 7), ((5, 12), 5), ((9, 40), 9), ((5, 70000), 3),
              ((5, 70000), 5)]
     cases += [(shape, w) for shape in ((200, 700), (600, 900)) for w in (3, 5, 7, 9)]
     for shape, w in cases:
         img = rand_int_image(4, shape)
-        np.testing.assert_array_equal(box_mean(img, w), box_sum_bruteforce(img, w) / (w * w))
+        np.testing.assert_array_equal(box_mean_padded(img, w),
+                                      box_sum_bruteforce(img, w) / (w * w))
 
 
-def test_box_sum_peak_memory_near_output():
-    # Strips keep every temporary small: the output is the only
-    # image-sized array (a whole-image pad and row sum peak near 3x).
-    img = rand_image(8, (1024, 1024))
-    tracemalloc.start()
-    try:
-        out = box_mean(img, 5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.25 * out.nbytes, peak / out.nbytes
+def test_box_sum_writes_into_strided_out():
+    # The guided filter writes a's window statistics straight into the
+    # interior of its padded a block.
+    img = rand_image(6, (9, 14))
+    pad = np.pad(img, 2, mode="symmetric")
+    block = np.zeros((13, 18))
+    rows = np.empty((9, 18))
+    out = box_mean(pad, 5, block[2:11, 2:16], rows)
+    assert out.base is block
+    np.testing.assert_array_equal(block[2:11, 2:16], box_mean_padded(img, 5))
+    assert not block[:2].any() and not block[:, 16:].any()
+
+
+def test_box_sum_rejects_misfit_block():
+    pad = np.zeros((12, 12))
+    with pytest.raises(ValueError):
+        box_mean(pad, 5, np.empty((8, 9)), np.empty((8, 12)))
+    with pytest.raises(ValueError):
+        box_mean(pad, 5, np.empty((8, 8)), np.empty((12, 12)))
 
 
 def test_box_sum_accurate_at_2048():
@@ -75,7 +83,7 @@ def test_box_sum_accurate_at_2048():
     # image area (1.4e-7 here).
     n, w = 2048, 5
     img = rand_image(16, (n, n))
-    out = box_mean(img, w)
+    out = box_mean_padded(img, w)
     gen = np.random.default_rng(17)
     points = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 2)]
     points += [tuple(p) for p in gen.integers(0, n, (300, 2))]
@@ -86,17 +94,12 @@ def test_box_sum_accurate_at_2048():
 
 def test_box_sum_rectangular():
     img = rand_int_image(5, (12, 20))
-    np.testing.assert_array_equal(box_mean(img, 7), box_sum_bruteforce(img, 7) / 49)
-
-
-def test_box_sum_window_too_large():
-    with pytest.raises(WindowTooLarge):
-        box_mean(np.zeros((4, 4)), 5)
+    np.testing.assert_array_equal(box_mean_padded(img, 7), box_sum_bruteforce(img, 7) / 49)
 
 
 def test_box_sum_rejects_even_window():
     with pytest.raises(ValueError):
-        box_mean(np.zeros((8, 8)), 4)
+        box_mean(np.zeros((11, 11)), 4, np.empty((8, 8)), np.empty((8, 11)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -109,8 +112,8 @@ def test_box_sum_rejects_even_window():
 def test_box_sum_linearity(seed, alpha, beta, w):
     a = rand_image(seed)
     b = rand_image(seed + 1)
-    lhs = box_mean(alpha * a + beta * b, w)
-    rhs = alpha * box_mean(a, w) + beta * box_mean(b, w)
+    lhs = box_mean_padded(alpha * a + beta * b, w)
+    rhs = alpha * box_mean_padded(a, w) + beta * box_mean_padded(b, w)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-8)
 
 

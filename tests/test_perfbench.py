@@ -40,7 +40,8 @@ def test_benchmark_prints_strict_json_result(trace, section):
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())[section]
     assert list(result["metrics"]) == [m["name"] for m in declared]
+    # Seed 0 takes both lambda branches, so no per-layer value is
+    # legitimately null either.
     for name, metric in result["metrics"].items():
         assert "missing" not in metric, name
-        if trace == 0:
-            assert isinstance(metric["value"], float) and math.isfinite(metric["value"]), name
+        assert isinstance(metric["value"], float) and math.isfinite(metric["value"]), name
