@@ -12,10 +12,10 @@ import sys
 from pathlib import Path
 
 from . import bench, config, pgm
-from .errors import BracketFailure, DegenerateInput, GfdError, SingularDenominator
+from .errors import DegenerateInput, GfdError, SingularDenominator
 from .pipeline import GfdConfig, run_gfd
 
-_NUMERIC_ERRORS = (SingularDenominator, BracketFailure, DegenerateInput)
+_NUMERIC_ERRORS = (SingularDenominator, DegenerateInput)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -25,10 +25,6 @@ class ImageTooSmall(GfdError):
     """The image is too small for the requested operation."""
 
 
-class BracketFailure(GfdError):
-    """Bisection could not bracket the discrepancy bound."""
-
-
 class DegenerateInput(GfdError):
     """Input has no variation where variation is required."""
 

@@ -5,7 +5,6 @@ re-selected every iteration from the discrepancy principle.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -13,10 +12,9 @@ from typing import Optional
 import numpy as np
 
 from .guided_filter import GfParams, guidfilter, smooth_gradients
-from .errors import BracketFailure, DimensionMismatch
+from .errors import DimensionMismatch
 from .image_core import as_image, check_window_fits, isnr, validate_window
 from .regparam import (
-    LambdaChoice,
     NoiseEstimate,
     choose_lambda,
     compute_rho,
@@ -24,15 +22,12 @@ from .regparam import (
     rho_terms,
 )
 from .spectral import (
-    INFINITY,
     Psf,
     SpectralPlan,
-    circ_convolve,
+    circ_convolve,  # unused: perfbench/tracer.py wraps pipeline.circ_convolve by name
     solve_guidance,
     solve_input,
 )
-
-log = logging.getLogger(__name__)
 
 # eps floor keeps GfParams valid when the noise estimate is zero.
 EPS_FLOOR = 1e-6
@@ -87,7 +82,8 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     Iteration k: pick rho and the bound from the current pre-estimate v,
     bisect for lambda, solve for the guidance and input images, then
     denoise with the guided filter and re-smooth the gradients of the
-    new v.  v starts as a black image.  The spectral invariants of (g,
+    new v into their divergence, the one image the next guidance solve
+    takes.  v starts as a black image.  The spectral invariants of (g,
     psf) are built once, and F(v) once per iteration.
     """
     g = as_image(g)
@@ -100,12 +96,11 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     eps = cfg.gf_eps if cfg.gf_eps is not None else max((2.0 * est.sigma) ** 2, EPS_FLOOR)
     gf = GfParams(cfg.gf_w, eps)
 
-    g_terms = rho_terms(g, est)  # also refuses an overflowing observation
+    g_terms = rho_terms(g, est)  # also refuses an over- or underflowing observation
     plan = SpectralPlan(g, psf)
     npix = g.size
     v = np.zeros_like(g)
-    vx = np.zeros_like(g)
-    vy = np.zeros_like(g)
+    div = np.zeros_like(g)  # divergence of v's smoothed gradients
 
     trace: list[IterationRecord] = []
     for k in range(1, cfg.iterations + 1):
@@ -115,27 +110,19 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
             rho = compute_rho(g_terms, v, cfg.tau)
         bound_c = rho * npix * est.variance
         v_hat = plan.spectrum(v)
-        try:
-            choice = choose_lambda(plan, v_hat, bound_c)
-        except BracketFailure:
-            # Bound sits above the finite-lambda asymptote only through
-            # numerical slack; the asymptote residual is that of v itself.
-            resid = float(np.sum((circ_convolve(v, psf) - g) ** 2))
-            choice = LambdaChoice(value=INFINITY, residual=resid, iterations=0)
-            log.warning("iteration %d: bracket failure, falling back to lambda=inf", k)
-
+        choice = choose_lambda(plan, v_hat, bound_c)
         lam = choice.value
         # lambda = INFINITY: v already meets the bound, so both solves are v.
         u_p = v if choice.is_infinite else solve_input(plan, v_hat, lam)
         del v_hat  # F(v) is not needed past here; free it before the filters
-        u_i = v if choice.is_infinite else solve_guidance(plan, vx, vy, lam)
+        u_i = v if choice.is_infinite else solve_guidance(plan, div, lam)
         # Dead arrays are dropped before each filter, which sets the peak.
         # On a lambda = inf iteration u_i and u_p still hold v.
-        del v, vx, vy
+        del v, div
 
         v = guidfilter(u_i, u_p, gf)
         del u_i, u_p
-        vx, vy = smooth_gradients(v, gf)
+        div = smooth_gradients(v, gf)
 
         trace.append(IterationRecord(
             k=k, lam=lam, rho=rho, residual=choice.residual,

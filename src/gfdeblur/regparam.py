@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BracketFailure, DimensionMismatch, ImageTooSmall
+from .errors import DimensionMismatch, ImageTooSmall
 from .image_core import centered_sq_norm
 from .spectral import (
     INFINITY,
@@ -27,8 +27,6 @@ MAD_FACTOR = 0.6745
 # Clamp range for the s statistic; keeps rho strictly positive.
 S_FLOOR = 0.05
 S_CEIL = 1.0
-
-LAMBDA_BRACKET_CAP = 1e12
 
 # Bisection stops once the residual is within REL_TOL * bound of the
 # bound, or after MAX_BISECT halvings.
@@ -55,7 +53,7 @@ class NoiseEstimate:
 class LambdaChoice:
     """Selected regularization weight and the residual it achieves."""
 
-    value: float  # INFINITY when the pre-estimate already meets the bound
+    value: float  # INFINITY when the pre-estimate meets the bound within REL_TOL
     residual: float
     iterations: int
 
@@ -99,14 +97,15 @@ class RhoTerms:
 def rho_terms(g: np.ndarray, est: NoiseEstimate) -> RhoTerms:
     """s compares the centered energy of g against the noise energy.
 
-    Raises ValueError when the energy g.g overflows float64: no rho or
-    discrepancy bound can be formed for an observation at that scale.
+    Raises ValueError when the energy g.g overflows float64, or for a
+    nonzero g underflows it: no rho or bound can be formed at that scale.
     """
     noise_energy = g.size * est.variance
     g_sq = float(np.dot(g.ravel(), g.ravel()))
-    if not np.isfinite(g_sq):
+    if not np.isfinite(g_sq) or (g_sq < np.finfo(np.float64).tiny and g.any()):
+        end = "underflows" if np.isfinite(g_sq) else "overflows"
         raise ValueError(
-            "observation energy g.g overflows float64; rescale the observation"
+            f"observation energy g.g {end} float64; rescale the observation"
         )
     cvar_g = centered_sq_norm(g)
     if g_sq > 0:
@@ -140,11 +139,15 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float) -> Lamb
     """Solve the discrepancy equation residual(lambda) = bound_c by
     bisection, given the pre-estimate's spectrum v_hat = plan.spectrum(v).
 
-    If the pre-estimate v already meets the bound, returns INFINITY
+    The residual rises monotonically to its lambda -> inf asymptote,
+    the residual of v itself.  If that asymptote is at most REL_TOL
+    above the bound (the bisection's own stop band), returns INFINITY
     (downstream then takes u_I = u_p = v).  Otherwise brackets by
-    doubling from lambda = 1 and bisects on the monotone residual curve
-    until the residual is within REL_TOL of the bound or MAX_BISECT
-    halvings are spent; each lambda's residual is computed once.
+    doubling from lambda = 1 and bisects until the residual is within
+    REL_TOL of the bound or MAX_BISECT halvings are spent; each
+    lambda's residual is computed once.  The doubling needs no cap: with
+    A = max |H|^2 the residual is at least asymptote * (1 - 2 A / lambda),
+    so it passes the bound by lambda = 2 A (1 + REL_TOL) / REL_TOL.
     A bound_c that is negative or not finite (an overflowed rho or
     sigma) raises ValueError.
     """
@@ -153,7 +156,7 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float) -> Lamb
     a, b, npix = discrepancy_terms(plan, v_hat)
     # lam -> inf asymptote equals the residual of v itself (Parseval).
     entry = float(b.sum() / npix)
-    if entry <= bound_c:
+    if entry <= bound_c * (1 + REL_TOL):
         return LambdaChoice(value=INFINITY, residual=entry, iterations=0)
 
     # The bisection starts at the bracket's last lambda, hi, and its
@@ -163,10 +166,6 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float) -> Lamb
     hi = 1.0
     while residual(hi) < bound_c:
         hi *= 2.0
-        if hi > LAMBDA_BRACKET_CAP:
-            raise BracketFailure(
-                "discrepancy bound unreachable below lambda = 1e12"
-            )
     lo = 0.0
     mid = hi
     res = residual(mid)

@@ -13,7 +13,7 @@ shape.  A real image's spectrum is Hermitian, so the rfft2 half-plane
 (columns 0 .. width // 2) holds all of it; discrepancy_terms weights
 column 0 once, interior columns twice and, for even widths, column
 width / 2 once to recover full-plane sums of |F(x)|^2.  The guidance solve
-transforms Dx^T vx + Dy^T vy, whose spectrum is conj(Dx) F(vx) +
+transforms divergence(vx, vy), whose spectrum is conj(Dx) F(vx) +
 conj(Dy) F(vy): a circular forward difference's adjoint is the backward one.
 """
 
@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 
-# lambda = infinity: the pre-estimate v already meets the discrepancy
-# bound, and the restore loop takes both solves to be v.
+# lambda = infinity: the pre-estimate v meets the discrepancy bound within
+# the bisection's tolerance, and the restore loop takes both solves to be v.
 INFINITY = math.inf
 
 
@@ -153,25 +153,34 @@ class SpectralPlan:
             )
 
 
-def solve_guidance(plan: SpectralPlan, vx, vy, lam):
+def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """Dx^T vx + Dy^T vy: the adjoint of the circular forward differences,
+    a backward-difference divergence."""
+    # In place, with one allocation: a np.roll(vy, 1, axis=0) temporary,
+    # freed every restore iteration, left most 256^2 runs refaulting a
+    # trimmed heap top (~930 minor faults per iteration, 0-140 without).
+    adj = np.roll(vx, 1, axis=1)
+    adj -= vx
+    adj[1:] += vy[:-1]  # the rows of np.roll(vy, 1, axis=0)
+    adj[0] += vy[-1]
+    adj -= vy
+    return adj
+
+
+def solve_guidance(plan: SpectralPlan, div, lam):
     """Closed-form guidance solve: data fit plus gradient-matching prior.
 
     Minimizes ||h * u - g||^2 + lam (||dx u - vx||^2 + ||dy u - vy||^2)
-    in the Fourier domain, for finite lam > 0.
+    in the Fourier domain, for finite lam > 0, given the prior's
+    gradients only as div = divergence(vx, vy).
     """
-    plan._check_images(vx, vy)
+    plan._check_images(div)
     if not 0 < lam < INFINITY:
         raise ValueError(f"lambda must be finite and positive, got {lam!r}")
     denom = plan.H_sq + lam * plan.D_sq
     if np.min(denom) < 1e-15:
         raise SingularDenominator("guidance solve denominator vanishes")
-    # Dx^T vx + Dy^T vy in place: at 1024^2 each temporary costs time and memory.
-    adj = np.roll(vx, 1, axis=1)
-    adj -= vx
-    adj += np.roll(vy, 1, axis=0)
-    adj -= vy
-    num = np.fft.rfft2(adj)
-    del adj
+    num = np.fft.rfft2(div)
     num *= lam
     num += plan.conj_H_G
     num /= denom

@@ -39,6 +39,7 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
+    divergence,
     solve_guidance,
     solve_input,
 )
@@ -114,7 +115,7 @@ def test_criterion_2_spectral_solve_residuals():
         dx, dy = derivative_spectra(16, 16)
 
         plan = SpectralPlan(g, psf)
-        u_i = solve_guidance(plan, vx, vy, lam)
+        u_i = solve_guidance(plan, divergence(vx, vy), lam)
         res_i = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u_i) \
             - np.conj(H) * G - lam * (np.conj(dx) * np.fft.fft2(vx) + np.conj(dy) * np.fft.fft2(vy))
         u_p = solve_input(plan, plan.spectrum(v), lam)

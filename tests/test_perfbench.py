@@ -1,6 +1,7 @@
 """The benchmark wraps gfdeblur functions by name; its self-test fails when
 a wrapped name is renamed or dropped, so run it with the suite."""
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -9,7 +10,23 @@ from pathlib import Path
 
 import pytest
 
+import gfdeblur.pipeline as pipeline
+from gfdeblur.bench import SCENARIOS, degrade
+from gfdeblur.pipeline import GfdConfig
+
+from conftest import natural_image
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_selftest_passes():
@@ -45,3 +62,23 @@ def test_benchmark_prints_strict_json_result(trace, section):
     for name, metric in result["metrics"].items():
         assert "missing" not in metric, name
         assert isinstance(metric["value"], float) and math.isfinite(metric["value"]), name
+
+
+def test_records_agree_with_tracer():
+    # The bench counts iterations and lambda branches from its spans; they
+    # must equal the run's own records.  This 32^2 scenario-5 restore takes
+    # both lambda branches in 6 iterations.
+    tracing = _load_tracer()
+    pair = degrade(natural_image(1, 32), SCENARIOS[5], seed=0)
+    tracer = tracing.Tracer()
+    with tracer.installed(0):
+        _, trace = pipeline.run_gfd(pair.observed, pair.psf,
+                                    GfdConfig(iterations=6, sigma=pair.sigma))
+    assert not tracer.missing
+    spans = tracing.tally(tracer.spans)
+    assert spans["regparam.lambda"].count == spans["guided_filter.grad"].count == len(trace)
+    inf_spans = [infinite for infinite, _ in spans["regparam.lambda"].info if infinite]
+    assert len(inf_spans) == sum(math.isinf(rec.lam) for rec in trace)
+    branch = tracing.fft_calls_by_branch(tracer.spans)
+    assert branch["finite"] and branch["inf"]
+    assert len(branch["finite"]) + len(branch["inf"]) == len(trace)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gfdeblur.regparam as regparam
 from gfdeblur.bench import SCENARIOS, degrade, gaussian_field
-from gfdeblur.errors import BracketFailure, ImageTooSmall
+from gfdeblur.errors import ImageTooSmall
 from gfdeblur.image_core import centered_sq_norm
 from gfdeblur.regparam import (
     NoiseEstimate,
@@ -16,7 +16,7 @@ from gfdeblur.regparam import (
     estimate_sigma,
     rho_terms,
 )
-from gfdeblur.spectral import Psf, SpectralPlan, circ_convolve
+from gfdeblur.spectral import INFINITY, Psf, SpectralPlan, circ_convolve
 
 from conftest import discrepancy, natural_image, rand_image
 
@@ -157,12 +157,13 @@ def test_closed_form_lambda_equals_one(monkeypatch):
 
 def test_returned_residual_meets_tolerance():
     g = rand_image(9, (32, 32))
-    psf = random_psf(10)
     v = np.zeros_like(g)
-    bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
-    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
-    assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
-    assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
+    # [-1, 3, -1] has max |H|^2 = 25: the doubling still brackets with no cap.
+    for psf in (random_psf(10), Psf.from_taps([[-1, 3, -1]])):
+        bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
+        choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
+        assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
+        assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
 
 
 def test_lambda_unique_up_to_tolerance(monkeypatch):
@@ -181,15 +182,18 @@ def test_lambda_unique_up_to_tolerance(monkeypatch):
     assert abs(discrepancy(g, psf, v, coarse.value) - bound) <= 1e-3 * bound
 
 
-def test_unreachable_bound_raises_bracket_failure():
+def test_asymptote_within_tolerance_of_bound_returns_infinity():
     # Delta PSF and v = 0: the residual approaches ||g||^2 only as lambda
-    # grows without bound, so a bound just below it is not bracketed
-    # below the cap.
+    # grows without bound.  A bound that the asymptote exceeds by less
+    # than REL_TOL is met at lambda = inf, by the bisection's own band.
     g = rand_image(14)
-    bound = float(np.sum(g * g)) * (1 - 1e-15)
+    g_sq = float(np.sum(g * g))
     plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
-    with pytest.raises(BracketFailure):
-        choose_lambda(plan, v_hat, bound)
+    for bound in (g_sq * (1 - 1e-15), g_sq / (1 + 0.999 * regparam.REL_TOL)):
+        choice = choose_lambda(plan, v_hat, bound)
+        assert choice.value == INFINITY
+        assert choice.residual == pytest.approx(g_sq, rel=1e-12)
+        assert choice.iterations == 0
 
 
 def test_noise_estimate_variance_consistency():

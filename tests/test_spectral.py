@@ -11,6 +11,7 @@ from gfdeblur.spectral import (
     diff_y,
     discrepancy_from_terms,
     discrepancy_terms,
+    divergence,
     solve_guidance,
     solve_input,
 )
@@ -143,7 +144,7 @@ def test_derivative_spectral_equals_direct_differencing():
 def test_solve_guidance_inverse_filter_limit():
     g = rand_image(7)
     z = np.zeros_like(g)
-    out = solve_guidance(SpectralPlan(g, Psf.delta()), z, z, 1e-12)
+    out = solve_guidance(SpectralPlan(g, Psf.delta()), divergence(z, z), 1e-12)
     np.testing.assert_allclose(out, g, atol=1e-6)
 
 
@@ -154,7 +155,7 @@ def test_solve_guidance_normal_equation_residual():
         vx, vy = rand_image(12, shape), rand_image(13, shape)
         psf = random_psf(15)
         lam = 0.5
-        u = solve_guidance(SpectralPlan(g, psf), vx, vy, lam)
+        u = solve_guidance(SpectralPlan(g, psf), divergence(vx, vy), lam)
         H = psf_spectrum(psf, *g.shape)
         dx, dy = derivative_spectra(*g.shape)
         lhs = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u)
@@ -192,7 +193,7 @@ def test_solve_rejects_nonpositive_lambda():
         with pytest.raises(ValueError):
             solve_input(plan, plan.spectrum(z), lam)
         with pytest.raises(ValueError):
-            solve_guidance(plan, z, z, lam)
+            solve_guidance(plan, divergence(z, z), lam)
 
 
 def test_plan_rejects_mismatched_shapes():
@@ -204,7 +205,7 @@ def test_plan_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch):
         solve_input(plan, np.fft.fft2(z), 1.0)
     with pytest.raises(DimensionMismatch):
-        solve_guidance(plan, z, small, 1.0)
+        solve_guidance(plan, small, 1.0)
     with pytest.raises(DimensionMismatch):
         discrepancy_terms(plan, np.fft.rfft2(small))
     with pytest.raises(KernelTooLarge):
