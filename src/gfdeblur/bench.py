@@ -322,10 +322,10 @@ def write_scenarios_csv(path, rows: List[dict]) -> None:
 
 
 def write_trace_csv(path, trace) -> None:
-    header = ["k", "lambda", "rho", "residual", "isnr_db"]
+    header = ["k", "lambda", "rho", "residual", "bisect_steps", "isnr_db"]
     _write_csv(
         path,
         header,
-        ([rec.k, rec.lam, rec.rho, rec.residual,
+        ([rec.k, rec.lam, rec.rho, rec.residual, rec.bisect_steps,
           rec.isnr if rec.isnr is not None else ""] for rec in trace),
     )

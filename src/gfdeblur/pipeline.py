@@ -72,6 +72,7 @@ class IterationRecord:
     lam: float  # INFINITY (math.inf) for the short-circuit branch
     rho: float
     residual: float
+    bisect_steps: int  # LambdaChoice.iterations; 0 at lambda = INFINITY
     isnr: Optional[float] = None
 
 
@@ -112,13 +113,17 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         v_hat = plan.spectrum(v)
         choice = choose_lambda(plan, v_hat, bound_c)
         lam = choice.value
-        # lambda = INFINITY: v already meets the bound, so both solves are v.
-        u_p = v if choice.is_infinite else solve_input(plan, v_hat, lam)
-        del v_hat  # F(v) is not needed past here; free it before the filters
-        u_i = v if choice.is_infinite else solve_guidance(plan, div, lam)
-        # Dead arrays are dropped before each filter, which sets the peak.
-        # On a lambda = inf iteration u_i and u_p still hold v.
-        del v, div
+        # Each image-sized array is dropped once no later step reads it.
+        if choice.is_infinite:
+            # v already meets the bound, so both solves are v.
+            u_i = u_p = v
+            del v_hat
+        else:
+            del v  # the solves read only its spectrum F(v)
+            u_p = solve_input(plan, v_hat, lam)
+            del v_hat
+            u_i = solve_guidance(plan, div, lam)
+        del div
 
         v = guidfilter(u_i, u_p, gf)
         del u_i, u_p
@@ -126,6 +131,7 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
 
         trace.append(IterationRecord(
             k=k, lam=lam, rho=rho, residual=choice.residual,
+            bisect_steps=choice.iterations,
             isnr=isnr(ref, g, v) if ref is not None else None,
         ))
     return v, trace

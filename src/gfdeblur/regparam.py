@@ -130,6 +130,8 @@ def compute_rho(terms: RhoTerms, v: np.ndarray, tau: float) -> float:
         thresh = np.inf
     elif excess <= 0.0:
         thresh = 0.0
+    elif noise_energy * cvar_v == 0.0:
+        thresh = np.inf  # the product underflows; thresh's limit as it falls to 0
     else:
         thresh = float(np.sqrt(excess / (noise_energy * cvar_v)))
     return s * s if thresh > tau else s

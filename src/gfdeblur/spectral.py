@@ -109,11 +109,13 @@ class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
 
-    H and |H|^2, F(g) and conj(H) F(g), the closed-form |Dx|^2 + |Dy|^2,
-    and the Parseval column weights that discrepancy_terms folds into b.
+    H and |H|^2, F(g) and conj(H) F(g), the Parseval column weights that
+    discrepancy_terms folds into b, and the closed-form |Dx|^2 + |Dy|^2 as
+    its two factors: Dy_sq, shape (height, 1), and Dx_sq, shape
+    (width // 2 + 1,), which broadcast to the half-plane sum.
     """
 
-    __slots__ = ("shape", "H", "H_sq", "G", "conj_H_G", "D_sq", "weights")
+    __slots__ = ("shape", "H", "H_sq", "G", "conj_H_G", "Dy_sq", "Dx_sq", "weights")
 
     def __init__(self, g: np.ndarray, psf: Psf):
         height, width = self.shape = g.shape
@@ -124,9 +126,8 @@ class SpectralPlan:
         kx = np.arange(width // 2 + 1)
         ky = np.arange(height)
         # |exp(i t) - 1|^2 = 4 sin^2(t / 2)
-        self.D_sq = (4.0 * np.sin(np.pi * ky / height) ** 2)[:, None] + (
-            4.0 * np.sin(np.pi * kx / width) ** 2
-        )
+        self.Dy_sq = (4.0 * np.sin(np.pi * ky / height) ** 2)[:, None]
+        self.Dx_sq = 4.0 * np.sin(np.pi * kx / width) ** 2
         self.weights = np.full(width // 2 + 1, 2.0)
         self.weights[0] = 1.0
         if width % 2 == 0:
@@ -177,13 +178,16 @@ def solve_guidance(plan: SpectralPlan, div, lam):
     plan._check_images(div)
     if not 0 < lam < INFINITY:
         raise ValueError(f"lambda must be finite and positive, got {lam!r}")
-    denom = plan.H_sq + lam * plan.D_sq
+    denom = plan.Dy_sq + plan.Dx_sq
+    denom *= lam
+    denom += plan.H_sq
     if np.min(denom) < 1e-15:
         raise SingularDenominator("guidance solve denominator vanishes")
     num = np.fft.rfft2(div)
     num *= lam
     num += plan.conj_H_G
     num /= denom
+    del denom  # freed before the inverse transform, which sets the peak
     return np.fft.irfft2(num, s=plan.shape)
 
 

@@ -223,8 +223,9 @@ def test_csv_schemas(tmp_path):
     p3 = tmp_path / "trace_run.csv"
     write_trace_csv(p3, trace)
     lines = p3.read_text().splitlines()
-    assert lines[0] == "k,lambda,rho,residual,isnr_db"
+    assert lines[0] == "k,lambda,rho,residual,bisect_steps,isnr_db"
     assert len(lines) == 3
+    assert [line.split(",")[4] for line in lines[1:]] == [str(rec.bisect_steps) for rec in trace]
 
 
 def test_csv_prints_infinity_as_inf(tmp_path):

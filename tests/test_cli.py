@@ -179,11 +179,12 @@ def test_deblur_reference_trace(tmp_path, capsys):
     ])
     assert rc == 0
     header, *rows = (line.split(",") for line in trace.read_text().splitlines())
-    assert header == ["k", "lambda", "rho", "residual", "isnr_db"]
+    assert header == ["k", "lambda", "rho", "residual", "bisect_steps", "isnr_db"]
     assert [row[0] for row in rows] == ["1", "2", "3", "4"]
-    assert all(math.isfinite(float(row[4])) for row in rows)
+    assert all(row[4].isdigit() for row in rows)
+    assert all(math.isfinite(float(row[5])) for row in rows)
     # The printed score is the last iteration's, as the trace writes it.
-    assert capsys.readouterr().out == f"isnr_db={rows[-1][4]}\n"
+    assert capsys.readouterr().out == f"isnr_db={rows[-1][5]}\n"
 
 
 def test_deblur_mismatched_reference_writes_nothing(tmp_path, capsys):

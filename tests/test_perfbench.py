@@ -65,9 +65,9 @@ def test_benchmark_prints_strict_json_result(trace, section):
 
 
 def test_records_agree_with_tracer():
-    # The bench counts iterations and lambda branches from its spans; they
-    # must equal the run's own records.  This 32^2 scenario-5 restore takes
-    # both lambda branches in 6 iterations.
+    # The bench counts iterations, lambda branches and bisect steps from
+    # its spans; they must equal the run's own records.  This 32^2
+    # scenario-5 restore takes both lambda branches in 6 iterations.
     tracing = _load_tracer()
     pair = degrade(natural_image(1, 32), SCENARIOS[5], seed=0)
     tracer = tracing.Tracer()
@@ -79,6 +79,8 @@ def test_records_agree_with_tracer():
     assert spans["regparam.lambda"].count == spans["guided_filter.grad"].count == len(trace)
     inf_spans = [infinite for infinite, _ in spans["regparam.lambda"].info if infinite]
     assert len(inf_spans) == sum(math.isinf(rec.lam) for rec in trace)
+    steps = [steps for _, steps in spans["regparam.lambda"].info]
+    assert steps == [rec.bisect_steps for rec in trace] and any(steps)
     branch = tracing.fft_calls_by_branch(tracer.spans)
     assert branch["finite"] and branch["inf"]
     assert len(branch["finite"]) + len(branch["inf"]) == len(trace)

@@ -116,6 +116,17 @@ def test_rho_always_in_unit_interval(seed, sigma):
     assert 0.0 < rho <= 1.0
 
 
+def test_rho_takes_square_branch_when_thresh_denominator_underflows():
+    # At 2^-400 scale noise_energy * cvar_v underflows to 0 while the
+    # excess stays positive; thresh is then at its limit, infinity.
+    scale = 2.0 ** -400
+    g = scale * rand_image(5)
+    terms = rho_terms(g, NoiseEstimate(scale))
+    v = scale * rand_image(6)
+    assert terms.excess > 0 and terms.noise_energy * centered_sq_norm(v) == 0.0
+    assert compute_rho(terms, v, tau=0.6) == terms.s * terms.s
+
+
 def test_square_branch_never_exceeds_linear_branch():
     g = rand_image(3)
     v = rand_image(4)

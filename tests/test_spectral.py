@@ -212,6 +212,20 @@ def test_plan_rejects_mismatched_shapes():
         SpectralPlan(np.zeros((4, 4)), random_psf(1, 5))
 
 
+@pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
+def test_plan_holds_four_half_planes(shape):
+    # H, F(g), conj(H) F(g) and |H|^2; |Dx|^2 + |Dy|^2 is kept as its
+    # two factors, vectors like the Parseval weights.
+    height, width = shape
+    plan = SpectralPlan(rand_image(40, shape), random_psf(41))
+    arrays = [getattr(plan, name) for name in SpectralPlan.__slots__]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    half = height * (width // 2 + 1)
+    assert sorted(a.dtype.kind for a in arrays if a.size == half) == ["c", "c", "c", "f"]
+    assert all(a.size < height + width for a in arrays if a.size != half)
+    assert sum(a.nbytes for a in arrays) <= (3 * 16 + 8) * half + 3 * 8 * (height + width)
+
+
 # -------------------------------------------------------- discrepancy
 
 
