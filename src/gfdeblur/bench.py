@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -195,23 +196,36 @@ def run_scenarios(
     seed: int = 0,
     *,
     known_sigma: bool,
+    trace_dir=None,
 ) -> List[dict]:
     """Degrade, restore, and score every (image, scenario) cell, with
     each cell's true sigma if known_sigma, else sigma estimated.
 
     Rows are ordered by image name then scenario id regardless of
     execution order.  Reference GFD values are attached where the image
-    name matches the published table.
+    name matches the published table.  With trace_dir, each cell's
+    per-iteration records, scored against the clean image, go to
+    trace_dir/trace_<image>_s<scenario>.csv; the directory is created
+    before the first restore.
     """
     base = cfg if cfg is not None else GfdConfig()
+    if trace_dir is not None:
+        trace_dir = Path(trace_dir)
+        trace_dir.mkdir(parents=True, exist_ok=True)
     rows: List[dict] = []
     for name, clean in sorted(images, key=lambda p: p[0]):
         for scn in sorted(scenarios, key=lambda s: s.id):
             pair = degrade(clean, scn, seed)
-            run_cfg = replace(base, sigma=pair.sigma if known_sigma else None)
+            run_cfg = replace(
+                base,
+                sigma=pair.sigma if known_sigma else None,
+                reference=clean if trace_dir is not None else base.reference,
+            )
             t0 = time.perf_counter()
             restored, trace = run_gfd(pair.observed, pair.psf, run_cfg)
             secs_per_iter = (time.perf_counter() - t0) / len(trace)
+            if trace_dir is not None:
+                write_trace_csv(trace_dir / f"trace_{name}_s{scn.id}.csv", trace)
             ref = REFERENCE_ISNR.get((name.lower(), scn.id, "gfd"))
             got = isnr(clean, pair.observed, restored)
             rows.append(

@@ -108,6 +108,7 @@ def _build_parser() -> _Parser:
     r.add_argument("--scenarios", type=_parse_scenarios, default="1,2,3,4,5")
     r.add_argument("--iters", dest="iterations", type=int)
     r.add_argument("--known-sigma", action="store_true")
+    r.add_argument("--trace-dir", default=None)
     return p
 
 
@@ -148,7 +149,10 @@ def _cmd_degrade(args) -> int:
             f"scenario={scn.id}",
             f"psf={scn.psf_spec}",
             f"psf_text={scn.psf_text}",
-            f"sigma={scn.sigma:.6g}",
+            # The 8-bit PGM carries the scenario's noise plus rounding
+            # noise of variance q^2/12, q = 1; sigma_sq stays the
+            # scenario's, for BSNR.
+            f"sigma={math.sqrt(scn.sigma_sq + 1 / 12):.6g}",
             f"sigma_sq={scn.sigma_sq:.6g}",
             f"seed={args.seed}",
             f"prng={bench.PRNG_ID}",
@@ -195,6 +199,7 @@ def _cmd_run_scenarios(args) -> int:
         cfg=_gfd_config(args),
         seed=args.seed,
         known_sigma=args.known_sigma,
+        trace_dir=args.trace_dir,
     )
     bench.write_scenarios_csv(args.out, rows)
     return 0

@@ -43,6 +43,12 @@ class NoiseEstimate:
     def __post_init__(self):
         if not 0 <= self.sigma < np.inf:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma!r}")
+        # The product is inf exactly where run_gfd's eps, (2 * sigma) ** 2, raises.
+        if (2.0 * self.sigma) * (2.0 * self.sigma) == np.inf:
+            raise ValueError(
+                f"sigma too large: the derived eps (2 * sigma)^2 overflows float64, "
+                f"got {self.sigma!r}"
+            )
 
     @property
     def variance(self) -> float:

@@ -1,17 +1,23 @@
 import dataclasses
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gfdeblur import bench
 from gfdeblur.bench import SCENARIOS, degrade, parse_psf_spec
-from gfdeblur.cli import _build_parser, _gfd_config, main, parse_grid
+from gfdeblur.cli import _COMMANDS, _build_parser, _gfd_config, main, parse_grid
 from gfdeblur.config import KEYS, parse_run_config
 from gfdeblur.errors import ConfigError
 from gfdeblur.pipeline import GfdConfig
 from gfdeblur.pgm import read_image, write_image
 
 from conftest import natural_image, rand_int_image
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 # -------------------------------------------------------- PSF spec DSL
@@ -95,6 +101,7 @@ def test_degrade_meta_and_reproducibility(tmp_path):
     meta = (tmp_path / "meta.txt").read_text(encoding="utf-8")
     assert "psf=binomial5\n" in meta
     assert "psf_text=[1 4 6 4 1]ᵀ[1 4 6 4 1]/256" in meta
+    assert "sigma=7.00595\n" in meta  # sqrt(49 + 1/12): the 8-bit rounding noise too
     assert "sigma_sq=49" in meta
     assert "seed=5" in meta
     assert "prng=pcg64:box-muller" in meta
@@ -114,6 +121,28 @@ def test_degrade_meta_drives_deblur(tmp_path):
                "--iters", "2", "--out", str(out)])
     assert rc == 0
     assert read_image(out).shape == (32, 32)
+
+
+def test_degrade_meta_restores_like_the_float_observation(tmp_path, capsys):
+    # deblur with the --meta PSF and sigma on the 8-bit PGM scores within
+    # 0.2 dB of the run-scenarios cell that restores the float observation.
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    clean, g = img_dir / "clean.pgm", tmp_path / "g.pgm"
+    write_image(clean, natural_image(7, 256))
+    table = tmp_path / "s.csv"
+    assert main(["run-scenarios", "--images", str(img_dir), "--out", str(table),
+                 "--scenarios", "3", "--known-sigma"]) == 0
+    float_isnr = float(table.read_text().splitlines()[1].split(",")[3])
+    meta = tmp_path / "meta.txt"
+    assert main(["degrade", "--in", str(clean), "--scenario", "3", "--seed", "0",
+                 "--out", str(g), "--meta", str(meta)]) == 0
+    fields = dict(line.split("=", 1) for line in meta.read_text(encoding="utf-8").splitlines())
+    capsys.readouterr()
+    assert main(["deblur", "--in", str(g), "--psf", fields["psf"], "--sigma", fields["sigma"],
+                 "--ref", str(clean), "--out", str(tmp_path / "v.pgm")]) == 0
+    pgm_isnr = float(capsys.readouterr().out.strip().removeprefix("isnr_db="))
+    assert abs(pgm_isnr - float_isnr) < 0.2, (pgm_isnr, float_isnr)
 
 
 def test_evaluate_prints_isnr_and_bsnr(tmp_path, capsys):
@@ -165,6 +194,50 @@ def test_run_scenarios_command(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("toy,3,")
+
+
+def test_run_scenarios_trace_dir(tmp_path, monkeypatch):
+    # --trace-dir writes one deblur --trace CSV per cell, scored against
+    # the clean image, and changes no column of the table but the timing.
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    for name, seed in (("a", 3), ("b", 5)):
+        write_image(img_dir / f"{name}.pgm", natural_image(seed, 48))
+    args = ["run-scenarios", "--images", str(img_dir), "--scenarios", "3,5", "--iters", "3",
+            "--known-sigma"]
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    plain.mkdir()
+    assert main(args + ["--out", str(plain / "s.csv")]) == 0
+    assert [p.name for p in plain.iterdir()] == ["s.csv"]
+    assert main(args + ["--out", str(tmp_path / "t.csv"), "--trace-dir", str(traced / "tr")]) == 0
+
+    def table(path):
+        return [line.split(",") for line in path.read_text().splitlines()]
+
+    untraced, rows = table(plain / "s.csv"), table(tmp_path / "t.csv")
+    assert [row[:-1] for row in rows] == [row[:-1] for row in untraced]
+    header = rows[0]
+    assert header[-1] == "secs_per_iter"
+    cells = [dict(zip(header, row)) for row in rows[1:]]
+    assert len(cells) == 4
+    assert sorted(p.name for p in (traced / "tr").iterdir()) == sorted(
+        f"trace_{c['image']}_s{c['scenario']}.csv" for c in cells
+    )
+    for cell in cells:
+        trace = table(traced / "tr" / f"trace_{cell['image']}_s{cell['scenario']}.csv")
+        assert trace[0] == ["k", "lambda", "rho", "residual", "bisect_steps", "isnr_db"]
+        assert [row[0] for row in trace[1:]] == ["1", "2", "3"]
+        assert trace[-1][-1] == cell["isnr_db"]
+
+    # A trace directory that cannot be made exits 2 before any restore.
+    def no_restore(*a, **kw):
+        raise AssertionError("restored before the trace directory was made")
+
+    monkeypatch.setattr(bench, "run_gfd", no_restore)
+    blocked = img_dir / "a.pgm" / "traces"
+    out = tmp_path / "u.csv"
+    assert main(args + ["--out", str(out), "--trace-dir", str(blocked)]) == 2
+    assert not out.exists()
 
 
 def test_deblur_reference_trace(tmp_path, capsys):
@@ -242,6 +315,7 @@ def test_exit_codes(tmp_path, capsys):
         (["--tau", "nan", "--sigma", "1"], "tau must be a number, got nan"),
         (["--sigma", "inf"], "sigma must be finite and nonnegative, got inf"),
         (["--sigma", "nan"], "sigma must be finite and nonnegative, got nan"),
+        (["--sigma", "1e200"], "sigma too large"),
         (["--gf-w", "4", "--sigma", "1"], "window side must be an odd positive integer, got 4"),
         (["--gf-eps", "-1", "--sigma", "1"], "eps must be strictly positive, got -1.0"),
     ):
@@ -264,6 +338,27 @@ def test_exit_codes(tmp_path, capsys):
         "evaluate", "--clean", str(src), "--observed", str(flat),
         "--restored", str(src), "--sigma", "1",
     ]) == 3
+
+
+def test_readme_commands_parse():
+    # Every command in README's sh blocks, with the optional flags in
+    # brackets given, is one the parser takes; each experiment is a
+    # subcommand, so none runs a file under scripts/.
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line.replace("[", "").replace("]", ""), comments=True)
+            if words:
+                commands.append(words)
+    assert not [cmd for cmd in commands if any("scripts/" in word for word in cmd)]
+    gfdeblur = [cmd[1:] for cmd in commands if cmd[0] == "gfdeblur"]
+    assert {argv[0] for argv in gfdeblur} == set(_COMMANDS)
+    parser = _build_parser()
+    for argv in gfdeblur:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: gfdeblur {shlex.join(argv)}")
 
 
 # -------------------------------------------------------------- config

@@ -310,17 +310,37 @@ def _metamorphic_pair(scenario):
     return degrade(natural_image(12, 64), SCENARIOS[scenario], seed=9)
 
 
-@pytest.mark.parametrize("scenario,known", METAMORPHIC_CELLS)
-def test_power_of_two_scaling_is_bit_exact(scenario, known):
+# compute_rho's thresh = sqrt(excess / (noise_energy * cvar_v)) has units
+# of 1/intensity, so its comparison with tau depends on the scale: from
+# 2^-5 (scenario 3, known sigma) to 2^-7 (scenario 5) down, rho takes the
+# other branch at some iteration.
+_RHO_THRESH_SCALES = pytest.mark.xfail(
+    strict=True, reason="compute_rho's thresh is not scale-free (ROADMAP item 8)"
+)
+# Scales 2^k; a case's id names its cell, and its k when k is not 1.
+SCALE_CASES = [
+    pytest.param(
+        scenario, known, k,
+        marks=_RHO_THRESH_SCALES if k in (-7, -200) else (),
+        id=f"{scenario}-{known}" + (f"-2^{k}" if k != 1 else ""),
+    )
+    for scenario, known in METAMORPHIC_CELLS
+    for k in (-4, -1, 1, 4, 8, 200, -7, -200)
+]
+
+
+@pytest.mark.parametrize("scenario,known,k", SCALE_CASES)
+def test_power_of_two_scaling_is_bit_exact(scenario, known, k):
     pair = _metamorphic_pair(scenario)
+    scale = math.ldexp(1.0, k)
 
     def restore(scale):
         sigma = scale * pair.sigma if known else None
         return run_gfd(scale * pair.observed, pair.psf, GfdConfig(iterations=8, sigma=sigma))
 
     out, trace = restore(1.0)
-    out2, trace2 = restore(2.0)
-    np.testing.assert_array_equal(out2, 2.0 * out)
+    out2, trace2 = restore(scale)
+    np.testing.assert_array_equal(out2, scale * out)
     assert [rec.lam for rec in trace2] == [rec.lam for rec in trace]
 
 

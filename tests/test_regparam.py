@@ -216,6 +216,9 @@ def test_noise_estimate_rejects_nonfinite_or_negative():
     for sigma in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
             NoiseEstimate(sigma)
+    # run_gfd derives eps = (2 * sigma) ** 2, which would raise OverflowError.
+    with pytest.raises(ValueError, match=r"sigma too large: the derived eps \(2 \* sigma\)\^2"):
+        NoiseEstimate(1e200)
 
 
 def test_choose_lambda_evaluates_each_lambda_once(monkeypatch):
