@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from pathlib import Path
 from . import bench, config, pgm
 from .errors import DegenerateInput, GfdError, SingularDenominator
 from .pipeline import GfdConfig, run_gfd
+from .regparam import estimate_sigma
 
 _NUMERIC_ERRORS = (SingularDenominator, DegenerateInput)
 
@@ -122,14 +124,24 @@ def _gfd_config(args, settings=(), **fixed) -> GfdConfig:
     return GfdConfig(**merged, **fixed)
 
 
+def _pgm_sigma_estimate(g, maxval: int) -> float:
+    """The noise level estimated from a PGM observation, floored at that of
+    its rounding, q / sqrt(12) for the step q = 255 / maxval.  On a
+    piecewise-flat image the estimate can read 0 although rounding alone
+    adds noise of variance q^2 / 12."""
+    return max(estimate_sigma(g).sigma, 255.0 / maxval / math.sqrt(12.0))
+
+
 def _cmd_deblur(args) -> int:
     settings = config.load_run_config(args.config) if args.config else {}
     if args.estimate_sigma:
         settings.pop("sigma", None)
-    g = pgm.read_image(args.infile)
+    g, maxval = pgm.read_pgm(args.infile)
     psf = bench.parse_psf_spec(args.psf)
     ref = pgm.read_image(args.ref) if args.ref else None
     cfg = _gfd_config(args, settings, reference=ref)
+    if cfg.sigma is None:
+        cfg = dataclasses.replace(cfg, sigma=_pgm_sigma_estimate(g, maxval))
     restored, trace = run_gfd(g, psf, cfg)
     pgm.write_image(args.out, restored)
     if args.trace:

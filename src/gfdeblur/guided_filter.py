@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch
 from .image_core import box_mean, check_window_fits, validate_window
-from .spectral import diff_x, diff_y, divergence
+from .spectral import add_divergence_y, diff_x, diff_y, divergence_x
 
 # Bytes of padded rows per guided-filter strip: the strip's own rows, as
 # wide as the mirror-padded image.  With its halo and the other strip
@@ -167,9 +167,12 @@ def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:
     """Self-guided filtering of the forward-difference derivatives of v,
     returned as the divergence of the two filtered derivatives: the only
     form in which the guidance solve takes them."""
-    # Each difference is dropped once filtered: holding both set a 1024^2
-    # restore's peak (93.5 against 89.3 MB).
+    # Each filtered difference is folded into the divergence before the
+    # next image is made, so the stage holds v, the divergence, the y
+    # difference and its filtered copy.
     gx = diff_x(v)
     gx = guidfilter(gx, gx, params)
+    div = divergence_x(gx)
+    del gx
     gy = diff_y(v)
-    return divergence(gx, guidfilter(gy, gy, params))
+    return add_divergence_y(div, guidfilter(gy, gy, params))

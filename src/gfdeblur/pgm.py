@@ -45,6 +45,12 @@ def _read_header_tokens(data: bytes, count: int):
 
 def read_image(path) -> np.ndarray:
     """Read a PGM file as a float64 image with intensities in [0, 255]."""
+    return read_pgm(path)[0]
+
+
+def read_pgm(path):
+    """Read a PGM file: (the float64 image with intensities in [0, 255],
+    the file's maxval).  The image's quantisation step is 255 / maxval."""
     with open(path, "rb") as fh:
         data = fh.read()
     magic = data[:2]
@@ -85,7 +91,7 @@ def read_image(path) -> np.ndarray:
     img = vals.reshape(height, width)
     if maxval != 255:
         img = img * (255.0 / maxval)
-    return img
+    return img, maxval
 
 
 def quantize(img: np.ndarray) -> np.ndarray:

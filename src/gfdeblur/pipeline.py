@@ -113,17 +113,16 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
         v_hat = plan.spectrum(v)
         choice = choose_lambda(plan, v_hat, bound_c)
         lam = choice.value
-        # Each image-sized array is dropped once no later step reads it.
         if choice.is_infinite:
             # v already meets the bound, so both solves are v.
             u_i = u_p = v
-            del v_hat
         else:
-            del v  # the solves read only its spectrum F(v)
-            u_p = solve_input(plan, v_hat, lam)
-            del v_hat
-            u_i = solve_guidance(plan, div, lam)
-        del div
+            # The solves read v only as F(v) and work in their own
+            # buffers: u_p goes into v's, then div is transformed into
+            # F(v)'s and u_i goes into div's.
+            u_p = solve_input(plan, v_hat, lam, out=v)
+            u_i = solve_guidance(plan, div, lam, spec=v_hat, out=div)
+        del v_hat, v, div  # each image-sized array is dropped once no later step reads it
 
         v = guidfilter(u_i, u_p, gf)
         del u_i, u_p

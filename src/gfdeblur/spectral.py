@@ -8,13 +8,16 @@ The spatial squared norm of an image equals sum(|F(x)|^2) / npix under
 numpy's unnormalized forward FFT; the discrepancy evaluation includes
 that factor so spectral and spatial values agree.
 
-One transform pair serves everything: rfft2, and irfft2 told the image
-shape.  A real image's spectrum is Hermitian, so the rfft2 half-plane
-(columns 0 .. width // 2) holds all of it; discrepancy_terms weights
-column 0 once, interior columns twice and, for even widths, column
-width / 2 once to recover full-plane sums of |F(x)|^2.  The guidance solve
-transforms divergence(vx, vy), whose spectrum is conj(Dx) F(vx) +
-conj(Dy) F(vy): a circular forward difference's adjoint is the backward one.
+Everything runs on the rfft2 half-plane (columns 0 .. width // 2): a
+real image's spectrum is Hermitian, so the half-plane holds all of it;
+discrepancy_terms weights column 0 once, interior columns twice and, for
+even widths, column width / 2 once to recover full-plane sums of
+|F(x)|^2.  Every inverse takes two steps, ifft over the columns in the
+spectrum's own buffer, then irfft over the rows into the output image;
+this is irfft2 told the image shape, bit for bit, without its image-sized
+working copies.  The guidance solve transforms divergence(vx, vy), whose
+spectrum is conj(Dx) F(vx) + conj(Dy) F(vy): a circular forward
+difference's adjoint is the backward one.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ from .errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 # lambda = infinity: the pre-estimate v meets the discrepancy bound within
 # the bisection's tolerance, and the restore loop takes both solves to be v.
 INFINITY = math.inf
+
+# Half-plane elements per row block of the per-frequency loops, which
+# form their complex products a block at a time rather than as one
+# image-sized temporary.
+BLOCK_ELEMENTS = 64 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +97,31 @@ def _embed_psf(psf: Psf, height: int, width: int) -> np.ndarray:
     return canvas
 
 
+def _rfft2(img: np.ndarray, out=None) -> np.ndarray:
+    """rfft2 of img into out, a new half-plane if None.  Given its output,
+    rfft2 makes no image-sized working copy; without, it makes two."""
+    if out is None:
+        height, width = img.shape
+        out = np.empty((height, width // 2 + 1), dtype=np.complex128)
+    return np.fft.rfft2(img, out=out)
+
+
+def _irfft2(spec: np.ndarray, width: int, out=None) -> np.ndarray:
+    """irfft2(spec, s=(height, width)) into out, a new image if None, in
+    two steps: ifft over the columns in spec's own buffer, which it
+    overwrites, then irfft over the rows.  The same transforms as irfft2,
+    bit for bit, without its two image-sized working copies (irfft2
+    ignores out=)."""
+    np.fft.ifft(spec, axis=0, out=spec)
+    return np.fft.irfft(spec, n=width, axis=1, out=out)
+
+
 def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     """Centered circular convolution of an image with a PSF."""
-    spec = np.fft.rfft2(_embed_psf(psf, *img.shape))
-    return np.fft.irfft2(np.fft.rfft2(img) * spec, s=img.shape)
+    psf_hat = _rfft2(_embed_psf(psf, *img.shape))
+    spec = _rfft2(img)
+    spec *= psf_hat
+    return _irfft2(spec, img.shape[1])
 
 
 def diff_x(img: np.ndarray) -> np.ndarray:
@@ -109,20 +138,20 @@ class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
 
-    H and |H|^2, F(g) and conj(H) F(g), the Parseval column weights that
-    discrepancy_terms folds into b, and the closed-form |Dx|^2 + |Dy|^2 as
-    its two factors: Dy_sq, shape (height, 1), and Dx_sq, shape
-    (width // 2 + 1,), which broadcast to the half-plane sum.
+    H, |H|^2 and F(g), the Parseval column weights that discrepancy_terms
+    folds into b, and the closed-form |Dx|^2 + |Dy|^2 as its two factors:
+    Dy_sq, shape (height, 1), and Dx_sq, shape (width // 2 + 1,), which
+    broadcast to the half-plane sum.  The solves form conj(H) F(g) a row
+    block at a time.
     """
 
-    __slots__ = ("shape", "H", "H_sq", "G", "conj_H_G", "Dy_sq", "Dx_sq", "weights")
+    __slots__ = ("shape", "H", "H_sq", "G", "Dy_sq", "Dx_sq", "weights")
 
     def __init__(self, g: np.ndarray, psf: Psf):
         height, width = self.shape = g.shape
-        self.H = np.fft.rfft2(_embed_psf(psf, height, width))
+        self.H = _rfft2(_embed_psf(psf, height, width))
         self.H_sq = self.H.real ** 2 + self.H.imag ** 2
-        self.G = np.fft.rfft2(g)
-        self.conj_H_G = np.conj(self.H) * self.G
+        self.G = _rfft2(g)
         kx = np.arange(width // 2 + 1)
         ky = np.arange(height)
         # |exp(i t) - 1|^2 = 4 sin^2(t / 2)
@@ -137,14 +166,29 @@ class SpectralPlan:
     def npix(self) -> int:
         return self.shape[0] * self.shape[1]
 
-    def spectrum(self, img: np.ndarray) -> np.ndarray:
-        """Half-plane spectrum of an image of the plan's shape."""
+    def spectrum(self, img: np.ndarray, out=None) -> np.ndarray:
+        """Half-plane spectrum of an image of the plan's shape, written into
+        out (a new half-plane if None)."""
         self._check_images(img)
-        return np.fft.rfft2(img)
+        if out is not None:
+            self._check_spectrum(out)
+        return _rfft2(img, out)
+
+    def _row_blocks(self):
+        """Row slices of the half-plane, about BLOCK_ELEMENTS each."""
+        height, cols = self.H.shape
+        step = max(1, BLOCK_ELEMENTS // cols)
+        return [slice(i, i + step) for i in range(0, height, step)]
+
+    def _add_conj_H_G(self, spec: np.ndarray) -> None:
+        """spec += conj(H) F(g), in place, a row block at a time."""
+        for blk in self._row_blocks():
+            spec[blk] += np.conj(self.H[blk]) * self.G[blk]
 
     def _check_images(self, *imgs) -> None:
+        """Each image has the plan's shape; None, an output not given, passes."""
         for im in imgs:
-            if im.shape != self.shape:
+            if im is not None and im.shape != self.shape:
                 raise DimensionMismatch(f"image {im.shape} differs from plan {self.shape}")
 
     def _check_spectrum(self, img_hat) -> None:
@@ -157,53 +201,71 @@ class SpectralPlan:
 def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """Dx^T vx + Dy^T vy: the adjoint of the circular forward differences,
     a backward-difference divergence."""
-    # In place, with one allocation: a np.roll(vy, 1, axis=0) temporary,
-    # freed every restore iteration, left most 256^2 runs refaulting a
-    # trimmed heap top (~930 minor faults per iteration, 0-140 without).
+    return add_divergence_y(divergence_x(vx), vy)
+
+
+def divergence_x(vx: np.ndarray) -> np.ndarray:
+    """Dx^T vx, divergence's x half, in a new image."""
     adj = np.roll(vx, 1, axis=1)
     adj -= vx
-    adj[1:] += vy[:-1]  # the rows of np.roll(vy, 1, axis=0)
+    return adj
+
+
+def add_divergence_y(adj: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """adj += Dy^T vy in place, divergence's y half; returns adj."""
+    # Row slices in place of a np.roll(vy, 1, axis=0) temporary, which,
+    # freed every restore iteration, left most 256^2 runs refaulting a
+    # trimmed heap top (~930 minor faults per iteration, 0-140 without).
+    adj[1:] += vy[:-1]
     adj[0] += vy[-1]
     adj -= vy
     return adj
 
 
-def solve_guidance(plan: SpectralPlan, div, lam):
+def _check_lambda(lam) -> None:
+    if not 0 < lam < INFINITY:
+        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+
+
+def solve_guidance(plan: SpectralPlan, div, lam, spec=None, out=None):
     """Closed-form guidance solve: data fit plus gradient-matching prior.
 
     Minimizes ||h * u - g||^2 + lam (||dx u - vx||^2 + ||dy u - vy||^2)
     in the Fourier domain, for finite lam > 0, given the prior's
-    gradients only as div = divergence(vx, vy).
+    gradients only as div = divergence(vx, vy).  div is transformed into
+    spec, a half-plane buffer the solve overwrites (a new one if None),
+    and u is written into out (a new image if None), which may be div.
     """
-    plan._check_images(div)
-    if not 0 < lam < INFINITY:
-        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
+    plan._check_images(div, out)
+    _check_lambda(lam)
     denom = plan.Dy_sq + plan.Dx_sq
     denom *= lam
     denom += plan.H_sq
     if np.min(denom) < 1e-15:
         raise SingularDenominator("guidance solve denominator vanishes")
-    num = np.fft.rfft2(div)
-    num *= lam
-    num += plan.conj_H_G
-    num /= denom
-    del denom  # freed before the inverse transform, which sets the peak
-    return np.fft.irfft2(num, s=plan.shape)
+    spec = plan.spectrum(div, spec)
+    spec *= lam
+    plan._add_conj_H_G(spec)
+    spec /= denom
+    del denom  # freed before a new output is made
+    return _irfft2(spec, plan.shape[1], out)
 
 
-def solve_input(plan: SpectralPlan, v_hat, lam):
+def solve_input(plan: SpectralPlan, v_hat, lam, out=None):
     """Closed-form input solve: data fit plus proximity-to-v prior.
 
     Minimizes ||h * u - g||^2 + lam ||u - v||^2 in the Fourier domain,
-    given v_hat = plan.spectrum(v), for finite lam > 0.
+    given v_hat = plan.spectrum(v), for finite lam > 0.  The solve works
+    in v_hat's buffer, which it overwrites, and writes u into out (a new
+    image if None), which may be v.
     """
     plan._check_spectrum(v_hat)
-    if not 0 < lam < INFINITY:
-        raise ValueError(f"lambda must be finite and positive, got {lam!r}")
-    num = lam * v_hat
-    num += plan.conj_H_G
-    num /= plan.H_sq + lam
-    return np.fft.irfft2(num, s=plan.shape)
+    plan._check_images(out)
+    _check_lambda(lam)
+    v_hat *= lam
+    plan._add_conj_H_G(v_hat)
+    v_hat /= plan.H_sq + lam
+    return _irfft2(v_hat, plan.shape[1], out)
 
 
 def discrepancy_terms(plan: SpectralPlan, v_hat):
@@ -212,12 +274,16 @@ def discrepancy_terms(plan: SpectralPlan, v_hat):
     Returns (a, b, npix) with a = |F(h)|^2 and b = w |F(h) F(v) - F(g)|^2
     on the half-plane, w the Parseval column weights, so the data-fit
     residual of the input solve at lam is sum(lam^2 b / (a + lam)^2) / npix.
+    The complex residual is formed a row block at a time.
     """
     plan._check_spectrum(v_hat)
-    r = plan.H * v_hat
-    r -= plan.G
-    b = r.real ** 2
-    b += r.imag ** 2
+    b = np.empty(plan.H_sq.shape)
+    for blk in plan._row_blocks():
+        r = plan.H[blk] * v_hat[blk]
+        r -= plan.G[blk]
+        b_blk = b[blk]
+        np.square(r.real, out=b_blk)
+        b_blk += r.imag ** 2
     b *= plan.weights
     return plan.H_sq, b, plan.npix
 
@@ -225,5 +291,9 @@ def discrepancy_terms(plan: SpectralPlan, v_hat):
 def discrepancy_from_terms(a, b, npix: int, lam: float) -> float:
     if lam == 0.0:
         return 0.0
-    r = lam / (a + lam)
-    return float(np.sum(r * r * b) / npix)
+    # sum(r * r * b) with r = lam / (a + lam), each step in one buffer.
+    t = np.add(a, lam)
+    np.divide(lam, t, out=t)
+    t *= t
+    t *= b
+    return float(np.sum(t) / npix)

@@ -12,8 +12,10 @@ from gfdeblur.bench import SCENARIOS, degrade, parse_psf_spec
 from gfdeblur.cli import _COMMANDS, _build_parser, _gfd_config, main, parse_grid
 from gfdeblur.config import KEYS, parse_run_config
 from gfdeblur.errors import ConfigError
-from gfdeblur.pipeline import GfdConfig
+from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.pgm import read_image, write_image
+from gfdeblur.regparam import estimate_sigma
+from gfdeblur.spectral import circ_convolve
 
 from conftest import natural_image, rand_int_image
 
@@ -258,6 +260,60 @@ def test_deblur_reference_trace(tmp_path, capsys):
     assert all(math.isfinite(float(row[5])) for row in rows)
     # The printed score is the last iteration's, as the trace writes it.
     assert capsys.readouterr().out == f"isnr_db={rows[-1][5]}\n"
+
+
+def _disk_and_bar(n: int = 64) -> np.ndarray:
+    y, x = np.mgrid[:n, :n]
+    clean = np.full((n, n), 60.0)
+    clean[(y - 26) ** 2 + (x - 26) ** 2 < 13 ** 2] = 200.0
+    clean[45:51, 10:54] = 130.0
+    return clean
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_deblur_floors_estimated_sigma_at_pgm_rounding(tmp_path, capsys, sigma):
+    # A piecewise-flat 8-bit observation: the estimate reads 0, though
+    # rounding adds noise of variance 1/12.  Unfloored, every iteration
+    # spent all 60 bisect steps and the restore scored -11.9 dB (sigma 0)
+    # and -19.2 dB (sigma 0.3), with exit 0.
+    clean = _disk_and_bar()
+    blurred = circ_convolve(clean, parse_psf_spec("boxcar:9"))
+    blurred += sigma * np.random.default_rng(0).standard_normal(clean.shape)
+    write_image(tmp_path / "clean.pgm", clean)
+    write_image(tmp_path / "g.pgm", blurred)
+    assert estimate_sigma(read_image(tmp_path / "g.pgm")).sigma == 0.0
+    trace = tmp_path / "t.csv"
+    rc = main([
+        "deblur", "--in", str(tmp_path / "g.pgm"), "--psf", "boxcar:9",
+        "--out", str(tmp_path / "v.pgm"), "--iters", "10",
+        "--ref", str(tmp_path / "clean.pgm"), "--trace", str(trace),
+    ])
+    assert rc == 0
+    assert float(capsys.readouterr().out.removeprefix("isnr_db=")) > 0  # 6.1 and 5.9 dB
+    assert all(int(row.split(",")[4]) < 60 for row in trace.read_text().splitlines()[1:])
+
+
+def test_deblur_floor_leaves_given_and_larger_sigma_alone(tmp_path):
+    # A given sigma is used as given, even below the floor, and an
+    # estimate above the floor restores exactly as run_gfd estimates.
+    clean = _disk_and_bar()
+    psf = parse_psf_spec("boxcar:9")
+    noisy = circ_convolve(clean, psf) + 3.0 * np.random.default_rng(1).standard_normal(clean.shape)
+    write_image(tmp_path / "flat.pgm", circ_convolve(clean, psf))
+    write_image(tmp_path / "noisy.pgm", noisy)
+    for name, flags, sigma in (("flat", ["--sigma", "0.2"], 0.2), ("noisy", [], None)):
+        g = read_image(tmp_path / f"{name}.pgm")
+        assert main([
+            "deblur", "--in", str(tmp_path / f"{name}.pgm"), "--psf", "boxcar:9",
+            "--out", str(tmp_path / "v.pgm"), "--iters", "3", *flags,
+            "--trace", str(tmp_path / "t.csv"),
+        ]) == 0
+        expected, trace = run_gfd(g, psf, GfdConfig(iterations=3, sigma=sigma))
+        write_image(tmp_path / "expected.pgm", expected)
+        bench.write_trace_csv(tmp_path / "expected.csv", trace)
+        for out, ref in (("v.pgm", "expected.pgm"), ("t.csv", "expected.csv")):
+            assert (tmp_path / out).read_bytes() == (tmp_path / ref).read_bytes()
+    assert estimate_sigma(read_image(tmp_path / "noisy.pgm")).sigma > 1 / math.sqrt(12)
 
 
 def test_deblur_mismatched_reference_writes_nothing(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfdeblur import spectral
 from gfdeblur.errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 from gfdeblur.spectral import (
     INFINITY,
@@ -207,23 +208,70 @@ def test_plan_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch):
         solve_guidance(plan, small, 1.0)
     with pytest.raises(DimensionMismatch):
+        solve_input(plan, plan.spectrum(z), 1.0, out=small)
+    with pytest.raises(DimensionMismatch):
+        solve_guidance(plan, z, 1.0, out=small)
+    with pytest.raises(DimensionMismatch):
+        solve_guidance(plan, z, 1.0, spec=np.fft.rfft2(small))
+    with pytest.raises(DimensionMismatch):
         discrepancy_terms(plan, np.fft.rfft2(small))
     with pytest.raises(KernelTooLarge):
         SpectralPlan(np.zeros((4, 4)), random_psf(1, 5))
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
-def test_plan_holds_four_half_planes(shape):
-    # H, F(g), conj(H) F(g) and |H|^2; |Dx|^2 + |Dy|^2 is kept as its
-    # two factors, vectors like the Parseval weights.
+def test_plan_holds_three_half_planes(shape):
+    # H, F(g) and |H|^2; the solves form conj(H) F(g) a row block at a
+    # time, and |Dx|^2 + |Dy|^2 is kept as its two factors, vectors like
+    # the Parseval weights.
     height, width = shape
     plan = SpectralPlan(rand_image(40, shape), random_psf(41))
     arrays = [getattr(plan, name) for name in SpectralPlan.__slots__]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     half = height * (width // 2 + 1)
-    assert sorted(a.dtype.kind for a in arrays if a.size == half) == ["c", "c", "c", "f"]
+    assert sorted(a.dtype.kind for a in arrays if a.size == half) == ["c", "c", "f"]
     assert all(a.size < height + width for a in arrays if a.size != half)
-    assert sum(a.nbytes for a in arrays) <= (3 * 16 + 8) * half + 3 * 8 * (height + width)
+    assert sum(a.nbytes for a in arrays) <= (2 * 16 + 8) * half + 3 * 8 * (height + width)
+
+
+@pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
+def test_solves_into_given_buffers_equal_fresh_outputs(shape, monkeypatch):
+    # The restore loop's buffer reuse: u_p into v's buffer from F(v)'s,
+    # then div transformed into F(v)'s buffer and u_i written over div.
+    # Row blocks of 7 half-plane rows make the conj(H) F(g) loop take
+    # several blocks, one of them short.
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 7 * (shape[1] // 2 + 1))
+    g, v = rand_image(42, shape), rand_image(43, shape)
+    div = divergence(rand_image(44, shape), rand_image(45, shape))
+    plan = SpectralPlan(g, random_psf(46))
+    lam = 0.37
+    fresh_p = solve_input(plan, plan.spectrum(v), lam)
+    fresh_i = solve_guidance(plan, div, lam)
+    v_hat = plan.spectrum(v)
+    u_p = solve_input(plan, v_hat, lam, out=v)
+    u_i = solve_guidance(plan, div, lam, spec=v_hat, out=div)
+    assert u_p is v and u_i is div
+    assert np.array_equal(u_p, fresh_p) and np.array_equal(u_i, fresh_i)
+
+
+@pytest.mark.parametrize("shape", [(64, 50), (63, 51), (1, 7), (7, 1), (5, 2)])
+def test_two_step_inverse_equals_irfft2(shape):
+    spec = np.fft.rfft2(rand_image(47, shape)) * (1.0 + 0.25j)
+    expected = np.fft.irfft2(spec, s=shape)
+    out = np.empty(shape)
+    assert spectral._irfft2(spec.copy(), shape[1], out) is out
+    assert np.array_equal(out, expected)
+    assert np.array_equal(spectral._irfft2(spec.copy(), shape[1]), expected)
+
+
+def test_spectrum_into_given_buffer_equals_rfft2():
+    img = rand_image(48, (63, 51))
+    plan = SpectralPlan(img, Psf.delta())
+    buf = np.empty_like(plan.G)
+    assert plan.spectrum(img, buf) is buf
+    assert np.array_equal(buf, np.fft.rfft2(img))
+    with pytest.raises(DimensionMismatch):
+        plan.spectrum(img, np.empty((63, 51), dtype=complex))
 
 
 # -------------------------------------------------------- discrepancy
@@ -252,11 +300,26 @@ def test_discrepancy_equals_spatial_recomputation():
         plan = SpectralPlan(g, psf)
         v_hat = plan.spectrum(v)
         for lam in (0.1, 1.0, 10.0):
-            u_p = solve_input(plan, v_hat, lam)
+            u_p = solve_input(plan, v_hat.copy(), lam)  # the solve overwrites its spectrum
             spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
             assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
             planned = discrepancy_from_terms(*discrepancy_terms(plan, v_hat), lam)
             assert planned == pytest.approx(spatial, rel=1e-7)
+
+
+def test_discrepancy_by_row_blocks_equals_whole_plane(monkeypatch):
+    # b is formed a few rows at a time, and each residual in one buffer:
+    # the same values, bit for bit, as the whole-plane expressions.
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 5 * 26)
+    g, v = rand_image(49, (63, 51)), rand_image(50, (63, 51))
+    plan = SpectralPlan(g, random_psf(51))
+    v_hat = plan.spectrum(v)
+    r = plan.H * v_hat - plan.G
+    a, b, npix = discrepancy_terms(plan, v_hat)
+    assert np.array_equal(b, (r.real ** 2 + r.imag ** 2) * plan.weights)
+    for lam in (0.01, 0.8, 300.0):
+        x = lam / (a + lam)
+        assert discrepancy_from_terms(a, b, npix, lam) == float(np.sum(x * x * b) / npix)
 
 
 def test_discrepancy_monotone_in_lambda():
