@@ -129,8 +129,8 @@ def degrade(clean: np.ndarray, scn: Scenario, seed: int) -> DegradedPair:
 
 def bsnr(g: np.ndarray, sigma_sq: float) -> float:
     """Blurred SNR in dB: centered energy of g over total noise energy."""
-    if not sigma_sq > 0:
-        raise ValueError(f"sigma_sq must be positive, got {sigma_sq!r}")
+    if not 0 < sigma_sq < np.inf:
+        raise ValueError(f"sigma_sq must be finite and positive, got {sigma_sq!r}")
     cvar = centered_sq_norm(g)
     if cvar == 0.0:
         raise DegenerateInput("constant observation has no BSNR")
@@ -142,8 +142,14 @@ def bsnr(g: np.ndarray, sigma_sq: float) -> float:
 
 
 def sigma_sq_for_bsnr(blurred: np.ndarray, bsnr_db: float) -> float:
-    """Invert the BSNR formula to the noise variance hitting bsnr_db."""
-    return centered_sq_norm(blurred) / (blurred.size * 10.0 ** (bsnr_db / 10.0))
+    """Invert the BSNR formula to the noise variance hitting bsnr_db;
+    ValueError names a level whose variance is not finite and positive."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        power = np.float64(10.0) ** (bsnr_db / 10.0)
+        sigma_sq = float(centered_sq_norm(blurred) / (blurred.size * power))
+    if not 0 < sigma_sq < np.inf:
+        raise ValueError(f"BSNR {bsnr_db!r} dB gives noise variance {sigma_sq!r}, outside (0, inf)")
+    return sigma_sq
 
 
 def rho_sweep(
@@ -164,14 +170,11 @@ def rho_sweep(
     for r in rho_grid:
         if not 0 < r <= 1:
             raise ValueError(f"rho grid values must be in (0, 1], got {r!r}")
-    for level in bsnr_levels:
-        if not np.isfinite(level):
-            raise ValueError(f"BSNR levels must be finite, got {level!r}")
     base = cfg if cfg is not None else GfdConfig()
     blurred = circ_convolve(clean, psf)
+    sigma_sqs = [sigma_sq_for_bsnr(blurred, level) for level in bsnr_levels]  # before any restore
     rows: List[dict] = []
-    for level in bsnr_levels:
-        sigma_sq = sigma_sq_for_bsnr(blurred, level)
+    for level, sigma_sq in zip(bsnr_levels, sigma_sqs):
         sigma = float(np.sqrt(sigma_sq))
         observed = blurred + gaussian_field(clean.shape, sigma, seed)
         for rho in list(rho_grid) + [None]:

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import bench, config, pgm
 from .errors import DegenerateInput, GfdError, SingularDenominator
 from .pipeline import GfdConfig, run_gfd
-from .regparam import estimate_sigma
+from .regparam import NoiseEstimate, estimate_sigma
 
 _NUMERIC_ERRORS = (SingularDenominator, DegenerateInput)
 
@@ -174,12 +174,13 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    est = NoiseEstimate(args.sigma) if args.sigma is not None else None  # checked before any output
     clean = pgm.read_image(args.clean)
     observed = pgm.read_image(args.observed)
     restored = pgm.read_image(args.restored)
     print(f"isnr_db={bench.isnr(clean, observed, restored):.6g}")
-    if args.sigma is not None:
-        print(f"bsnr_db={bench.bsnr(observed, args.sigma ** 2):.6g}")
+    if est is not None:
+        print(f"bsnr_db={bench.bsnr(observed, est.variance):.6g}")
     return 0
 
 

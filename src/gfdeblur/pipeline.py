@@ -29,7 +29,7 @@ from .spectral import (
     solve_input,
 )
 
-# eps floor keeps GfParams valid when the noise estimate is zero.
+# eps floor, in run_gfd's units, keeps GfParams valid when the noise estimate is zero.
 EPS_FLOOR = 1e-6
 
 
@@ -71,7 +71,7 @@ class IterationRecord:
     k: int
     lam: float  # INFINITY (math.inf) for the short-circuit branch
     rho: float
-    residual: float
+    residual: float  # in run_gfd's units, where max|g| lies in [128, 256)
     bisect_steps: int  # LambdaChoice.iterations; 0 at lambda = INFINITY
     isnr: Optional[float] = None
 
@@ -85,7 +85,10 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     denoise with the guided filter and re-smooth the gradients of the
     new v into their divergence, the one image the next guidance solve
     takes.  v starts as a black image.  The spectral invariants of (g,
-    psf) are built once, and F(v) once per iteration.
+    psf) are built once, and F(v) once per iteration.  The loop runs on g
+    scaled by the power of two 2^-e that puts max|g| in [128, 256); a
+    given sigma, eps and reference are scaled alike, the output is scaled
+    back, and the records stay in the loop's units.
     """
     g = as_image(g)
     # Inputs are checked before any spectral work.
@@ -93,11 +96,19 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     ref = None if cfg.reference is None else as_image(cfg.reference)
     if ref is not None and ref.shape != g.shape:
         raise DimensionMismatch(f"reference {ref.shape} differs from observation {g.shape}")
-    est = NoiseEstimate(cfg.sigma) if cfg.sigma is not None else estimate_sigma(g)
-    eps = cfg.gf_eps if cfg.gf_eps is not None else max((2.0 * est.sigma) ** 2, EPS_FLOOR)
-    gf = GfParams(cfg.gf_w, eps)
+    e = math.frexp(max(g.max(), -g.min()))[1] - 8
+    if e:
+        g = np.ldexp(g, -e)
+        ref = None if ref is None else np.ldexp(ref, -e)
+    try:  # only a sigma or eps far above g's scale overflows here
+        sigma = None if cfg.sigma is None else math.ldexp(cfg.sigma, -e)
+        eps = None if cfg.gf_eps is None else math.ldexp(cfg.gf_eps, -2 * e)
+    except OverflowError:
+        raise ValueError("sigma or gf_eps overflows when scaled with the observation") from None
+    est = NoiseEstimate(sigma) if sigma is not None else estimate_sigma(g)
+    gf = GfParams(cfg.gf_w, eps if eps is not None else max((2.0 * est.sigma) ** 2, EPS_FLOOR))
 
-    g_terms = rho_terms(g, est)  # also refuses an over- or underflowing observation
+    g_terms = rho_terms(g, est)
     plan = SpectralPlan(g, psf)
     npix = g.size
     v = np.zeros_like(g)
@@ -133,4 +144,6 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
             bisect_steps=choice.iterations,
             isnr=isnr(ref, g, v) if ref is not None else None,
         ))
+    if e:
+        np.ldexp(v, e, out=v)
     return v, trace

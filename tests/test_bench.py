@@ -150,11 +150,12 @@ def test_rho_sweep_rejects_bad_grid():
 
 def test_rho_sweep_rejects_nonfinite_level():
     # Refused before any restore, with the level named, not blamed on
-    # the noisy image it would produce.
+    # the noisy image it would produce: a level whose noise variance
+    # overflows or underflows is refused as a non-finite one is.
     clean = natural_image(11, 48)
     psf = parse_psf_spec(SCENARIOS[3].psf_spec)
-    for level in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match=f"BSNR levels must be finite, got {level!r}"):
+    for level in (float("nan"), float("inf"), -float("inf"), 4000.0, -4000.0):
+        with pytest.raises(ValueError, match=f"BSNR {level!r} dB gives noise variance"):
             rho_sweep(clean, psf, [30.0, level], [0.5])
 
 

@@ -379,6 +379,19 @@ def test_exit_codes(tmp_path, capsys):
         assert main(deblur + flags) == 2
         assert msg in capsys.readouterr().err
     assert not (tmp_path / "o.pgm").exists()
+    # data error: a BSNR level whose noise variance overflows or
+    # underflows, and an evaluate sigma that NoiseEstimate refuses
+    for level in ("4000", "-4000"):
+        capsys.readouterr()
+        assert main(sweep + [f"--bsnr={level}"]) == 2
+        assert f"BSNR {float(level)!r} dB" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+    evaluate = ["evaluate", "--clean", str(src), "--observed", str(src), "--restored", str(src)]
+    for sigma, msg in (("1e200", "sigma too large"), ("inf", "sigma must be finite")):
+        capsys.readouterr()
+        assert main(evaluate + ["--sigma", sigma]) == 2
+        out, err = capsys.readouterr()
+        assert msg in err and not out
     # numerical failure: a 15x15 boxcar on a 15x15 canvas zeroes every
     # nonzero frequency of H, and the guidance solve's denominator vanishes
     canvas = tmp_path / "canvas.pgm"
