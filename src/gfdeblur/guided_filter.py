@@ -7,31 +7,39 @@ windows.  All window means are box sums with mirror boundaries.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .image_core import box_mean, check_window_fits, validate_window
-from .spectral import add_divergence_y, diff_x, diff_y, divergence_x
 
 # Bytes of padded rows per guided-filter strip: the strip's own rows, as
 # wide as the mirror-padded image.  With its halo and the other strip
 # buffers beside them, a strip's working set stays near a per-core L2.
 STRIP_BYTES = 256 * 1024
 
+# smooth_gradients runs its x filter on a second thread when one set of
+# strip buffers, which the second thread adds, is at most this share of
+# an image.  A set is about 2.7 MB: at 1024^2 (0.33 images) two lanes
+# made the restore faster; at 512^2 (1.1) slower, and at 256^2 (2.9)
+# slower with a higher peak.
+LANE_SHARE = 0.5
+
 
 @dataclass(frozen=True)
 class GfParams:
-    """Window side length (odd) and slope regularizer eps (> 0)."""
+    """Window side length (odd) and slope regularizer eps (finite, > 0)."""
 
     win: int
     eps: float
 
     def __post_init__(self):
         validate_window(self.win)
-        if not self.eps > 0:
-            raise ValueError(f"eps must be strictly positive, got {self.eps!r}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be finite and positive, got {self.eps!r}")
 
 
 def _mirror(p: np.ndarray, top: int, end: int, r: int) -> None:
@@ -60,12 +68,100 @@ def _line_aligned(*shapes):
     return bufs
 
 
-def _fill_centred(p: np.ndarray, img: np.ndarray, mean: float, lo: int, hi: int,
-                  top: int, r: int) -> np.ndarray:
-    """Write img[lo:hi] - mean into block p from row top, r columns in,
-    and mirror the rest of p around it; returns p."""
+class _Strips:
+    """The strip geometry of a guided filter with window w over an image
+    of the given shape, and one set of strip buffers for it.
+
+    The strips are about STRIP_BYTES of padded rows each, so all of a
+    strip's passes stay in cache.  Every buffer is reused from strip to
+    strip and carved from one allocation per call: a strip temporary
+    allocated and freed on every strip lets the heap top be trimmed and
+    refaulted.  A self-guided filter needs no src buffers; with out_rows
+    the set also holds res, one strip of filter output.
+    """
+
+    def __init__(self, shape, w: int, self_guided: bool, out_rows: bool = False):
+        h, wd = self.shape = shape
+        self.w = w
+        r = self.r = (w - 1) // 2
+        pw = wd + 2 * r
+        n_strips = -(-h // max(1, STRIP_BYTES // (pw * 8)))  # float64 rows
+        self.bounds = [h * k // n_strips for k in range(n_strips + 1)]
+        n_max = -(-h // n_strips)
+        m_max = n_max + 2 * r
+        g_rows = m_max + 2 * r
+        n_src = 0 if self_guided else 1
+        self.bufs = _line_aligned(
+            (g_rows, pw), (n_src * g_rows, pw), (g_rows, pw), (m_max, pw), (m_max, pw),
+            (m_max, pw), (m_max, wd), (n_src * m_max, wd), (m_max, wd), (m_max, wd),
+            (out_rows * n_max, wd),
+        )
+        self.res = self.bufs[-1]
+        self.nbytes = sum(b.nbytes for b in self.bufs)
+
+    def strips(self):
+        """(first row, end row) of every strip, top to bottom."""
+        return zip(self.bounds, self.bounds[1:])
+
+    def filter(self, i0: int, i1: int, fill_guide, fill_src, eps: float,
+               out=None) -> np.ndarray:
+        """Write rows [i0, i1) of the guided filter's output into out (res
+        if None) and return it.  fill_guide(dst, lo, hi) writes the guide's
+        rows [lo, hi) into dst; fill_src does so for src, None when src is
+        the guide.
+
+        a and b are needed on rows [lo, hi) = strip +- r, the window
+        statistics on those rows, and the guide and src on strip +- 2r,
+        mirror-padded at the image's edges.  a and b are mirrored at the
+        image's top and bottom, then their window means are taken for the
+        strip's own rows.
+        """
+        h, wd = self.shape
+        w, r = self.w, self.r
+        pg, ps, prod, rows, pa, pb, mean_g, mean_s, var_g, tmp, _ = self.bufs
+        n = i1 - i0
+        lo, hi = max(0, i0 - r), min(h, i1 + r)
+        m = hi - lo
+        glo, ghi = max(0, lo - r), min(h, hi + r)
+        gtop = glo - (lo - r)
+        g = _fill(pg[: m + 2 * r], fill_guide, glo, ghi, gtop, r)
+        s = rows[:m]
+        mg = box_mean(g, w, mean_g[:m], s)
+        gg = prod[: m + 2 * r]
+        vg = box_mean(np.multiply(g, g, out=gg), w, var_g[:m], s)
+        t = tmp[:m]
+        vg -= np.multiply(mg, mg, out=t)
+        atop = lo - (i0 - r)
+        a = pa[: n + 2 * r]
+        b = pb[: n + 2 * r]
+        a_rows = a[atop : atop + m, r : r + wd]
+        b_rows = b[atop : atop + m, r : r + wd]
+        if fill_src is None:
+            ms = mg
+            np.copyto(a_rows, vg)
+        else:
+            p = _fill(ps[: m + 2 * r], fill_src, glo, ghi, gtop, r)
+            ms = box_mean(p, w, mean_s[:m], s)
+            box_mean(np.multiply(g, p, out=gg), w, a_rows, s)
+            a_rows -= np.multiply(mg, ms, out=t)  # cov(guide, src)
+        np.maximum(vg, 0.0, out=vg)
+        vg += eps
+        a_rows /= vg
+        np.multiply(a_rows, mg, out=b_rows)
+        np.subtract(ms, b_rows, out=b_rows)
+        _mirror(a, atop, atop + m, r)
+        _mirror(b, atop, atop + m, r)
+        o = box_mean(a, w, self.res[:n] if out is None else out, rows[:n])
+        o *= g[i0 - lo + r : i1 - lo + r, r : r + wd]
+        o += box_mean(b, w, tmp[:n], rows[:n])
+        return o
+
+
+def _fill(p: np.ndarray, fill, lo: int, hi: int, top: int, r: int) -> np.ndarray:
+    """Write an image's rows [lo, hi), through fill, into block p from row
+    top, r columns in, and mirror the rest of p around them; returns p."""
     end = top + hi - lo
-    np.subtract(img[lo:hi], mean, out=p[top:end, r : p.shape[1] - r])
+    fill(p[top:end, r : p.shape[1] - r], lo, hi)
     _mirror(p, top, end, r)
     return p
 
@@ -83,82 +179,31 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
     E[x^2] - E[x]^2 then cancel far less on a large, near-constant
     image, and var(guide) is clamped at 0 against what remains.
 
-    The output is computed one horizontal strip of rows at a time, each
-    strip about STRIP_BYTES of padded rows, so all of a strip's passes
-    stay in cache and the output is the only image-sized array.  A strip
-    mirror-pads the centred guide (and src) rows it reaches, strip +- 2r
-    for r = (w - 1) // 2, takes the window statistics and a, b for strip
-    +- r rows, mirrors a and b at the image's top and bottom, then takes
-    their window means for its own rows.  Every pixel gets the same
-    additions in the same order as whole-image passes, so the result
-    does not depend on the strip height.
+    The output is computed one horizontal strip of rows at a time (see
+    _Strips), so the output is the only image-sized array.  Every pixel
+    gets the same additions in the same order as whole-image passes, so
+    the result does not depend on the strip height.
     """
     if guide.shape != src.shape:
         raise DimensionMismatch(
             f"guide {guide.shape} and input {src.shape} differ"
         )
-    w = params.win
-    check_window_fits(w, guide.shape)
+    check_window_fits(params.win, guide.shape)
     self_guided = src is guide
     guide_mean = guide.mean()
     src_mean = guide_mean if self_guided else src.mean()
-    h, wd = guide.shape
-    r = (w - 1) // 2
-    pw = wd + 2 * r
-    n_strips = -(-h // max(1, STRIP_BYTES // (pw * 8)))  # float64 rows
-    bounds = [h * k // n_strips for k in range(n_strips + 1)]
-    m_max = -(-h // n_strips) + 2 * r
-    # Every strip buffer is reused and allocated before out: a strip
-    # temporary allocated after out and freed on every strip lets the
-    # heap top be trimmed and refaulted.  A self-guided call needs no src
-    # buffers.
-    g_rows = m_max + 2 * r
-    n_src = 0 if self_guided else 1
-    pg, ps, prod, rows, pa, pb, mean_g, mean_s, var_g, tmp = _line_aligned(
-        (g_rows, pw), (n_src * g_rows, pw), (g_rows, pw), (m_max, pw), (m_max, pw), (m_max, pw),
-        (m_max, wd), (n_src * m_max, wd), (m_max, wd), (m_max, wd),
-    )
-    if self_guided:
-        ps, mean_s = pg, mean_g
-    out = np.empty((h, wd))
-    for i0, i1 in zip(bounds, bounds[1:]):
-        n = i1 - i0
-        # a and b are needed on rows [lo, hi), the window statistics on
-        # those rows, and the guide and src on [glo, ghi).
-        lo, hi = max(0, i0 - r), min(h, i1 + r)
-        m = hi - lo
-        glo, ghi = max(0, lo - r), min(h, hi + r)
-        gtop = glo - (lo - r)
-        g = _fill_centred(pg[: m + 2 * r], guide, guide_mean, glo, ghi, gtop, r)
-        s = rows[:m]
-        mg = box_mean(g, w, mean_g[:m], s)
-        gg = prod[: m + 2 * r]
-        vg = box_mean(np.multiply(g, g, out=gg), w, var_g[:m], s)
-        t = tmp[:m]
-        vg -= np.multiply(mg, mg, out=t)
-        atop = lo - (i0 - r)
-        a = pa[: n + 2 * r]
-        b = pb[: n + 2 * r]
-        a_rows = a[atop : atop + m, r : r + wd]
-        b_rows = b[atop : atop + m, r : r + wd]
-        if self_guided:
-            ms = mg
-            np.copyto(a_rows, vg)
-        else:
-            p = _fill_centred(ps[: m + 2 * r], src, src_mean, glo, ghi, gtop, r)
-            ms = box_mean(p, w, mean_s[:m], s)
-            box_mean(np.multiply(g, p, out=gg), w, a_rows, s)
-            a_rows -= np.multiply(mg, ms, out=t)  # cov(guide, src)
-        np.maximum(vg, 0.0, out=vg)
-        vg += params.eps
-        a_rows /= vg
-        np.multiply(a_rows, mg, out=b_rows)
-        np.subtract(ms, b_rows, out=b_rows)
-        _mirror(a, atop, atop + m, r)
-        _mirror(b, atop, atop + m, r)
-        o = box_mean(a, w, out[i0:i1], rows[:n])
-        o *= g[i0 - lo + r : i1 - lo + r, r : r + wd]
-        o += box_mean(b, w, tmp[:n], rows[:n])
+
+    def fill_guide(dst, lo, hi):
+        np.subtract(guide[lo:hi], guide_mean, out=dst)
+
+    def fill_src(dst, lo, hi):
+        np.subtract(src[lo:hi], src_mean, out=dst)
+
+    strips = _Strips(guide.shape, params.win, self_guided)
+    out = np.empty(guide.shape)
+    for i0, i1 in strips.strips():
+        o = strips.filter(i0, i1, fill_guide, None if self_guided else fill_src,
+                          params.eps, out[i0:i1])
         o += src_mean
     return out
 
@@ -166,13 +211,95 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
 def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:
     """Self-guided filtering of the forward-difference derivatives of v,
     returned as the divergence of the two filtered derivatives: the only
-    form in which the guidance solve takes them."""
-    # Each filtered difference is folded into the divergence before the
-    # next image is made, so the stage holds v, the divergence, the y
-    # difference and its filtered copy.
-    gx = diff_x(v)
-    gx = guidfilter(gx, gx, params)
-    div = divergence_x(gx)
-    del gx
-    gy = diff_y(v)
-    return add_divergence_y(div, guidfilter(gy, gy, params))
+    form in which the guidance solve takes them.
+
+    One strip loop goes from v to the divergence, so the stage makes no
+    image-sized array but the divergence.  Each strip writes v's
+    circular forward differences straight into its padded blocks,
+    filters them as guidfilter does and writes its divergence rows, each
+    pixel as ((gx[i, j-1] - gx[i, j]) + gy[i-1, j]) - gy[i, j], the
+    order of spectral.divergence.  The differences are not centred:
+    their means are 0 up to rounding.  Row 0's y term waits for the
+    last strip.
+
+    Where one set of strip buffers is at most LANE_SHARE of an image,
+    gx's strips run on a second thread with a set of their own while
+    gy's run on the caller.  Strip k's y term is added only once its x
+    term is written, so the result does not depend on the lane.
+    """
+    check_window_fits(params.win, v.shape)
+    h, wd = v.shape
+    eps = params.eps
+
+    def fill_x(dst, lo, hi):
+        np.subtract(v[lo:hi, 1:], v[lo:hi, :-1], out=dst[:, :-1])
+        np.subtract(v[lo:hi, :1], v[lo:hi, -1:], out=dst[:, -1:])
+
+    def fill_y(dst, lo, hi):
+        end = min(hi, h - 1)  # rows whose next row does not wrap
+        np.subtract(v[lo + 1 : end + 1], v[lo:end], out=dst[: end - lo])
+        if hi == h:
+            np.subtract(v[0], v[h - 1], out=dst[-1])
+
+    # div is allocated before both lanes' strip buffers, which this
+    # thread allocates and frees on return: with div after them, 256^2
+    # restores refaulted a trimmed heap top (268 minor faults per
+    # iteration against 39).
+    div = np.empty((h, wd))
+    ys = _Strips(v.shape, params.win, True, out_rows=True)
+    lane = ys.nbytes <= LANE_SHARE * v.nbytes
+    xs = _Strips(v.shape, params.win, True, out_rows=True) if lane else ys
+    held = np.empty((2, wd))  # gy's row 0, and the row above the strip
+
+    def x_strip(i0, i1):
+        gx = xs.filter(i0, i1, fill_x, None, eps)
+        d = div[i0:i1]
+        np.subtract(gx[:, -1:], gx[:, :1], out=d[:, :1])
+        np.subtract(gx[:, :-1], gx[:, 1:], out=d[:, 1:])
+
+    strips = list(ys.strips())
+    worker = None
+    if lane:
+        ready = [threading.Event() for _ in strips]
+        halt = threading.Event()
+        failed = []
+
+        def x_lane():
+            try:
+                for k, (i0, i1) in enumerate(strips):
+                    if halt.is_set():
+                        return
+                    x_strip(i0, i1)
+                    ready[k].set()
+            except BaseException as exc:  # re-raised by the caller
+                failed.append(exc)
+                for event in ready:
+                    event.set()
+
+        worker = threading.Thread(target=x_lane, name="gfdeblur-gx", daemon=True)
+        worker.start()
+    try:
+        for k, (i0, i1) in enumerate(strips):
+            if not lane:
+                x_strip(i0, i1)  # before ys, the same buffers, is filled
+            gy = ys.filter(i0, i1, fill_y, None, eps)
+            if lane:
+                ready[k].wait()
+                if failed:
+                    raise failed[0]
+            d = div[i0:i1]
+            if i0:
+                d[0] += held[1]
+            else:  # row 0's y term waits for gy's last row
+                held[0] = gy[0]
+            d[1:] += gy[:-1]
+            first = 0 if i0 else 1
+            d[first:] -= gy[first:]
+            held[1] = gy[-1]
+    finally:
+        if worker is not None:
+            halt.set()
+            worker.join()
+    div[0] += held[1]
+    div[0] -= held[0]
+    return div

@@ -200,22 +200,10 @@ class SpectralPlan:
 
 def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     """Dx^T vx + Dy^T vy: the adjoint of the circular forward differences,
-    a backward-difference divergence."""
-    return add_divergence_y(divergence_x(vx), vy)
-
-
-def divergence_x(vx: np.ndarray) -> np.ndarray:
-    """Dx^T vx, divergence's x half, in a new image."""
+    a backward-difference divergence.  Each pixel is
+    ((vx[i, j-1] - vx[i, j]) + vy[i-1, j]) - vy[i, j]."""
     adj = np.roll(vx, 1, axis=1)
     adj -= vx
-    return adj
-
-
-def add_divergence_y(adj: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """adj += Dy^T vy in place, divergence's y half; returns adj."""
-    # Row slices in place of a np.roll(vy, 1, axis=0) temporary, which,
-    # freed every restore iteration, left most 256^2 runs refaulting a
-    # trimmed heap top (~930 minor faults per iteration, 0-140 without).
     adj[1:] += vy[:-1]
     adj[0] += vy[-1]
     adj -= vy

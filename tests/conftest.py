@@ -17,8 +17,11 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     _embed_psf,
+    diff_x,
+    diff_y,
     discrepancy_from_terms,
     discrepancy_terms,
+    divergence,
 )
 
 
@@ -75,14 +78,17 @@ def box_mean_padded(img: np.ndarray, w: int) -> np.ndarray:
     return box_mean(padded, w, np.empty(img.shape), rows)
 
 
-def guidfilter_unfused(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarray:
+def guidfilter_unfused(guide: np.ndarray, src: np.ndarray, params: GfParams,
+                       centre: bool = True) -> np.ndarray:
     """The guided filter as whole-image passes, one image-sized array per
     statistic: the reference the strip-fused guidfilter must match bit for
-    bit, since both add every pixel's terms in the same order."""
+    bit, since both add every pixel's terms in the same order.  With
+    centre False the images are filtered as given, as smooth_gradients
+    filters its differences."""
     w = params.win
     self_guided = src is guide
-    guide_mean = guide.mean()
-    src_mean = guide_mean if self_guided else src.mean()
+    guide_mean = guide.mean() if centre else 0.0
+    src_mean = guide_mean if self_guided or not centre else src.mean()
     guide = guide - guide_mean
     src = guide if self_guided else src - src_mean
     mean_g = box_mean_padded(guide, w)
@@ -104,6 +110,15 @@ def guidfilter_unfused(guide: np.ndarray, src: np.ndarray, params: GfParams) -> 
     out += box_mean_padded(b, w)
     out += src_mean
     return out
+
+
+def smooth_gradients_unfused(v: np.ndarray, params: GfParams) -> np.ndarray:
+    """smooth_gradients as a composition of whole images: the uncentred
+    self-guided filter of each circular forward difference, then their
+    divergence; the fused strip pass must match it bit for bit."""
+    dx, dy = diff_x(v), diff_y(v)
+    return divergence(guidfilter_unfused(dx, dx, params, centre=False),
+                      guidfilter_unfused(dy, dy, params, centre=False))
 
 
 def guidfilter_bruteforce(guide: np.ndarray, src: np.ndarray, w: int, eps: float):

@@ -373,7 +373,8 @@ def test_exit_codes(tmp_path, capsys):
         (["--sigma", "nan"], "sigma must be finite and nonnegative, got nan"),
         (["--sigma", "1e200"], "sigma too large"),
         (["--gf-w", "4", "--sigma", "1"], "window side must be an odd positive integer, got 4"),
-        (["--gf-eps", "-1", "--sigma", "1"], "eps must be strictly positive, got -1.0"),
+        (["--gf-eps", "-1", "--sigma", "1"], "eps must be finite and positive, got -1.0"),
+        (["--gf-eps", "inf", "--sigma", "1"], "eps must be finite and positive, got inf"),
     ):
         capsys.readouterr()
         assert main(deblur + flags) == 2
@@ -456,7 +457,8 @@ def test_config_unknown_key_named():
 
 @pytest.mark.parametrize("line, msg", [
     ("gf_w = 4", "window side must be an odd positive integer, got 4"),
-    ("gf_eps = 0", "eps must be strictly positive, got 0.0"),
+    ("gf_eps = 0", "eps must be finite and positive, got 0.0"),
+    ("gf_eps = inf", "eps must be finite and positive, got inf"),
     ("tau = nan", "tau must be a number, got nan"),
     ("sigma = -1", "sigma must be finite and nonnegative, got -1.0"),
     ("sigma = nan", "sigma must be finite and nonnegative, got nan"),

@@ -1,3 +1,6 @@
+import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,11 +10,20 @@ import gfdeblur.guided_filter as guided_filter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfdeblur.bench import SCENARIOS, degrade
 from gfdeblur.errors import DimensionMismatch, WindowTooLarge
 from gfdeblur.guided_filter import STRIP_BYTES, GfParams, guidfilter, smooth_gradients
+from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import diff_x, diff_y, divergence
 
-from conftest import guidfilter_bruteforce, guidfilter_unfused, rand_image, rand_int_image
+from conftest import (
+    guidfilter_bruteforce,
+    guidfilter_unfused,
+    natural_image,
+    rand_image,
+    rand_int_image,
+    smooth_gradients_unfused,
+)
 
 
 def test_params_reject_nonpositive_eps():
@@ -142,8 +154,9 @@ def test_smooth_gradients_matches_composition():
 
 
 def test_self_guided_reuse_is_bit_identical(monkeypatch):
-    # src is guide reuses the guide's window statistics: 4 box means per
-    # filter instead of 6, and the same bits as the general path.
+    # A self-guided filter reuses the guide's window statistics: 4 box
+    # means per filter instead of 6, and the same bits as the general
+    # path, which the reference takes for src.copy().
     v = rand_image(15, (20, 17))
     p = GfParams(5, 0.04)
     calls = []
@@ -153,9 +166,109 @@ def test_self_guided_reuse_is_bit_identical(monkeypatch):
     assert len(calls) == 8
     monkeypatch.undo()
     dx, dy = diff_x(v), diff_y(v)
-    np.testing.assert_array_equal(
-        div, divergence(guidfilter(dx, dx.copy(), p), guidfilter(dy, dy.copy(), p))
-    )
+    general = divergence(guidfilter_unfused(dx, dx.copy(), p, centre=False),
+                         guidfilter_unfused(dy, dy.copy(), p, centre=False))
+    np.testing.assert_array_equal(div, general)
+
+
+@pytest.mark.parametrize("shape, one_row_strips", [
+    ((20, 17), False), ((300, 700), False), ((63, 51), False), ((12, 13), False),
+    ((5, 200), False), ((20, 17), True), ((63, 51), True), ((12, 13), True), ((5, 200), True),
+])
+def test_smooth_gradients_matches_uncentred_composition_bit_exact(monkeypatch, shape,
+                                                                  one_row_strips):
+    # The strip pass from v to the divergence adds every pixel's terms in
+    # the order of whole-image differences, filters and divergence.
+    # (20, 17) is one strip, (300, 700) several of unequal height, and a
+    # one-byte STRIP_BYTES makes every strip one row, whose halo reaches
+    # the mirror rows at the top and the bottom and whose y term needs
+    # the row above from the strip before.
+    if one_row_strips:
+        monkeypatch.setattr(guided_filter, "STRIP_BYTES", 1)
+    else:
+        assert (shape == (300, 700)) == (shape[0] * (shape[1] + 4) * 8 > STRIP_BYTES)
+    v = rand_image(16, shape)
+    for w in (1, 3, 5):
+        p = GfParams(w, 0.04)
+        np.testing.assert_array_equal(
+            smooth_gradients(v, p), smooth_gradients_unfused(v, p), err_msg=f"{shape} {w}"
+        )
+
+
+def _box_mean_threads(monkeypatch):
+    """Record the thread of every box_mean call."""
+    threads = []
+    box_mean = guided_filter.box_mean
+
+    def recorded(*args):
+        threads.append(threading.current_thread())
+        return box_mean(*args)
+
+    monkeypatch.setattr(guided_filter, "box_mean", recorded)
+    return threads
+
+
+def _take_lane(monkeypatch):
+    """Strips of 4 rows on a 64^2 image, with gx's on a second thread."""
+    monkeypatch.setattr(guided_filter, "STRIP_BYTES", 4 * 68 * 8)
+    monkeypatch.setattr(guided_filter, "LANE_SHARE", math.inf)
+
+
+def test_lane_gives_the_same_bits(monkeypatch):
+    # gx's 16 strips run on a second thread, and the result is the
+    # one-lane result, bit for bit.  A short switch interval interleaves
+    # the lanes finely: a y term added to a strip before its x term is
+    # written would change the bits.
+    v = rand_image(17, (64, 64))
+    p = GfParams(5, 0.04)
+    monkeypatch.setattr(guided_filter, "LANE_SHARE", 0.0)
+    one_lane = smooth_gradients(v, p)
+    np.testing.assert_array_equal(one_lane, smooth_gradients_unfused(v, p))
+    _take_lane(monkeypatch)
+    threads = _box_mean_threads(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            np.testing.assert_array_equal(smooth_gradients(v, p), one_lane)
+    finally:
+        sys.setswitchinterval(interval)
+    assert {t is threading.main_thread() for t in threads} == {True, False}
+
+
+def test_lane_only_where_strip_buffers_are_a_small_share(monkeypatch):
+    # One set of strip buffers is about 2.7 MB: 0.33 images at 1024^2,
+    # where the lane runs, and 2.9 at 256^2, where it does not.
+    threads = _box_mean_threads(monkeypatch)
+    for n, lane in ((1024, True), (256, False)):
+        threads.clear()
+        smooth_gradients(rand_image(19, (n, n)), GfParams(5, 0.04))
+        assert (not all(t is threading.main_thread() for t in threads)) == lane, n
+
+
+def test_lane_error_reaches_caller_and_leaves_no_thread(monkeypatch):
+    # An error on the second lane is re-raised in the caller, which does
+    # not wait on a strip that will never come; no thread outlives a
+    # call, failed or whole, nor a restore that takes the lane.
+    _take_lane(monkeypatch)
+    before = threading.enumerate()
+    box_mean = guided_filter.box_mean
+
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise FloatingPointError("lane failed")
+        return box_mean(*args)
+
+    monkeypatch.setattr(guided_filter, "box_mean", failing)
+    with pytest.raises(FloatingPointError, match="lane failed"):
+        smooth_gradients(rand_image(18, (64, 64)), GfParams(5, 0.04))
+    assert threading.enumerate() == before
+    monkeypatch.setattr(guided_filter, "box_mean", box_mean)
+    threads = _box_mean_threads(monkeypatch)
+    pair = degrade(natural_image(7, 64), SCENARIOS[3], seed=0)
+    run_gfd(pair.observed, pair.psf, GfdConfig(iterations=2, sigma=pair.sigma))
+    assert not all(t is threading.main_thread() for t in threads)
+    assert threading.enumerate() == before
 
 
 def test_large_near_constant_input_is_smoothed():
