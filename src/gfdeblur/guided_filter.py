@@ -8,7 +8,6 @@ windows.  All window means are box sums with mirror boundaries.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,13 +19,6 @@ from .image_core import box_mean, check_window_fits, validate_window
 # wide as the mirror-padded image.  With its halo and the other strip
 # buffers beside them, a strip's working set stays near a per-core L2.
 STRIP_BYTES = 256 * 1024
-
-# smooth_gradients runs its x filter on a second thread when one set of
-# strip buffers, which the second thread adds, is at most this share of
-# an image.  A set is about 2.7 MB: at 1024^2 (0.33 images) two lanes
-# made the restore faster; at 512^2 (1.1) slower, and at 256^2 (2.9)
-# slower with a higher peak.
-LANE_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -97,7 +89,6 @@ class _Strips:
             (out_rows * n_max, wd),
         )
         self.res = self.bufs[-1]
-        self.nbytes = sum(b.nbytes for b in self.bufs)
 
     def strips(self):
         """(first row, end row) of every strip, top to bottom."""
@@ -221,11 +212,6 @@ def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:
     order of spectral.divergence.  The differences are not centred:
     their means are 0 up to rounding.  Row 0's y term waits for the
     last strip.
-
-    Where one set of strip buffers is at most LANE_SHARE of an image,
-    gx's strips run on a second thread with a set of their own while
-    gy's run on the caller.  Strip k's y term is added only once its x
-    term is written, so the result does not depend on the lane.
     """
     check_window_fits(params.win, v.shape)
     h, wd = v.shape
@@ -241,65 +227,26 @@ def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:
         if hi == h:
             np.subtract(v[0], v[h - 1], out=dst[-1])
 
-    # div is allocated before both lanes' strip buffers, which this
-    # thread allocates and frees on return: with div after them, 256^2
-    # restores refaulted a trimmed heap top (268 minor faults per
-    # iteration against 39).
+    # div is allocated before the strip buffers, which are freed on
+    # return: with div after them, 256^2 restores refaulted a trimmed
+    # heap top (268 minor faults per iteration against 39).
     div = np.empty((h, wd))
-    ys = _Strips(v.shape, params.win, True, out_rows=True)
-    lane = ys.nbytes <= LANE_SHARE * v.nbytes
-    xs = _Strips(v.shape, params.win, True, out_rows=True) if lane else ys
+    strips = _Strips(v.shape, params.win, True, out_rows=True)
     held = np.empty((2, wd))  # gy's row 0, and the row above the strip
-
-    def x_strip(i0, i1):
-        gx = xs.filter(i0, i1, fill_x, None, eps)
+    for i0, i1 in strips.strips():
+        gx = strips.filter(i0, i1, fill_x, None, eps)
         d = div[i0:i1]
         np.subtract(gx[:, -1:], gx[:, :1], out=d[:, :1])
         np.subtract(gx[:, :-1], gx[:, 1:], out=d[:, 1:])
-
-    strips = list(ys.strips())
-    worker = None
-    if lane:
-        ready = [threading.Event() for _ in strips]
-        halt = threading.Event()
-        failed = []
-
-        def x_lane():
-            try:
-                for k, (i0, i1) in enumerate(strips):
-                    if halt.is_set():
-                        return
-                    x_strip(i0, i1)
-                    ready[k].set()
-            except BaseException as exc:  # re-raised by the caller
-                failed.append(exc)
-                for event in ready:
-                    event.set()
-
-        worker = threading.Thread(target=x_lane, name="gfdeblur-gx", daemon=True)
-        worker.start()
-    try:
-        for k, (i0, i1) in enumerate(strips):
-            if not lane:
-                x_strip(i0, i1)  # before ys, the same buffers, is filled
-            gy = ys.filter(i0, i1, fill_y, None, eps)
-            if lane:
-                ready[k].wait()
-                if failed:
-                    raise failed[0]
-            d = div[i0:i1]
-            if i0:
-                d[0] += held[1]
-            else:  # row 0's y term waits for gy's last row
-                held[0] = gy[0]
-            d[1:] += gy[:-1]
-            first = 0 if i0 else 1
-            d[first:] -= gy[first:]
-            held[1] = gy[-1]
-    finally:
-        if worker is not None:
-            halt.set()
-            worker.join()
+        gy = strips.filter(i0, i1, fill_y, None, eps)  # overwrites gx
+        if i0:
+            d[0] += held[1]
+        else:  # row 0's y term waits for gy's last row
+            held[0] = gy[0]
+        d[1:] += gy[:-1]
+        first = 0 if i0 else 1
+        d[first:] -= gy[first:]
+        held[1] = gy[-1]
     div[0] += held[1]
     div[0] -= held[0]
     return div

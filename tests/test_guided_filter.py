@@ -1,6 +1,3 @@
-import math
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -10,16 +7,13 @@ import gfdeblur.guided_filter as guided_filter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfdeblur.bench import SCENARIOS, degrade
 from gfdeblur.errors import DimensionMismatch, WindowTooLarge
 from gfdeblur.guided_filter import STRIP_BYTES, GfParams, guidfilter, smooth_gradients
-from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import diff_x, diff_y, divergence
 
 from conftest import (
     guidfilter_bruteforce,
     guidfilter_unfused,
-    natural_image,
     rand_image,
     rand_int_image,
     smooth_gradients_unfused,
@@ -193,82 +187,6 @@ def test_smooth_gradients_matches_uncentred_composition_bit_exact(monkeypatch, s
         np.testing.assert_array_equal(
             smooth_gradients(v, p), smooth_gradients_unfused(v, p), err_msg=f"{shape} {w}"
         )
-
-
-def _box_mean_threads(monkeypatch):
-    """Record the thread of every box_mean call."""
-    threads = []
-    box_mean = guided_filter.box_mean
-
-    def recorded(*args):
-        threads.append(threading.current_thread())
-        return box_mean(*args)
-
-    monkeypatch.setattr(guided_filter, "box_mean", recorded)
-    return threads
-
-
-def _take_lane(monkeypatch):
-    """Strips of 4 rows on a 64^2 image, with gx's on a second thread."""
-    monkeypatch.setattr(guided_filter, "STRIP_BYTES", 4 * 68 * 8)
-    monkeypatch.setattr(guided_filter, "LANE_SHARE", math.inf)
-
-
-def test_lane_gives_the_same_bits(monkeypatch):
-    # gx's 16 strips run on a second thread, and the result is the
-    # one-lane result, bit for bit.  A short switch interval interleaves
-    # the lanes finely: a y term added to a strip before its x term is
-    # written would change the bits.
-    v = rand_image(17, (64, 64))
-    p = GfParams(5, 0.04)
-    monkeypatch.setattr(guided_filter, "LANE_SHARE", 0.0)
-    one_lane = smooth_gradients(v, p)
-    np.testing.assert_array_equal(one_lane, smooth_gradients_unfused(v, p))
-    _take_lane(monkeypatch)
-    threads = _box_mean_threads(monkeypatch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            np.testing.assert_array_equal(smooth_gradients(v, p), one_lane)
-    finally:
-        sys.setswitchinterval(interval)
-    assert {t is threading.main_thread() for t in threads} == {True, False}
-
-
-def test_lane_only_where_strip_buffers_are_a_small_share(monkeypatch):
-    # One set of strip buffers is about 2.7 MB: 0.33 images at 1024^2,
-    # where the lane runs, and 2.9 at 256^2, where it does not.
-    threads = _box_mean_threads(monkeypatch)
-    for n, lane in ((1024, True), (256, False)):
-        threads.clear()
-        smooth_gradients(rand_image(19, (n, n)), GfParams(5, 0.04))
-        assert (not all(t is threading.main_thread() for t in threads)) == lane, n
-
-
-def test_lane_error_reaches_caller_and_leaves_no_thread(monkeypatch):
-    # An error on the second lane is re-raised in the caller, which does
-    # not wait on a strip that will never come; no thread outlives a
-    # call, failed or whole, nor a restore that takes the lane.
-    _take_lane(monkeypatch)
-    before = threading.enumerate()
-    box_mean = guided_filter.box_mean
-
-    def failing(*args):
-        if threading.current_thread() is not threading.main_thread():
-            raise FloatingPointError("lane failed")
-        return box_mean(*args)
-
-    monkeypatch.setattr(guided_filter, "box_mean", failing)
-    with pytest.raises(FloatingPointError, match="lane failed"):
-        smooth_gradients(rand_image(18, (64, 64)), GfParams(5, 0.04))
-    assert threading.enumerate() == before
-    monkeypatch.setattr(guided_filter, "box_mean", box_mean)
-    threads = _box_mean_threads(monkeypatch)
-    pair = degrade(natural_image(7, 64), SCENARIOS[3], seed=0)
-    run_gfd(pair.observed, pair.psf, GfdConfig(iterations=2, sigma=pair.sigma))
-    assert not all(t is threading.main_thread() for t in threads)
-    assert threading.enumerate() == before
 
 
 def test_large_near_constant_input_is_smoothed():
