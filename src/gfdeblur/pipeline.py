@@ -111,8 +111,10 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     g_terms = rho_terms(g, est)
     plan = SpectralPlan(g, psf)
     npix = g.size
-    v = np.zeros_like(g)
-    div = np.zeros_like(g)  # divergence of v's smoothed gradients
+    # C order whatever g's, as the filters' outputs are: the lambda search
+    # writes |H|^2 into v's buffer as a half-plane.
+    v = np.zeros(g.shape)
+    div = np.zeros(g.shape)  # divergence of v's smoothed gradients
 
     trace: list[IterationRecord] = []
     for k in range(1, cfg.iterations + 1):
@@ -122,7 +124,8 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
             rho = compute_rho(g_terms, v, cfg.tau)
         bound_c = rho * npix * est.variance
         v_hat = plan.spectrum(v)
-        choice = choose_lambda(plan, v_hat, bound_c)
+        # A finite search keeps |H|^2 in v's buffer, which u_p overwrites next.
+        choice = choose_lambda(plan, v_hat, bound_c, work=v)
         lam = choice.value
         if choice.is_infinite:
             # v already meets the bound, so both solves are v.

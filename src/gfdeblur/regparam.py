@@ -134,7 +134,8 @@ def compute_rho(terms: RhoTerms, v: np.ndarray, tau: float) -> float:
     return s * s if thresh > tau else s
 
 
-def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float) -> LambdaChoice:
+def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
+                  work=None) -> LambdaChoice:
     """Solve the discrepancy equation residual(lambda) = bound_c by
     bisection, given the pre-estimate's spectrum v_hat = plan.spectrum(v).
 
@@ -149,14 +150,20 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float) -> Lamb
     so it passes the bound by lambda = 2 A (1 + REL_TOL) / REL_TOL.
     A bound_c that is negative or not finite (an overflowed rho or
     sigma) raises ValueError.
+
+    A finite search writes |H|^2 over the front of work, a C-contiguous
+    float64 image of the plan's shape (a new array if None); run_gfd
+    passes v, which only the lambda = INFINITY branch reads again.
     """
     if not 0 <= bound_c < INFINITY:
         raise ValueError(f"bound_c must be finite and nonnegative, got {bound_c!r}")
-    a, b, npix = discrepancy_terms(plan, v_hat)
+    b = discrepancy_terms(plan, v_hat)
+    npix = plan.npix
     # lam -> inf asymptote equals the residual of v itself (Parseval).
     entry = float(b.sum() / npix)
     if entry <= bound_c * (1 + REL_TOL):
         return LambdaChoice(value=INFINITY, residual=entry, iterations=0)
+    a = plan.H_sq(work)
 
     # The bisection starts at the bracket's last lambda, hi, and its
     # first midpoint is the one before, hi / 2: each residual is cached.

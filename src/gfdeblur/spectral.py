@@ -12,9 +12,12 @@ Everything runs on the rfft2 half-plane (columns 0 .. width // 2): a
 real image's spectrum is Hermitian, so the half-plane holds all of it;
 discrepancy_terms weights column 0 once, interior columns twice and, for
 even widths, column width / 2 once to recover full-plane sums of
-|F(x)|^2.  Every inverse takes two steps, ifft over the columns in the
-spectrum's own buffer, then irfft over the rows into the output image;
-this is irfft2 told the image shape, bit for bit, without its image-sized
+|F(x)|^2.  Every per-frequency pass (the solves, the discrepancy terms
+and each residual evaluation) works a row block of the half-plane at a
+time in block-sized scratch, so none makes a half-plane temporary.
+Every inverse takes two steps, ifft over the columns in the spectrum's
+own buffer, then irfft over the rows into the output image; this is
+irfft2 told the image shape, bit for bit, without its image-sized
 working copies.  The guidance solve transforms divergence(vx, vy), whose
 spectrum is conj(Dx) F(vx) + conj(Dy) F(vy): a circular forward
 difference's adjoint is the backward one.
@@ -34,9 +37,23 @@ from .errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 INFINITY = math.inf
 
 # Half-plane elements per row block of the per-frequency loops, which
-# form their complex products a block at a time rather than as one
-# image-sized temporary.
+# form their products and denominators a block at a time rather than as
+# half-plane temporaries.
 BLOCK_ELEMENTS = 64 * 1024
+
+
+def _row_blocks(height: int, cols: int):
+    """Row slices of a height x cols half-plane, about BLOCK_ELEMENTS
+    elements each, and the rows of the longest: the scratch height."""
+    step = min(height, max(1, BLOCK_ELEMENTS // cols))
+    return [slice(i, min(i + step, height)) for i in range(0, height, step)], step
+
+
+def _abs_sq(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """z.real ** 2 + z.imag ** 2 into out, with tmp as scratch."""
+    np.square(z.real, out=out)
+    out += np.square(z.imag, out=tmp)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,19 +155,19 @@ class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
 
-    H, |H|^2 and F(g), the Parseval column weights that discrepancy_terms
-    folds into b, and the closed-form |Dx|^2 + |Dy|^2 as its two factors:
+    H and F(g), the Parseval column weights that discrepancy_terms folds
+    into b, and the closed-form |Dx|^2 + |Dy|^2 as its two factors:
     Dy_sq, shape (height, 1), and Dx_sq, shape (width // 2 + 1,), which
-    broadcast to the half-plane sum.  The solves form conj(H) F(g) a row
-    block at a time.
+    broadcast to the half-plane sum.  The solves form conj(H) F(g) and
+    |H|^2 a row block at a time; H_sq makes |H|^2 as a whole half-plane
+    for the lambda search.
     """
 
-    __slots__ = ("shape", "H", "H_sq", "G", "Dy_sq", "Dx_sq", "weights")
+    __slots__ = ("shape", "H", "G", "Dy_sq", "Dx_sq", "weights")
 
     def __init__(self, g: np.ndarray, psf: Psf):
         height, width = self.shape = g.shape
         self.H = _rfft2(_embed_psf(psf, height, width))
-        self.H_sq = self.H.real ** 2 + self.H.imag ** 2
         self.G = _rfft2(g)
         kx = np.arange(width // 2 + 1)
         ky = np.arange(height)
@@ -174,16 +191,41 @@ class SpectralPlan:
             self._check_spectrum(out)
         return _rfft2(img, out)
 
-    def _row_blocks(self):
-        """Row slices of the half-plane, about BLOCK_ELEMENTS each."""
-        height, cols = self.H.shape
-        step = max(1, BLOCK_ELEMENTS // cols)
-        return [slice(i, i + step) for i in range(0, height, step)]
+    def H_sq(self, work=None) -> np.ndarray:
+        """|H|^2 on the half-plane, a row block at a time, written over the
+        front of work, a C-contiguous float64 image of the plan's shape,
+        which holds a half-plane (a new array if None)."""
+        if work is None:
+            out = np.empty(self.H.shape)
+        else:
+            self._check_images(work)
+            if work.dtype != np.float64 or not work.flags.c_contiguous:
+                raise ValueError("work must be a C-contiguous float64 image")
+            out = work.reshape(-1)[: self.H.size].reshape(self.H.shape)
+        blocks, step = _row_blocks(*self.H.shape)
+        tmp = np.empty((step, self.H.shape[1]))
+        for blk in blocks:
+            _abs_sq(self.H[blk], out[blk], tmp[: blk.stop - blk.start])
+        return out
 
-    def _add_conj_H_G(self, spec: np.ndarray) -> None:
-        """spec += conj(H) F(g), in place, a row block at a time."""
-        for blk in self._row_blocks():
-            spec[blk] += np.conj(self.H[blk]) * self.G[blk]
+    def _solve_blocks(self, spec: np.ndarray, lam: float):
+        """Scale spec by lam and add conj(H) F(g), in place, a row block at
+        a time; yields (row slice, spec's block, the block's |H|^2, a real
+        scratch block) for the caller to divide the block by its
+        denominator before the next."""
+        blocks, step = _row_blocks(*self.H.shape)
+        cols = self.H.shape[1]
+        prod = np.empty((step, cols), dtype=np.complex128)
+        h_sq = np.empty((step, cols))
+        # Once s has taken conj(H) F(g), prod's buffer serves as two real blocks.
+        spare = prod.view(np.float64)
+        for blk in blocks:
+            n = blk.stop - blk.start
+            s = spec[blk]
+            s *= lam
+            H = self.H[blk]
+            s += np.multiply(np.conj(H, out=prod[:n]), self.G[blk], out=prod[:n])
+            yield blk, s, _abs_sq(H, h_sq[:n], spare[:n, :cols]), spare[:n, cols:]
 
     def _check_images(self, *imgs) -> None:
         """Each image has the plan's shape; None, an output not given, passes."""
@@ -223,19 +265,20 @@ def solve_guidance(plan: SpectralPlan, div, lam, spec=None, out=None):
     gradients only as div = divergence(vx, vy).  div is transformed into
     spec, a half-plane buffer the solve overwrites (a new one if None),
     and u is written into out (a new image if None), which may be div.
+    Each row block's denominator (|Dx|^2 + |Dy|^2) lam + |H|^2 is checked
+    before the block is divided; SingularDenominator is raised before out
+    is written.
     """
     plan._check_images(div, out)
     _check_lambda(lam)
-    denom = plan.Dy_sq + plan.Dx_sq
-    denom *= lam
-    denom += plan.H_sq
-    if np.min(denom) < 1e-15:
-        raise SingularDenominator("guidance solve denominator vanishes")
     spec = plan.spectrum(div, spec)
-    spec *= lam
-    plan._add_conj_H_G(spec)
-    spec /= denom
-    del denom  # freed before a new output is made
+    for blk, s, h_sq, denom in plan._solve_blocks(spec, lam):
+        np.add(plan.Dy_sq[blk], plan.Dx_sq, out=denom)
+        denom *= lam
+        denom += h_sq
+        if np.min(denom) < 1e-15:
+            raise SingularDenominator("guidance solve denominator vanishes")
+        s /= denom
     return _irfft2(spec, plan.shape[1], out)
 
 
@@ -250,38 +293,52 @@ def solve_input(plan: SpectralPlan, v_hat, lam, out=None):
     plan._check_spectrum(v_hat)
     plan._check_images(out)
     _check_lambda(lam)
-    v_hat *= lam
-    plan._add_conj_H_G(v_hat)
-    v_hat /= plan.H_sq + lam
+    for _, s, h_sq, _ in plan._solve_blocks(v_hat, lam):
+        h_sq += lam
+        s /= h_sq
     return _irfft2(v_hat, plan.shape[1], out)
 
 
-def discrepancy_terms(plan: SpectralPlan, v_hat):
-    """Precompute the per-frequency pieces of the discrepancy curve.
-
-    Returns (a, b, npix) with a = |F(h)|^2 and b = w |F(h) F(v) - F(g)|^2
-    on the half-plane, w the Parseval column weights, so the data-fit
-    residual of the input solve at lam is sum(lam^2 b / (a + lam)^2) / npix.
-    The complex residual is formed a row block at a time.
+def discrepancy_terms(plan: SpectralPlan, v_hat) -> np.ndarray:
+    """The data's part of the discrepancy curve: b = w |F(h) F(v) - F(g)|^2
+    on the half-plane, w the Parseval column weights, so that with
+    a = plan.H_sq() the data-fit residual of the input solve at lam is
+    sum(lam^2 b / (a + lam)^2) / npix, and its lam -> inf limit is
+    sum(b) / npix.  The complex residual is formed a row block at a time.
     """
     plan._check_spectrum(v_hat)
-    b = np.empty(plan.H_sq.shape)
-    for blk in plan._row_blocks():
-        r = plan.H[blk] * v_hat[blk]
-        r -= plan.G[blk]
-        b_blk = b[blk]
-        np.square(r.real, out=b_blk)
-        b_blk += r.imag ** 2
+    b = np.empty(plan.H.shape)
+    blocks, step = _row_blocks(*b.shape)
+    r = np.empty((step, b.shape[1]), dtype=np.complex128)
+    for blk in blocks:
+        x = r[: blk.stop - blk.start]
+        np.multiply(plan.H[blk], v_hat[blk], out=x)
+        x -= plan.G[blk]
+        # x is scratch: square its real and imaginary parts in place, then
+        # add each pair, x.real ** 2 + x.imag ** 2.
+        xf = np.square(x.view(np.float64), out=x.view(np.float64))
+        np.add(xf[:, 0::2], xf[:, 1::2], out=b[blk])
     b *= plan.weights
-    return plan.H_sq, b, plan.npix
+    return b
 
 
 def discrepancy_from_terms(a, b, npix: int, lam: float) -> float:
+    """sum(x * x * b) / npix with x = lam / (a + lam): the residual at lam
+    from a = |H|^2 and b = discrepancy_terms(...), both half-planes.  Each
+    row block is formed in one block-sized buffer and its row sums
+    written out; their sum does not depend on the block size."""
     if lam == 0.0:
         return 0.0
-    # sum(r * r * b) with r = lam / (a + lam), each step in one buffer.
-    t = np.add(a, lam)
-    np.divide(lam, t, out=t)
-    t *= t
-    t *= b
-    return float(np.sum(t) / npix)
+    blocks, step = _row_blocks(*a.shape)
+    t = np.empty((step, a.shape[1]))
+    row_sums = np.empty(a.shape[0])
+    # np.add.reduce is np.sum without its Python-level dispatch, which
+    # shows at 256^2, where a search makes about 8 evaluations.
+    for blk in blocks:
+        x = t[: blk.stop - blk.start]
+        np.add(a[blk], lam, out=x)
+        np.divide(lam, x, out=x)
+        np.multiply(x, x, out=x)
+        np.multiply(x, b[blk], out=x)
+        np.add.reduce(x, axis=1, out=row_sums[blk])
+    return float(np.add.reduce(row_sums) / npix)

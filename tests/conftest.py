@@ -5,6 +5,7 @@ image so the suite needs no image assets."""
 from __future__ import annotations
 
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -195,8 +196,47 @@ def discrepancy(g, psf: Psf, v, lam: float) -> float:
 def plan_discrepancy(g, psf: Psf, v):
     """The restorer's discrepancy curve, lam -> residual, from the plan."""
     plan = SpectralPlan(g, psf)
-    terms = discrepancy_terms(plan, plan.spectrum(v))
-    return lambda lam: discrepancy_from_terms(*terms, lam)
+    a, b = plan.H_sq(), discrepancy_terms(plan, plan.spectrum(v))
+    return lambda lam: discrepancy_from_terms(a, b, plan.npix, lam)
+
+
+# The names run_gfd calls its stages by, in gfdeblur.pipeline.
+STAGES = ("compute_rho", "choose_lambda", "solve_input", "solve_guidance",
+          "guidfilter", "smooth_gradients")
+
+
+def stage_peaks(g, psf, cfg) -> dict:
+    """Restore g under tracemalloc with each of pipeline's STAGES wrapped:
+    the traced peak inside each stage, over all its calls, and over the
+    whole restore ("run_gfd"), in images of g.size * 8 bytes.  A stage's
+    peak counts everything live while it runs, not only its own arrays."""
+    from gfdeblur import pipeline
+
+    peaks = dict.fromkeys(STAGES + ("run_gfd",), 0)
+
+    def staged(name, fn):
+        def call(*args, **kwargs):
+            # reset_peak drops the restore's peak so far; keep it first.
+            peaks["run_gfd"] = max(peaks["run_gfd"], tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = max(peaks[name], tracemalloc.get_traced_memory()[1])
+        return call
+
+    originals = {name: getattr(pipeline, name) for name in STAGES}
+    for name, fn in originals.items():
+        setattr(pipeline, name, staged(name, fn))
+    tracemalloc.start()
+    try:
+        pipeline.run_gfd(g, psf, cfg)
+        peaks["run_gfd"] = max(peaks["run_gfd"], tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+        for name, fn in originals.items():
+            setattr(pipeline, name, fn)
+    return {name: peak / (g.size * 8) for name, peak in peaks.items()}
 
 
 def natural_image(seed: int = 7, size: int = 256) -> np.ndarray:

@@ -14,7 +14,7 @@ from gfdeblur.errors import DimensionMismatch, WindowTooLarge
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, solve_input
 
-from conftest import natural_image, psf_spectrum, rand_image
+from conftest import STAGES, natural_image, psf_spectrum, rand_image, stage_peaks
 
 
 def test_noiseless_identity_degradation():
@@ -171,12 +171,13 @@ def test_zero_observation_restores():
 
 
 def test_restore_peak_memory():
-    # The plan holds three half-planes (H, F(g), |H|^2), the solves work
-    # in F(v)'s, v's and the divergence's buffers, the transforms make no
-    # image-sized working copy, and the gradient smoothing goes from v to
-    # the divergence in one strip pass: the peak, in the lambda search,
-    # reads 7.02 images here; 7.56 with whole gradient images, and 8.56
-    # with conj(H) F(g) in the plan, fresh solve outputs and irfft2.
+    # The plan holds two half-planes (H and F(g)), the solves work in
+    # F(v)'s, v's and the divergence's buffers, the lambda search keeps
+    # |H|^2 in v's, the transforms make no image-sized working copy, and
+    # the gradient smoothing goes from v to the divergence in one strip
+    # pass: the peak, in the main filter, reads 6.33 images here; 7.02
+    # with |H|^2 in the plan and a half-plane per residual evaluation,
+    # 7.56 with whole gradient images.  The bound leaves 0.17 images.
     pair = degrade(natural_image(7, 512), SCENARIOS[5], seed=0)
     cfg = GfdConfig(iterations=3, sigma=pair.sigma)
     tracemalloc.start()
@@ -186,7 +187,23 @@ def test_restore_peak_memory():
     finally:
         tracemalloc.stop()
     assert math.isfinite(trace[0].lam)  # the solves ran
-    assert peak / (512 * 512 * 8) < 7.3
+    assert peak / (512 * 512 * 8) < 6.5
+
+
+def test_stage_peak_memory():
+    # Each stage's peak counts all that is live while it runs: the plan's
+    # two half-planes, v, the divergence and, in the lambda search and
+    # the solves, F(v) (5 images), plus the stage's own arrays.  Readings
+    # here, and in brackets with |H|^2 in the plan and whole-plane
+    # denominators and residuals: lambda search 6.05 (7.02), solves 5.83
+    # and 5.86 (6.09 and 6.52), main filter 6.33 (6.83).  Each bound
+    # leaves about 0.15 images.
+    pair = degrade(natural_image(7, 512), SCENARIOS[5], seed=0)
+    peaks = stage_peaks(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
+    assert peaks["choose_lambda"] < 6.2
+    assert peaks["solve_input"] < 6.0 and peaks["solve_guidance"] < 6.0
+    assert peaks["guidfilter"] < 6.5
+    assert peaks["run_gfd"] == max(peaks[name] for name in STAGES)
 
 
 FFT_NAMES = [n for n in np.fft.__all__ if n.endswith(("fft", "fft2", "fftn"))]

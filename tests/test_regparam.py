@@ -207,6 +207,22 @@ def test_asymptote_within_tolerance_of_bound_returns_infinity():
         assert choice.iterations == 0
 
 
+def test_choose_lambda_writes_work_only_on_a_finite_search():
+    # run_gfd passes v as work: the lambda = inf branch reads v again, so
+    # only a finite search may write |H|^2 over its front, and the choice
+    # is the one made with a fresh buffer.
+    g, v = rand_image(15, (24, 20)), rand_image(16, (24, 20))
+    psf = random_psf(17)
+    plan, v_hat = plan_and_spectrum(g, psf, v)
+    asymptote = float(np.sum((circ_convolve(v, psf) - g) ** 2))
+    work = v.copy()
+    assert choose_lambda(plan, v_hat, 2 * asymptote, work).is_infinite
+    assert np.array_equal(work, v)
+    choice = choose_lambda(plan, v_hat, 0.5 * asymptote, work)
+    assert not choice.is_infinite and choice == choose_lambda(plan, v_hat, 0.5 * asymptote)
+    assert np.array_equal(work.ravel()[: plan.H.size], plan.H_sq().ravel())
+
+
 def test_noise_estimate_variance_consistency():
     est = NoiseEstimate(3.0)
     assert est.variance == pytest.approx(9.0, abs=1e-12)
@@ -244,7 +260,8 @@ def test_choose_lambda_evaluates_each_lambda_once(monkeypatch):
             choice = choose_lambda(plan, v_hat, bound)
             assert not choice.is_infinite
             assert len(evaluated) == len(set(evaluated)), evaluated
-            assert choice.residual == real(*regparam.discrepancy_terms(plan, v_hat), choice.value)
+            b = regparam.discrepancy_terms(plan, v_hat)
+            assert choice.residual == real(plan.H_sq(), b, plan.npix, choice.value)
 
 
 def test_choose_lambda_rejects_bad_bound():

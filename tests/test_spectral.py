@@ -220,18 +220,73 @@ def test_plan_rejects_mismatched_shapes():
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
-def test_plan_holds_three_half_planes(shape):
-    # H, F(g) and |H|^2; the solves form conj(H) F(g) a row block at a
-    # time, and |Dx|^2 + |Dy|^2 is kept as its two factors, vectors like
-    # the Parseval weights.
+def test_plan_holds_two_half_planes(shape):
+    # H and F(g); the solves form conj(H) F(g) and |H|^2 a row block at a
+    # time, the lambda search makes |H|^2 in a buffer it is given, and
+    # |Dx|^2 + |Dy|^2 is kept as its two factors, vectors like the
+    # Parseval weights.
     height, width = shape
     plan = SpectralPlan(rand_image(40, shape), random_psf(41))
     arrays = [getattr(plan, name) for name in SpectralPlan.__slots__]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     half = height * (width // 2 + 1)
-    assert sorted(a.dtype.kind for a in arrays if a.size == half) == ["c", "c", "f"]
+    assert sorted(a.dtype.kind for a in arrays if a.size == half) == ["c", "c"]
     assert all(a.size < height + width for a in arrays if a.size != half)
-    assert sum(a.nbytes for a in arrays) <= (2 * 16 + 8) * half + 3 * 8 * (height + width)
+    assert sum(a.nbytes for a in arrays) <= 2 * 16 * half + 3 * 8 * (height + width)
+
+
+@pytest.mark.parametrize("rows", [1, 5, 7, 64])
+def test_solves_by_row_blocks_equal_whole_plane(rows, monkeypatch):
+    # Each element gets the whole-plane expressions' operations in their
+    # order, so every block height (5 rows do not divide 63) gives the
+    # same bits.
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
+    shape = (63, 51)
+    g, v = rand_image(52, shape), rand_image(53, shape)
+    div = divergence(rand_image(54, shape), rand_image(55, shape))
+    plan = SpectralPlan(g, random_psf(56))
+    lam = 0.37
+    H_sq = plan.H.real ** 2 + plan.H.imag ** 2
+    conj_H_G = np.conj(plan.H) * plan.G
+    expected_p = np.fft.irfft2((np.fft.rfft2(v) * lam + conj_H_G) / (H_sq + lam), s=shape)
+    denom = (plan.Dy_sq + plan.Dx_sq) * lam + H_sq
+    expected_i = np.fft.irfft2((np.fft.rfft2(div) * lam + conj_H_G) / denom, s=shape)
+    assert np.array_equal(solve_input(plan, plan.spectrum(v), lam), expected_p)
+    assert np.array_equal(solve_guidance(plan, div, lam), expected_i)
+
+
+def test_solve_guidance_singular_in_a_later_block_leaves_out_untouched(monkeypatch):
+    # A 3x1 boxcar on 12 rows zeroes H on rows 4 and 8, so at a tiny lam
+    # the denominator vanishes there and nowhere in the first two blocks
+    # of 2 rows.  The check runs block by block, still before out is written.
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 2 * 5)
+    shape, lam = (12, 8), 1e-20
+    plan = SpectralPlan(rand_image(57, shape), Psf.from_taps(np.ones((3, 1))))
+    denom = (plan.Dy_sq + plan.Dx_sq) * lam + (plan.H.real ** 2 + plan.H.imag ** 2)
+    assert denom[:4].min() >= 1e-15 > denom[4].min()
+    div, out = rand_image(58, shape), np.full(shape, 7.0)
+    with pytest.raises(SingularDenominator):
+        solve_guidance(plan, div, lam, out=out)
+    assert np.all(out == 7.0)
+    assert solve_guidance(plan, div, 1.0, out=out) is out and not np.all(out == 7.0)
+
+
+def test_H_sq_by_row_blocks_into_work(monkeypatch):
+    # |H|^2 is made a few rows at a time over the front of a given image's
+    # buffer, which holds a half-plane; a buffer it cannot use is refused.
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 5 * 26)
+    plan = SpectralPlan(rand_image(59, (63, 51)), random_psf(60))
+    expected = plan.H.real ** 2 + plan.H.imag ** 2
+    assert np.array_equal(plan.H_sq(), expected)
+    work = np.full((63, 51), np.nan)
+    a = plan.H_sq(work)
+    assert np.shares_memory(a, work) and np.array_equal(a, expected)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        plan.H_sq(np.empty((51, 63)).T)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        plan.H_sq(np.empty((63, 51), dtype=np.float32))
+    with pytest.raises(DimensionMismatch):
+        plan.H_sq(np.empty((63, 50)))
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
@@ -303,23 +358,29 @@ def test_discrepancy_equals_spatial_recomputation():
             u_p = solve_input(plan, v_hat.copy(), lam)  # the solve overwrites its spectrum
             spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
             assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
-            planned = discrepancy_from_terms(*discrepancy_terms(plan, v_hat), lam)
+            b = discrepancy_terms(plan, v_hat)
+            planned = discrepancy_from_terms(plan.H_sq(), b, plan.npix, lam)
             assert planned == pytest.approx(spatial, rel=1e-7)
 
 
 def test_discrepancy_by_row_blocks_equals_whole_plane(monkeypatch):
-    # b is formed a few rows at a time, and each residual in one buffer:
-    # the same values, bit for bit, as the whole-plane expressions.
-    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 5 * 26)
+    # b is formed a few rows at a time: the whole-plane expression's bits.
+    # Each residual sums its rows, then the row sums, so for every block
+    # height (5 rows do not divide 63) it equals that sum over the whole
+    # plane, bit for bit.
     g, v = rand_image(49, (63, 51)), rand_image(50, (63, 51))
     plan = SpectralPlan(g, random_psf(51))
     v_hat = plan.spectrum(v)
     r = plan.H * v_hat - plan.G
-    a, b, npix = discrepancy_terms(plan, v_hat)
-    assert np.array_equal(b, (r.real ** 2 + r.imag ** 2) * plan.weights)
-    for lam in (0.01, 0.8, 300.0):
-        x = lam / (a + lam)
-        assert discrepancy_from_terms(a, b, npix, lam) == float(np.sum(x * x * b) / npix)
+    a, npix = plan.H.real ** 2 + plan.H.imag ** 2, plan.npix
+    for rows in (1, 5, 7, 63):
+        monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
+        b = discrepancy_terms(plan, v_hat)
+        assert np.array_equal(b, (r.real ** 2 + r.imag ** 2) * plan.weights)
+        for lam in (0.01, 0.8, 300.0):
+            x = lam / (a + lam)
+            row_sums = np.sum(x * x * b, axis=1)
+            assert discrepancy_from_terms(a, b, npix, lam) == float(np.sum(row_sums) / npix)
 
 
 def test_discrepancy_monotone_in_lambda():
