@@ -19,7 +19,6 @@ from .spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    divergence,
     solve_guidance,
     solve_input,
 )
@@ -31,7 +30,7 @@ __all__ = [
     "LambdaChoice", "NoiseEstimate", "RhoTerms",
     "choose_lambda", "compute_rho", "estimate_sigma", "rho_terms",
     "INFINITY", "Psf", "SpectralPlan", "circ_convolve",
-    "divergence", "solve_guidance", "solve_input",
+    "solve_guidance", "solve_input",
 ]
 
 __version__ = "0.1.0"

@@ -207,11 +207,11 @@ def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:
     One strip loop goes from v to the divergence, so the stage makes no
     image-sized array but the divergence.  Each strip writes v's
     circular forward differences straight into its padded blocks,
-    filters them as guidfilter does and writes its divergence rows, each
-    pixel as ((gx[i, j-1] - gx[i, j]) + gy[i-1, j]) - gy[i, j], the
-    order of spectral.divergence.  The differences are not centred:
-    their means are 0 up to rounding.  Row 0's y term waits for the
-    last strip.
+    filters them as guidfilter does and writes its divergence rows,
+    Dx^T gx + Dy^T gy, each pixel added in the order
+    ((gx[i, j-1] - gx[i, j]) + gy[i-1, j]) - gy[i, j].  The differences
+    are not centred: their means are 0 up to rounding.  Row 0's y term
+    waits for the last strip.
     """
     check_window_fits(params.win, v.shape)
     h, wd = v.shape

@@ -85,9 +85,13 @@ def estimate_sigma(g: np.ndarray) -> NoiseEstimate:
     b = g[0::2, 1::2]
     c = g[1::2, 0::2]
     d = g[1::2, 1::2]
-    hh = (a - b - c + d) / 2.0
-    sigma = float(np.median(np.abs(hh))) / MAD_FACTOR
-    return NoiseEstimate(sigma=sigma)
+    hh = np.abs((a - b - c + d) / 2.0).ravel()
+    # np.median's selection and mean, without its NaN check's numpy.ma
+    # import: a NaN sorts last and gives sigma NaN, which NoiseEstimate refuses.
+    lo, hi = (hh.size - 1) // 2, hh.size // 2
+    hh.partition([lo, hi, -1])
+    med = hh[-1] if np.isnan(hh[-1]) else hh[hi] if lo == hi else (hh[lo] + hh[hi]) / 2.0
+    return NoiseEstimate(sigma=float(med) / MAD_FACTOR)
 
 
 @dataclass(frozen=True)

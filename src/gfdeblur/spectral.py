@@ -12,15 +12,15 @@ Everything runs on the rfft2 half-plane (columns 0 .. width // 2): a
 real image's spectrum is Hermitian, so the half-plane holds all of it;
 discrepancy_terms weights column 0 once, interior columns twice and, for
 even widths, column width / 2 once to recover full-plane sums of
-|F(x)|^2.  Every per-frequency pass (the solves, the discrepancy terms
-and each residual evaluation) works a row block of the half-plane at a
-time in block-sized scratch, so none makes a half-plane temporary.
-Every inverse takes two steps, ifft over the columns in the spectrum's
-own buffer, then irfft over the rows into the output image; this is
-irfft2 told the image shape, bit for bit, without its image-sized
-working copies.  The guidance solve transforms divergence(vx, vy), whose
-spectrum is conj(Dx) F(vx) + conj(Dy) F(vy): a circular forward
-difference's adjoint is the backward one.
+|F(x)|^2.  Every per-frequency pass (|H|^2, the solves, the discrepancy
+terms and each residual evaluation) works a row block of the half-plane
+at a time in the scratch _blocks yields, so none makes a half-plane
+temporary.  Every inverse takes two steps, ifft over the columns in the
+spectrum's own buffer, then irfft over the rows into the output image;
+this is irfft2 told the image shape, bit for bit, without its
+image-sized working copies.  The guidance solve transforms the
+divergence Dx^T vx + Dy^T vy, whose spectrum is conj(Dx) F(vx) +
+conj(Dy) F(vy): a forward difference's adjoint is the backward one.
 """
 
 from __future__ import annotations
@@ -42,11 +42,15 @@ INFINITY = math.inf
 BLOCK_ELEMENTS = 64 * 1024
 
 
-def _row_blocks(height: int, cols: int):
-    """Row slices of a height x cols half-plane, about BLOCK_ELEMENTS
-    elements each, and the rows of the longest: the scratch height."""
+def _blocks(shape, *dtypes):
+    """Yield (row slice, one scratch block per dtype) over a half-plane
+    of the given shape, about BLOCK_ELEMENTS elements a block; the
+    scratch blocks are views of buffers made once for the tallest."""
+    height, cols = shape
     step = min(height, max(1, BLOCK_ELEMENTS // cols))
-    return [slice(i, min(i + step, height)) for i in range(0, height, step)], step
+    bufs = [np.empty((step, cols), dtype) for dtype in dtypes]
+    for i in range(0, height, step):
+        yield slice(i, i + step), *(buf[: height - i] for buf in bufs)
 
 
 def _abs_sq(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -141,16 +145,6 @@ def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     return _irfft2(spec, img.shape[1])
 
 
-def diff_x(img: np.ndarray) -> np.ndarray:
-    """Forward difference along columns with circular wrap."""
-    return np.roll(img, -1, axis=1) - img
-
-
-def diff_y(img: np.ndarray) -> np.ndarray:
-    """Forward difference along rows with circular wrap."""
-    return np.roll(img, -1, axis=0) - img
-
-
 class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
@@ -202,10 +196,8 @@ class SpectralPlan:
             if work.dtype != np.float64 or not work.flags.c_contiguous:
                 raise ValueError("work must be a C-contiguous float64 image")
             out = work.reshape(-1)[: self.H.size].reshape(self.H.shape)
-        blocks, step = _row_blocks(*self.H.shape)
-        tmp = np.empty((step, self.H.shape[1]))
-        for blk in blocks:
-            _abs_sq(self.H[blk], out[blk], tmp[: blk.stop - blk.start])
+        for blk, tmp in _blocks(self.H.shape, np.float64):
+            _abs_sq(self.H[blk], out[blk], tmp)
         return out
 
     def _solve_blocks(self, spec: np.ndarray, lam: float):
@@ -213,19 +205,15 @@ class SpectralPlan:
         a time; yields (row slice, spec's block, the block's |H|^2, a real
         scratch block) for the caller to divide the block by its
         denominator before the next."""
-        blocks, step = _row_blocks(*self.H.shape)
         cols = self.H.shape[1]
-        prod = np.empty((step, cols), dtype=np.complex128)
-        h_sq = np.empty((step, cols))
-        # Once s has taken conj(H) F(g), prod's buffer serves as two real blocks.
-        spare = prod.view(np.float64)
-        for blk in blocks:
-            n = blk.stop - blk.start
+        for blk, prod, h_sq in _blocks(self.H.shape, np.complex128, np.float64):
             s = spec[blk]
             s *= lam
             H = self.H[blk]
-            s += np.multiply(np.conj(H, out=prod[:n]), self.G[blk], out=prod[:n])
-            yield blk, s, _abs_sq(H, h_sq[:n], spare[:n, :cols]), spare[:n, cols:]
+            s += np.multiply(np.conj(H, out=prod), self.G[blk], out=prod)
+            # Once s has taken conj(H) F(g), prod's block serves as two real ones.
+            spare = prod.view(np.float64)
+            yield blk, s, _abs_sq(H, h_sq, spare[:, :cols]), spare[:, cols:]
 
     def _check_images(self, *imgs) -> None:
         """Each image has the plan's shape; None, an output not given, passes."""
@@ -240,18 +228,6 @@ class SpectralPlan:
             )
 
 
-def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Dx^T vx + Dy^T vy: the adjoint of the circular forward differences,
-    a backward-difference divergence.  Each pixel is
-    ((vx[i, j-1] - vx[i, j]) + vy[i-1, j]) - vy[i, j]."""
-    adj = np.roll(vx, 1, axis=1)
-    adj -= vx
-    adj[1:] += vy[:-1]
-    adj[0] += vy[-1]
-    adj -= vy
-    return adj
-
-
 def _check_lambda(lam) -> None:
     if not 0 < lam < INFINITY:
         raise ValueError(f"lambda must be finite and positive, got {lam!r}")
@@ -262,7 +238,7 @@ def solve_guidance(plan: SpectralPlan, div, lam, spec=None, out=None):
 
     Minimizes ||h * u - g||^2 + lam (||dx u - vx||^2 + ||dy u - vy||^2)
     in the Fourier domain, for finite lam > 0, given the prior's
-    gradients only as div = divergence(vx, vy).  div is transformed into
+    gradients only as div = Dx^T vx + Dy^T vy.  div is transformed into
     spec, a half-plane buffer the solve overwrites (a new one if None),
     and u is written into out (a new image if None), which may be div.
     Each row block's denominator (|Dx|^2 + |Dy|^2) lam + |H|^2 is checked
@@ -308,17 +284,13 @@ def discrepancy_terms(plan: SpectralPlan, v_hat) -> np.ndarray:
     """
     plan._check_spectrum(v_hat)
     b = np.empty(plan.H.shape)
-    blocks, step = _row_blocks(*b.shape)
-    r = np.empty((step, b.shape[1]), dtype=np.complex128)
-    for blk in blocks:
-        x = r[: blk.stop - blk.start]
+    for blk, x in _blocks(b.shape, np.complex128):
         np.multiply(plan.H[blk], v_hat[blk], out=x)
         x -= plan.G[blk]
-        # x is scratch: square its real and imaginary parts in place, then
-        # add each pair, x.real ** 2 + x.imag ** 2.
+        # Square x's real and imaginary parts in place, then add each pair.
         xf = np.square(x.view(np.float64), out=x.view(np.float64))
-        np.add(xf[:, 0::2], xf[:, 1::2], out=b[blk])
-    b *= plan.weights
+        y = np.add(xf[:, 0::2], xf[:, 1::2], out=b[blk])
+        y *= plan.weights
     return b
 
 
@@ -329,13 +301,10 @@ def discrepancy_from_terms(a, b, npix: int, lam: float) -> float:
     written out; their sum does not depend on the block size."""
     if lam == 0.0:
         return 0.0
-    blocks, step = _row_blocks(*a.shape)
-    t = np.empty((step, a.shape[1]))
     row_sums = np.empty(a.shape[0])
     # np.add.reduce is np.sum without its Python-level dispatch, which
     # shows at 256^2, where a search makes about 8 evaluations.
-    for blk in blocks:
-        x = t[: blk.stop - blk.start]
+    for blk, x in _blocks(a.shape, np.float64):
         np.add(a[blk], lam, out=x)
         np.divide(lam, x, out=x)
         np.multiply(x, x, out=x)

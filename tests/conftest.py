@@ -1,6 +1,7 @@
-"""Shared helpers: seeded random images, brute-force oracles, full-plane
-spectral references, and a procedurally generated natural-looking test
-image so the suite needs no image assets."""
+"""Shared helpers: seeded random images, brute-force oracles, the
+circular differences and their divergence, full-plane spectral
+references, and a procedurally generated natural-looking test image so
+the suite needs no image assets."""
 
 from __future__ import annotations
 
@@ -18,11 +19,8 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     _embed_psf,
-    diff_x,
-    diff_y,
     discrepancy_from_terms,
     discrepancy_terms,
-    divergence,
 )
 
 
@@ -111,6 +109,28 @@ def guidfilter_unfused(guide: np.ndarray, src: np.ndarray, params: GfParams,
     out += box_mean_padded(b, w)
     out += src_mean
     return out
+
+
+def diff_x(img: np.ndarray) -> np.ndarray:
+    """Forward difference along columns with circular wrap."""
+    return np.roll(img, -1, axis=1) - img
+
+
+def diff_y(img: np.ndarray) -> np.ndarray:
+    """Forward difference along rows with circular wrap."""
+    return np.roll(img, -1, axis=0) - img
+
+
+def divergence(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """Dx^T vx + Dy^T vy: the adjoint of the circular forward differences,
+    a backward-difference divergence, as the guidance solve takes it.
+    Each pixel is ((vx[i, j-1] - vx[i, j]) + vy[i-1, j]) - vy[i, j]."""
+    adj = np.roll(vx, 1, axis=1)
+    adj -= vx
+    adj[1:] += vy[:-1]
+    adj[0] += vy[-1]
+    adj -= vy
+    return adj
 
 
 def smooth_gradients_unfused(v: np.ndarray, params: GfParams) -> np.ndarray:

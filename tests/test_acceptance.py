@@ -39,7 +39,6 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    divergence,
     solve_guidance,
     solve_input,
 )
@@ -47,6 +46,7 @@ from gfdeblur.spectral import (
 from conftest import (
     derivative_spectra,
     discrepancy,
+    divergence,
     natural_image,
     plan_discrepancy,
     psf_spectrum,

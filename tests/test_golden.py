@@ -9,11 +9,17 @@ with the one writer,
 
     python tests/test_golden.py --write
 
-and states the largest per-cell ISNR change it made.
+and states the largest per-cell ISNR change it made.  A change that means
+to keep output bit-identical prints one sha256 over the grid's restored
+images and records before and after it,
+
+    python tests/test_golden.py --hash
 """
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
 import sys
@@ -34,10 +40,8 @@ ITERATIONS = 12
 REL_TOL = 1e-9
 
 
-def grid_records() -> dict:
-    """Cell name -> one [lambda, rho, residual, isnr] row per iteration,
-    lambda = inf written as the string "inf" (the file is strict JSON)."""
-    cells = {}
+def grid_runs():
+    """Yield (cell name, restored image, records) for each grid cell."""
     for size in (96, 131):
         clean = natural_image(7, size)
         for sid, scn in SCENARIOS.items():
@@ -46,13 +50,31 @@ def grid_records() -> dict:
                 for w in (5, 3):
                     cfg = GfdConfig(iterations=ITERATIONS, gf_w=w, reference=clean,
                                     sigma=pair.sigma if known else None)
-                    _, trace = run_gfd(pair.observed, pair.psf, cfg)
-                    name = f"{size}_s{sid}_{'known' if known else 'est'}_w{w}"
-                    cells[name] = [
-                        ["inf" if math.isinf(r.lam) else r.lam, r.rho, r.residual, r.isnr]
-                        for r in trace
-                    ]
-    return cells
+                    out, trace = run_gfd(pair.observed, pair.psf, cfg)
+                    yield f"{size}_s{sid}_{'known' if known else 'est'}_w{w}", out, trace
+
+
+def grid_records() -> dict:
+    """Cell name -> one [lambda, rho, residual, isnr] row per iteration,
+    lambda = inf written as the string "inf" (the file is strict JSON)."""
+    return {
+        name: [["inf" if math.isinf(r.lam) else r.lam, r.rho, r.residual, r.isnr]
+               for r in trace]
+        for name, _, trace in grid_runs()
+    }
+
+
+def grid_hash() -> str:
+    """sha256 over each cell's name, restored image bytes and the exact
+    repr of every compared record field."""
+    digest = hashlib.sha256()
+    for name, out, trace in grid_runs():
+        digest.update(name.encode())
+        digest.update(out.tobytes())
+        for r in trace:
+            fields = [getattr(r, f.name) for f in dataclasses.fields(r) if f.compare]
+            digest.update(repr(fields).encode())
+    return digest.hexdigest()
 
 
 def test_records_match_golden():
@@ -70,8 +92,11 @@ def test_records_match_golden():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
+    if sys.argv[1:] not in (["--write"], ["--hash"]):
+        sys.exit("usage: python tests/test_golden.py --write | --hash")
+    if sys.argv[1] == "--hash":
+        print(grid_hash())
+        sys.exit()
     cells = grid_records()
     GOLDEN.write_text("{\n" + ",\n".join(
         f" {json.dumps(name)}: [\n" + ",\n".join(f"  {json.dumps(row)}" for row in rows) + "\n ]"

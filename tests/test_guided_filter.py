@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from gfdeblur.errors import DimensionMismatch, WindowTooLarge
 from gfdeblur.guided_filter import STRIP_BYTES, GfParams, guidfilter, smooth_gradients
-from gfdeblur.spectral import diff_x, diff_y, divergence
 
 from conftest import (
+    diff_x,
+    diff_y,
+    divergence,
     guidfilter_bruteforce,
     guidfilter_unfused,
     rand_image,

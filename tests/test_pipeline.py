@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import gfdeblur.guided_filter as guided_filter
 import gfdeblur.pipeline as pipeline
+import gfdeblur.spectral as spectral
 
 from gfdeblur.bench import SCENARIOS, degrade, isnr, rho_sweep
 from gfdeblur.errors import DimensionMismatch, WindowTooLarge
@@ -49,6 +50,27 @@ def test_determinism():
     out2, tr2 = run_gfd(pair.observed, pair.psf, cfg)
     np.testing.assert_array_equal(out1, out2)
     assert tr1 == tr2
+
+
+def test_restore_does_not_depend_on_block_height(monkeypatch):
+    # Every per-frequency pass of a restore, the solves, |H|^2, the
+    # discrepancy terms and each residual, works a row block at a time:
+    # blocks of 1 row, of 5 rows (which do not divide 47) and of the
+    # default size give the same image and records, bit for bit, on a
+    # run with finite and infinite lambda.
+    clean = natural_image(1, 64)[:47, :39]
+    pair = degrade(clean, SCENARIOS[5], seed=0)
+    cfg = GfdConfig(iterations=6, sigma=pair.sigma)
+    runs = []
+    for rows in (None, 1, 5):
+        if rows is not None:
+            monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * (39 // 2 + 1))
+        runs.append(run_gfd(pair.observed, pair.psf, cfg))
+    (out, trace), others = runs[0], runs[1:]
+    infinite = [math.isinf(rec.lam) for rec in trace]
+    assert any(infinite) and not all(infinite)
+    for out_b, trace_b in others:
+        assert out_b.tobytes() == out.tobytes() and trace_b == trace
 
 
 def test_trace_integrity():

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +44,40 @@ def test_estimate_sigma_constant_image():
 def test_estimate_sigma_too_small():
     with pytest.raises(ImageTooSmall):
         estimate_sigma(np.ones((1, 5)))
+
+
+def test_estimate_sigma_refuses_nan():
+    # One NaN among finite details, or only NaNs: the median is NaN, as
+    # np.median's is, and NoiseEstimate refuses it.
+    for shape, spots in (((16, 16), [(3, 4)]), ((15, 9), [(14, 8)]), ((2, 2), [(0, 0)])):
+        g = rand_image(61, shape)
+        for spot in spots:
+            g[spot] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            estimate_sigma(g)
+    with pytest.raises(ValueError, match="finite"):
+        estimate_sigma(np.full((6, 6), np.nan))
+
+
+def test_estimated_sigma_restore_leaves_numpy_ma_unimported():
+    # np.median's NaN check imports numpy.ma, about 1.1 MB of module
+    # objects in the first restore's peak; the restore takes its median
+    # without it.
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1])\n"
+        "import numpy as np\n"
+        "from gfdeblur.pipeline import GfdConfig, run_gfd\n"
+        "from gfdeblur.spectral import Psf\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "g = np.random.default_rng(0).uniform(0, 255, (32, 32))\n"
+        "run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2))\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", script, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_estimate_sigma_pure_gaussian():

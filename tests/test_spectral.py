@@ -8,18 +8,18 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    diff_x,
-    diff_y,
     discrepancy_from_terms,
     discrepancy_terms,
-    divergence,
     solve_guidance,
     solve_input,
 )
 
 from conftest import (
     derivative_spectra,
+    diff_x,
+    diff_y,
     discrepancy,
+    divergence,
     plan_discrepancy,
     psf_spectrum,
     rand_image,
