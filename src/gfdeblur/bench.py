@@ -6,7 +6,7 @@ reference comparison table.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -96,16 +96,16 @@ def parse_psf_spec(spec: str) -> Psf:
     binomial5, or file:PATH (a PGM whose samples are kernel weights)."""
     kind, _, rest = spec.partition(":")
     if kind == "boxcar":
-        return Psf.from_taps(boxcar_kernel(int(rest)))
+        return Psf(boxcar_kernel(int(rest)))
     if kind == "gaussian":
         size_s, _, std_s = rest.partition(":")
-        return Psf.from_taps(gaussian_kernel(int(size_s), float(std_s)))
+        return Psf(gaussian_kernel(int(size_s), float(std_s)))
     if kind == "rational":
-        return Psf.from_taps(rational_kernel(int(rest)))
+        return Psf(rational_kernel(int(rest)))
     if kind == "binomial5":
-        return Psf.from_taps(binomial5_kernel())
+        return Psf(binomial5_kernel())
     if kind == "file":
-        return Psf.from_taps(pgm.read_image(rest))
+        return Psf(pgm.read_image(rest))
     raise ValueError(f"unknown PSF spec {spec!r}")
 
 
@@ -152,6 +152,14 @@ def sigma_sq_for_bsnr(blurred: np.ndarray, bsnr_db: float) -> float:
     return sigma_sq
 
 
+def _experiment_config(cfg: Optional[GfdConfig], per: str) -> GfdConfig:
+    """cfg, or the default config, for an experiment that sets sigma itself."""
+    base = cfg if cfg is not None else GfdConfig()
+    if base.sigma is not None:
+        raise ValueError(f"cfg.sigma must be None: sigma is set {per}, got {base.sigma!r}")
+    return base
+
+
 def rho_sweep(
     clean: np.ndarray,
     psf: Psf,
@@ -170,16 +178,16 @@ def rho_sweep(
     for r in rho_grid:
         if not 0 < r <= 1:
             raise ValueError(f"rho grid values must be in (0, 1], got {r!r}")
-    base = cfg if cfg is not None else GfdConfig()
+    base = _experiment_config(cfg, "per BSNR level")
     blurred = circ_convolve(clean, psf)
     sigma_sqs = [sigma_sq_for_bsnr(blurred, level) for level in bsnr_levels]  # before any restore
     rows: List[dict] = []
     for level, sigma_sq in zip(bsnr_levels, sigma_sqs):
         sigma = float(np.sqrt(sigma_sq))
         observed = blurred + gaussian_field(clean.shape, sigma, seed)
+        run_cfg = replace(base, sigma=sigma)
         for rho in list(rho_grid) + [None]:
-            run_cfg = replace(base, sigma=sigma, rho_override=rho)
-            restored, _ = run_gfd(observed, psf, run_cfg)
+            restored, _ = run_gfd(observed, psf, run_cfg, rho_override=rho)
             rows.append(
                 {
                     "image": image_name,
@@ -211,7 +219,7 @@ def run_scenarios(
     trace_dir/trace_<image>_s<scenario>.csv; the directory is created
     before the first restore.
     """
-    base = cfg if cfg is not None else GfdConfig()
+    base = _experiment_config(cfg, "per cell")
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
@@ -219,13 +227,10 @@ def run_scenarios(
     for name, clean in sorted(images, key=lambda p: p[0]):
         for scn in sorted(scenarios, key=lambda s: s.id):
             pair = degrade(clean, scn, seed)
-            run_cfg = replace(
-                base,
-                sigma=pair.sigma if known_sigma else None,
-                reference=clean if trace_dir is not None else base.reference,
-            )
+            run_cfg = replace(base, sigma=pair.sigma if known_sigma else None)
             t0 = time.perf_counter()
-            restored, trace = run_gfd(pair.observed, pair.psf, run_cfg)
+            restored, trace = run_gfd(pair.observed, pair.psf, run_cfg,
+                                      reference=clean if trace_dir is not None else None)
             secs_per_iter = (time.perf_counter() - t0) / len(trace)
             if trace_dir is not None:
                 write_trace_csv(trace_dir / f"trace_{name}_s{scn.id}.csv", trace)
@@ -317,32 +322,26 @@ def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
+def _write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
+    lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(c) for c in row))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_dict_csv(path, header: str, rows: List[dict]) -> None:
+    keys = header.split(",")
+    _write_csv(path, header, ([r[k] for k in keys] for r in rows))
+
+
 def write_rho_sweep_csv(path, rows: List[dict]) -> None:
-    header = ["image", "bsnr_db", "rho", "adaptive_flag", "isnr_db"]
-    _write_csv(path, header, ([r[h] for h in header] for r in rows))
+    _write_dict_csv(path, "image,bsnr_db,rho,adaptive_flag,isnr_db", rows)
 
 
 def write_scenarios_csv(path, rows: List[dict]) -> None:
-    header = [
-        "image", "scenario", "bsnr_db", "isnr_db",
-        "ref_gfd_db", "delta_db", "secs_per_iter",
-    ]
-    _write_csv(path, header, ([r[h] for h in header] for r in rows))
+    _write_dict_csv(path, "image,scenario,bsnr_db,isnr_db,ref_gfd_db,delta_db,secs_per_iter", rows)
 
 
 def write_trace_csv(path, trace) -> None:
-    header = ["k", "lambda", "rho", "residual", "bisect_steps", "isnr_db"]
-    _write_csv(
-        path,
-        header,
-        ([rec.k, rec.lam, rec.rho, rec.residual, rec.bisect_steps,
-          rec.isnr if rec.isnr is not None else ""] for rec in trace),
-    )
+    _write_csv(path, "k,lambda,rho,residual,bisect_steps,isnr_db", map(astuple, trace))

@@ -114,14 +114,14 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _gfd_config(args, settings=(), **fixed) -> GfdConfig:
+def _gfd_config(args, settings=()) -> GfdConfig:
     """GfdConfig from config-file settings with the flags given on top:
     flag > config file > GfdConfig default."""
     merged = dict(settings)
     merged.update(
         (k, v) for k, v in vars(args).items() if k in config.KEYS and v is not None
     )
-    return GfdConfig(**merged, **fixed)
+    return GfdConfig(**merged)
 
 
 def _pgm_sigma_estimate(g, maxval: int) -> float:
@@ -139,10 +139,10 @@ def _cmd_deblur(args) -> int:
     g, maxval = pgm.read_pgm(args.infile)
     psf = bench.parse_psf_spec(args.psf)
     ref = pgm.read_image(args.ref) if args.ref else None
-    cfg = _gfd_config(args, settings, reference=ref)
+    cfg = _gfd_config(args, settings)
     if cfg.sigma is None:
         cfg = dataclasses.replace(cfg, sigma=_pgm_sigma_estimate(g, maxval))
-    restored, trace = run_gfd(g, psf, cfg)
+    restored, trace = run_gfd(g, psf, cfg, reference=ref)
     pgm.write_image(args.out, restored)
     if args.trace:
         bench.write_trace_csv(args.trace, trace)

@@ -35,9 +35,9 @@ EPS_FLOOR = 1e-6
 
 @dataclass
 class GfdConfig:
-    """Run configuration and the single source of its defaults; None
-    fields are derived at run time.  The run-config keys and deblur
-    flags (config.KEYS) are field names.
+    """The user's settings and the single source of their defaults; None
+    fields are derived at run time.  The fields are exactly the run-config
+    keys and deblur flags (config.KEYS).
 
     gf_w and gf_eps are the window and eps of the main guided filter and
     both gradient filters; gf_eps None means (2 * sigma_hat)^2, floored
@@ -49,8 +49,6 @@ class GfdConfig:
     gf_eps: Optional[float] = None
     tau: float = 0.6
     sigma: Optional[float] = None
-    rho_override: Optional[float] = None
-    reference: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -62,8 +60,6 @@ class GfdConfig:
             raise ValueError(f"tau must be a number, got {self.tau!r}")
         if self.sigma is not None:
             NoiseEstimate(self.sigma)  # the one sigma check
-        if self.rho_override is not None and not 0 < self.rho_override <= 1:
-            raise ValueError(f"rho_override must be in (0, 1], got {self.rho_override!r}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +72,10 @@ class IterationRecord:
     isnr: Optional[float] = None
 
 
-def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
+def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_override=None):
     """Restore g blurred by psf; returns (restored image, list of
-    IterationRecord, one per iteration).
+    IterationRecord, one per iteration).  A reference (the clean image)
+    puts each iterate's ISNR in its record; rho_override fixes every rho.
 
     Iteration k: pick rho and the bound from the current pre-estimate v,
     bisect for lambda, solve for the guidance and input images, then
@@ -93,9 +90,11 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
     g = as_image(g)
     # Inputs are checked before any spectral work.
     check_window_fits(cfg.gf_w, g.shape)
-    ref = None if cfg.reference is None else as_image(cfg.reference)
+    ref = None if reference is None else as_image(reference)
     if ref is not None and ref.shape != g.shape:
         raise DimensionMismatch(f"reference {ref.shape} differs from observation {g.shape}")
+    if rho_override is not None and not 0 < rho_override <= 1:
+        raise ValueError(f"rho_override must be in (0, 1], got {rho_override!r}")
     e = math.frexp(max(g.max(), -g.min()))[1] - 8
     if e:
         g = np.ldexp(g, -e)
@@ -118,8 +117,8 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig):
 
     trace: list[IterationRecord] = []
     for k in range(1, cfg.iterations + 1):
-        if cfg.rho_override is not None:
-            rho = cfg.rho_override
+        if rho_override is not None:
+            rho = rho_override
         else:
             rho = compute_rho(g_terms, v, cfg.tau)
         bound_c = rho * npix * est.variance

@@ -62,7 +62,7 @@ def _abs_sq(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Psf:
-    """Small centered convolution kernel, normalized to unit sum."""
+    """Small centered convolution kernel; Psf(taps) normalizes to unit sum."""
 
     taps: np.ndarray = field()
 
@@ -75,24 +75,10 @@ class Psf:
             raise ValueError(f"PSF dimensions must be odd, got {kh}x{kw}")
         if not np.all(np.isfinite(taps)):
             raise ValueError("PSF taps must be finite")
-        if not np.any(taps):
-            raise ValueError("PSF must have at least one nonzero tap")
-        if abs(taps.sum() - 1.0) > 1e-12:
-            raise ValueError("PSF taps must sum to 1; use Psf.from_taps to normalize")
-        object.__setattr__(self, "taps", taps)
-
-    @classmethod
-    def from_taps(cls, taps) -> "Psf":
-        """Build a PSF from raw weights, normalizing to unit sum."""
-        taps = np.asarray(taps, dtype=np.float64)
         s = taps.sum()
-        if s == 0.0:
-            raise ValueError("PSF taps sum to zero; cannot normalize")
-        return cls(taps / s)
-
-    @classmethod
-    def delta(cls) -> "Psf":
-        return cls(np.ones((1, 1)))
+        if s == 0.0 or not np.isfinite(s):
+            raise ValueError(f"PSF taps sum to {s}; cannot normalize")
+        object.__setattr__(self, "taps", taps / s)
 
     @property
     def shape(self):

@@ -24,6 +24,18 @@ from gfdeblur.spectral import (
 )
 
 
+# PGM headers the reader refuses, each with the message naming the byte
+# offset or the value: a truncated header, no payload byte after it, a
+# zero dimension, and a maxval of 0 or beyond 16 bits.
+BAD_PGM_HEADERS = [
+    (b"P5\n4", "truncated header at byte 4"),
+    (b"P5\n1 1\n255", "missing payload after header at byte 10"),
+    (b"P5\n0 1\n255\n", "bad dimensions 0x1"),
+    (b"P5\n1 1\n0\n\x00", "bad maxval 0"),
+    (b"P5\n1 1\n65536\n\x00\x00", "bad maxval 65536"),
+]
+
+
 def rand_image(seed: int, shape=(16, 16), lo=0.0, hi=255.0) -> np.ndarray:
     gen = np.random.default_rng(seed)
     return gen.uniform(lo, hi, size=shape)

@@ -22,7 +22,7 @@ from gfdeblur.bench import (
     gaussian_field,
     isnr,
     parse_psf_spec,
-    sigma_sq_for_bsnr,
+    rho_sweep,
     write_trace_csv,
 )
 from gfdeblur.guided_filter import GfParams, guidfilter
@@ -60,7 +60,7 @@ def report(criterion: int, text: str) -> None:
 
 def random_psf(seed, size=5):
     gen = np.random.default_rng(seed)
-    return Psf.from_taps(gen.uniform(0.1, 1.0, (size, size)))
+    return Psf(gen.uniform(0.1, 1.0, (size, size)))
 
 
 def gf_oracle(guide, src, w, eps):
@@ -161,7 +161,7 @@ def test_criterion_4_bisection_contract(monkeypatch):
         assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
     g = gen.uniform(0, 255, (16, 16))
     bound = 0.25 * float(np.sum(g * g))
-    plan = SpectralPlan(g, Psf.delta())
+    plan = SpectralPlan(g, Psf([[1.0]]))
     monkeypatch.setattr(regparam, "REL_TOL", 1e-8)
     monkeypatch.setattr(regparam, "MAX_BISECT", 200)
     choice = choose_lambda(plan, plan.spectrum(np.zeros_like(g)), bound)
@@ -248,18 +248,11 @@ def test_criterion_8_isnr_targets():
 def test_criterion_9_adaptive_rho_dominance():
     clean = natural_image(7, 256)
     psf = parse_psf_spec(SCENARIOS[3].psf_spec)  # boxcar 9x9
-    blurred = circ_convolve(clean, psf)
-    sigma = float(np.sqrt(sigma_sq_for_bsnr(blurred, 30.0)))
-    observed = blurred + gaussian_field(clean.shape, sigma, 0)
-
-    def run(rho):
-        cfg = GfdConfig(iterations=30, sigma=sigma, rho_override=rho)
-        out, _ = run_gfd(observed, psf, cfg)
-        return isnr(clean, observed, out)
-
     grid = [round(0.1 * k, 1) for k in range(1, 11)]
-    grid_isnr = {rho: run(rho) for rho in grid}
-    adaptive = run(None)
+    rows = rho_sweep(clean, psf, [30.0], grid, GfdConfig(iterations=30), seed=0)
+    grid_isnr = {row["rho"]: row["isnr_db"] for row in rows if not row["adaptive_flag"]}
+    (adaptive,) = [row["isnr_db"] for row in rows if row["adaptive_flag"]]
+    assert list(grid_isnr) == grid
     best = max(grid_isnr.values())
     assert adaptive >= best - 0.3
     assert adaptive >= grid_isnr[1.0]
@@ -270,8 +263,8 @@ def test_criterion_10_convergence_stabilization(tmp_path):
     clean = natural_image(7, 256)
     for sid in (2, 5):
         pair = degrade(clean, SCENARIOS[sid], seed=1)
-        cfg = GfdConfig(iterations=30, sigma=pair.sigma, reference=clean)
-        _, trace = run_gfd(pair.observed, pair.psf, cfg)
+        cfg = GfdConfig(iterations=30, sigma=pair.sigma)
+        _, trace = run_gfd(pair.observed, pair.psf, cfg, reference=clean)
         isnrs = [rec.isnr for rec in trace]
         assert isnrs[-1] >= max(isnrs) - 0.1
         path = tmp_path / f"trace_scenario{sid}.csv"

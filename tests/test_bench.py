@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import gfdeblur.bench as bench
 from gfdeblur.bench import (
     PRNG_ID,
     REFERENCE_BSNR,
@@ -159,6 +160,19 @@ def test_rho_sweep_rejects_nonfinite_level():
             rho_sweep(clean, psf, [30.0, level], [0.5])
 
 
+def _no_restore(*args, **kwargs):
+    raise AssertionError("restored before the config was checked")
+
+
+def test_rho_sweep_refuses_a_given_sigma(monkeypatch):
+    # Each BSNR level sets its own sigma, so a cfg.sigma would be replaced
+    # unread; it is refused before any restore.
+    monkeypatch.setattr(bench, "run_gfd", _no_restore)
+    psf = parse_psf_spec(SCENARIOS[3].psf_spec)
+    with pytest.raises(ValueError, match="cfg.sigma must be None: sigma is set per BSNR level"):
+        rho_sweep(natural_image(10, 48), psf, [30.0], [0.5], cfg=GfdConfig(sigma=123.0))
+
+
 def test_sigma_sq_for_bsnr_inverts():
     blurred = natural_image(12, 64)
     s2 = sigma_sq_for_bsnr(blurred, 25.0)
@@ -170,6 +184,16 @@ def test_sigma_sq_for_bsnr_inverts():
 
 def test_run_scenarios_empty():
     assert run_scenarios([], [], known_sigma=True) == []
+
+
+@pytest.mark.parametrize("known_sigma", [True, False])
+def test_run_scenarios_refuses_a_given_sigma(monkeypatch, known_sigma):
+    # Each cell's sigma is the scenario's or estimated, so a cfg.sigma
+    # would be replaced unread; it is refused before any restore.
+    monkeypatch.setattr(bench, "run_gfd", _no_restore)
+    with pytest.raises(ValueError, match="cfg.sigma must be None: sigma is set per cell"):
+        run_scenarios([("toy", natural_image(13, 48))], [SCENARIOS[3]],
+                      cfg=GfdConfig(iterations=2, sigma=123.0), known_sigma=known_sigma)
 
 
 def test_run_scenarios_row_content():
@@ -233,7 +257,7 @@ def test_csv_prints_infinity_as_inf(tmp_path):
     g = rand_image(15)
     from gfdeblur.spectral import Psf
 
-    _, trace = run_gfd(g, Psf.delta(), GfdConfig(iterations=2, sigma=200.0))
+    _, trace = run_gfd(g, Psf([[1.0]]), GfdConfig(iterations=2, sigma=200.0))
     # Huge sigma makes the bound enormous: lambda = INFINITY immediately.
     path = tmp_path / "trace.csv"
     write_trace_csv(path, trace)

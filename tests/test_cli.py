@@ -17,7 +17,7 @@ from gfdeblur.pgm import read_image, write_image
 from gfdeblur.regparam import estimate_sigma
 from gfdeblur.spectral import circ_convolve
 
-from conftest import natural_image, rand_int_image
+from conftest import BAD_PGM_HEADERS, natural_image, rand_int_image
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -358,6 +358,21 @@ def test_exit_codes(tmp_path, capsys):
         "--scenarios", ",",
     ]) == 1
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
+    # data error: a PGM whose header is refused, named as the reader names it
+    bad = tmp_path / "bad.pgm"
+    for data, msg in BAD_PGM_HEADERS:
+        bad.write_bytes(data)
+        capsys.readouterr()
+        assert main(["deblur", "--in", str(bad), "--psf", "boxcar:1",
+                     "--out", str(tmp_path / "o.pgm")]) == 2
+        assert msg in capsys.readouterr().err
+    bad.unlink()
+    # data error: an image directory without a .pgm runs nothing
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["run-scenarios", "--images", str(empty), "--out", str(tmp_path / "s.csv")]) == 2
+    assert "no .pgm images found" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
     # data error: a config key that no setting reads is rejected, not ignored
     conf = tmp_path / "run.conf"
     for line in ("seed = 1", "grad_w = 3", "in = g.pgm"):
@@ -447,7 +462,7 @@ def test_config_defaults_match_pipeline_defaults():
 
 def test_config_keys_are_gfd_config_fields():
     # Flags, config keys and the library share one name per setting.
-    assert KEYS <= {f.name for f in dataclasses.fields(GfdConfig)}
+    assert KEYS == {f.name for f in dataclasses.fields(GfdConfig)}
 
 
 def test_config_unknown_key_named():
@@ -484,6 +499,11 @@ def test_config_refused_value_named_with_line(tmp_path, capsys, line, msg):
     assert not out.exists()
 
 
+def test_config_line_without_equals_named():
+    with pytest.raises(ConfigError, match=r"line 2: expected 'key = value', got 'tau 0.6'"):
+        parse_run_config("iterations = 5\ntau 0.6\n")
+
+
 def test_config_malformed_value_line_number():
     with pytest.raises(ConfigError, match="line 3"):
         parse_run_config("iterations = 5\ntau = 0.6\ngf_eps = banana\n")
@@ -494,6 +514,26 @@ def test_config_parses_values_and_paths():
         "iterations = 12\nsigma = 2.5  # known noise\ngf_w = 7\n"
     )
     assert settings == {"iterations": 12, "sigma": 2.5, "gf_w": 7}
+
+
+def test_deblur_estimate_sigma_overrides_config_sigma(tmp_path):
+    # --estimate-sigma drops the config file's sigma: the output is the
+    # run that gives sigma nowhere, byte for byte; without the flag the
+    # file's sigma is used and the output differs.
+    src, conf = tmp_path / "g.pgm", tmp_path / "run.conf"
+    write_image(src, circ_convolve(natural_image(3, 32), parse_psf_spec("boxcar:3")))
+    conf.write_text("sigma = 50\n", encoding="utf-8")
+    deblur = ["deblur", "--in", str(src), "--psf", "boxcar:3", "--iters", "3"]
+    runs = {
+        "flag": ["--config", str(conf), "--estimate-sigma"],
+        "nowhere": [],
+        "file": ["--config", str(conf)],
+    }
+    for name, flags in runs.items():
+        assert main(deblur + flags + ["--out", str(tmp_path / f"{name}.pgm")]) == 0
+    out = {name: (tmp_path / f"{name}.pgm").read_bytes() for name in runs}
+    assert out["flag"] == out["nowhere"]
+    assert out["file"] != out["nowhere"]
 
 
 def test_deblur_with_config_file(tmp_path):

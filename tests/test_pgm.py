@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from gfdeblur.errors import PgmParseError, UnsupportedFormat
 from gfdeblur.pgm import quantize, read_image, write_image
 
-from conftest import rand_image
+from conftest import BAD_PGM_HEADERS, rand_image
 
 
 def test_read_p2_example(tmp_path):
@@ -72,6 +72,14 @@ def test_bad_header_field(tmp_path):
     p = tmp_path / "bad.pgm"
     p.write_bytes(b"P5\nfoo 4\n255\n")
     with pytest.raises(PgmParseError):
+        read_image(p)
+
+
+@pytest.mark.parametrize("data, msg", BAD_PGM_HEADERS)
+def test_bad_header_refused(tmp_path, data, msg):
+    p = tmp_path / "bad.pgm"
+    p.write_bytes(data)
+    with pytest.raises(PgmParseError, match=msg):
         read_image(p)
 
 

@@ -22,14 +22,14 @@ def test_noiseless_identity_degradation():
     # Clean observation, delta blur, known sigma 0: output returns the input.
     g = natural_image(3, 64)
     cfg = GfdConfig(iterations=5, sigma=0.0, gf_w=5, gf_eps=1e-10)
-    out, trace = run_gfd(g, Psf.delta(), cfg)
+    out, trace = run_gfd(g, Psf([[1.0]]), cfg)
     np.testing.assert_allclose(out, g, atol=1e-3)
     assert len(trace) == 5
 
 
 def test_first_iteration_is_pure_tikhonov_solve():
     g = rand_image(0, (32, 32))
-    psf = Psf.from_taps(np.ones((3, 3)))
+    psf = Psf(np.ones((3, 3)))
     cfg = GfdConfig(iterations=1, sigma=3.0)
     _, trace = run_gfd(g, psf, cfg)
     lam = trace[0].lam
@@ -93,8 +93,8 @@ def test_trace_integrity():
 def test_trace_isnr_recorded_with_reference():
     clean = natural_image(6, 64)
     pair = degrade(clean, SCENARIOS[3], seed=3)
-    cfg = GfdConfig(iterations=3, sigma=pair.sigma, reference=clean)
-    out, trace = run_gfd(pair.observed, pair.psf, cfg)
+    cfg = GfdConfig(iterations=3, sigma=pair.sigma)
+    out, trace = run_gfd(pair.observed, pair.psf, cfg, reference=clean)
     assert all(rec.isnr is not None for rec in trace)
     assert trace[-1].isnr == pytest.approx(isnr(clean, pair.observed, out), abs=1e-12)
 
@@ -116,8 +116,8 @@ def test_restoration_improves_snr():
 def test_rho_override_respected():
     clean = natural_image(9, 64)
     pair = degrade(clean, SCENARIOS[3], seed=6)
-    cfg = GfdConfig(iterations=3, sigma=pair.sigma, rho_override=0.5)
-    _, trace = run_gfd(pair.observed, pair.psf, cfg)
+    cfg = GfdConfig(iterations=3, sigma=pair.sigma)
+    _, trace = run_gfd(pair.observed, pair.psf, cfg, rho_override=0.5)
     assert all(rec.rho == 0.5 for rec in trace)
 
 
@@ -125,7 +125,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GfdConfig(iterations=0)
     with pytest.raises(ValueError):
-        GfdConfig(rho_override=1.5)
+        run_gfd(rand_image(0, (8, 8)), Psf([[1.0]]), GfdConfig(), rho_override=1.5)
 
 
 def test_config_rejects_bad_settings():
@@ -145,7 +145,7 @@ def test_config_rejects_bad_settings():
 def test_setting_overflowing_at_observation_scale_rejected():
     # A given sigma or eps is scaled with g, so that max|g| lies in
     # [128, 256); one that overflows there is refused by name.
-    psf = Psf.from_taps(np.ones((3, 3)))
+    psf = Psf(np.ones((3, 3)))
     for g, cfg in (
         (np.ones((16, 16)), GfdConfig(iterations=1, sigma=1.0, gf_eps=1e305)),
         (np.full((16, 16), 2.0 ** -600), GfdConfig(iterations=1, sigma=2.0 ** 500)),
@@ -157,7 +157,7 @@ def test_setting_overflowing_at_observation_scale_rejected():
 def test_nonfinite_observation_rejected():
     g = natural_image(10, 32)
     g[5, 7] = np.nan
-    psf = Psf.from_taps(np.ones((3, 3)))
+    psf = Psf(np.ones((3, 3)))
     for sigma in (2.0, None):
         with pytest.raises(ValueError, match="non-finite"):
             run_gfd(g, psf, GfdConfig(iterations=2, sigma=sigma))
@@ -175,7 +175,7 @@ def test_run_gfd_property(shape, taps, sigma, seed):
     # shape, identically on a second call.
     gen = np.random.default_rng(seed)
     g = gen.uniform(0.0, 255.0, shape)
-    psf = Psf.from_taps(gen.uniform(0.1, 1.0, taps))
+    psf = Psf(gen.uniform(0.1, 1.0, taps))
     cfg = GfdConfig(iterations=3, sigma=sigma)
     out, trace = run_gfd(g, psf, cfg)
     assert out.shape == g.shape and np.all(np.isfinite(out))
@@ -188,7 +188,7 @@ def test_zero_observation_restores():
     # The one observation with no scale restores to zeros; a nonzero one
     # of any scale restores as at scale 1 (the power-of-two tests below).
     g = np.zeros((32, 32))
-    out, trace = run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2))
+    out, trace = run_gfd(g, Psf(np.ones((3, 3))), GfdConfig(iterations=2))
     assert not out.any() and len(trace) == 2
 
 
@@ -254,7 +254,7 @@ def test_window_checked_before_spectral_work(monkeypatch):
     calls = _count_fft_calls(monkeypatch)
     for sigma in (2.0, None):
         with pytest.raises(WindowTooLarge):
-            run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2, sigma=sigma))
+            run_gfd(g, Psf(np.ones((3, 3))), GfdConfig(iterations=2, sigma=sigma))
     assert calls == []
 
 
@@ -264,7 +264,7 @@ def test_mismatched_reference_rejected(monkeypatch):
     calls = _count_fft_calls(monkeypatch)
     for ref in (clean[:1], clean[:, :31]):
         with pytest.raises(DimensionMismatch, match="reference"):
-            run_gfd(clean, Psf.delta(), GfdConfig(iterations=2, sigma=1.0, reference=ref))
+            run_gfd(clean, Psf([[1.0]]), GfdConfig(iterations=2, sigma=1.0), reference=ref)
     assert calls == []
 
 
@@ -386,8 +386,8 @@ def test_subnormal_observation_restores(scenario):
     pair = _metamorphic_pair(scenario)
 
     def final_isnr(scale):
-        cfg = GfdConfig(iterations=8, reference=scale * clean)
-        return run_gfd(scale * pair.observed, pair.psf, cfg)[1][-1].isnr
+        cfg = GfdConfig(iterations=8)
+        return run_gfd(scale * pair.observed, pair.psf, cfg, reference=scale * clean)[1][-1].isnr
 
     assert final_isnr(2.0 ** -1040) == pytest.approx(final_isnr(1.0), abs=1e-9)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gfdeblur.regparam as regparam
 from gfdeblur.bench import SCENARIOS, degrade, gaussian_field
-from gfdeblur.errors import ImageTooSmall
+from gfdeblur.errors import DimensionMismatch, ImageTooSmall
 from gfdeblur.image_core import centered_sq_norm
 from gfdeblur.regparam import (
     NoiseEstimate,
@@ -26,7 +26,7 @@ from conftest import discrepancy, natural_image, rand_image
 
 def random_psf(seed, size=5):
     gen = np.random.default_rng(seed)
-    return Psf.from_taps(gen.uniform(0.1, 1.0, (size, size)))
+    return Psf(gen.uniform(0.1, 1.0, (size, size)))
 
 
 def plan_and_spectrum(g, psf, v):
@@ -70,7 +70,7 @@ def test_estimated_sigma_restore_leaves_numpy_ma_unimported():
         "from gfdeblur.spectral import Psf\n"
         "before = 'numpy.ma' in sys.modules\n"
         "g = np.random.default_rng(0).uniform(0, 255, (32, 32))\n"
-        "run_gfd(g, Psf.from_taps(np.ones((3, 3))), GfdConfig(iterations=2))\n"
+        "run_gfd(g, Psf(np.ones((3, 3))), GfdConfig(iterations=2))\n"
         "print(before, 'numpy.ma' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
@@ -113,6 +113,12 @@ def test_rho_is_one_when_centered_energy_equals_noise_energy():
     sigma = np.sqrt(centered_sq_norm(g) / g.size)
     rho = compute_rho(rho_terms(g, NoiseEstimate(sigma)), rand_image(1), tau=0.6)
     assert rho == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rho_refuses_v_of_another_shape():
+    terms = rho_terms(rand_image(0), NoiseEstimate(1.0))
+    with pytest.raises(DimensionMismatch, match=r"g \(16, 16\) and v \(16, 15\) differ"):
+        compute_rho(terms, rand_image(1, (16, 15)), tau=0.6)
 
 
 def test_rho_zero_v_forces_square_branch():
@@ -178,7 +184,7 @@ def test_square_branch_never_exceeds_linear_branch():
 
 def test_perfect_preestimate_returns_infinity():
     g = rand_image(5)
-    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), g), 1.0)
+    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), g), 1.0)
     assert choice.is_infinite
     assert choice.residual <= 1.0
 
@@ -199,7 +205,7 @@ def test_closed_form_lambda_equals_one(monkeypatch):
     g = rand_image(8)
     z = np.zeros_like(g)
     bound = 0.25 * float(np.sum(g * g))
-    choice = choose_lambda(*plan_and_spectrum(g, Psf.delta(), z), bound)
+    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), z), bound)
     assert choice.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -207,7 +213,7 @@ def test_returned_residual_meets_tolerance():
     g = rand_image(9, (32, 32))
     v = np.zeros_like(g)
     # [-1, 3, -1] has max |H|^2 = 25: the doubling still brackets with no cap.
-    for psf in (random_psf(10), Psf.from_taps([[-1, 3, -1]])):
+    for psf in (random_psf(10), Psf([[-1, 3, -1]])):
         bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
         choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
         assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
@@ -236,7 +242,7 @@ def test_asymptote_within_tolerance_of_bound_returns_infinity():
     # than REL_TOL is met at lambda = inf, by the bisection's own band.
     g = rand_image(14)
     g_sq = float(np.sum(g * g))
-    plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
+    plan, v_hat = plan_and_spectrum(g, Psf([[1.0]]), np.zeros_like(g))
     for bound in (g_sq * (1 - 1e-15), g_sq / (1 + 0.999 * regparam.REL_TOL)):
         choice = choose_lambda(plan, v_hat, bound)
         assert choice.value == INFINITY
@@ -303,7 +309,7 @@ def test_choose_lambda_evaluates_each_lambda_once(monkeypatch):
 
 def test_choose_lambda_rejects_bad_bound():
     g = rand_image(13)
-    plan, v_hat = plan_and_spectrum(g, Psf.delta(), np.zeros_like(g))
+    plan, v_hat = plan_and_spectrum(g, Psf([[1.0]]), np.zeros_like(g))
     for bound in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bound_c"):
             choose_lambda(plan, v_hat, bound)

@@ -28,7 +28,7 @@ from conftest import (
 
 def random_psf(seed: int, size: int = 5) -> Psf:
     gen = np.random.default_rng(seed)
-    return Psf.from_taps(gen.uniform(0.1, 1.0, (size, size)))
+    return Psf(gen.uniform(0.1, 1.0, (size, size)))
 
 
 def spatial_circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
@@ -52,24 +52,35 @@ def spatial_circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
 
 def test_psf_rejects_even_dims():
     with pytest.raises(ValueError):
-        Psf.from_taps(np.ones((2, 3)))
-
-
-def test_psf_rejects_unnormalized_direct_construction():
-    with pytest.raises(ValueError):
-        Psf(np.ones((3, 3)))
+        Psf(np.ones((2, 3)))
 
 
 def test_psf_rejects_zero_sum():
     with pytest.raises(ValueError):
-        Psf.from_taps(np.array([[1.0, 0.0, -1.0]]))
+        Psf(np.array([[1.0, 0.0, -1.0]]))
+
+
+@pytest.mark.parametrize("taps, msg", [
+    ([1.0, 2.0, 1.0], "must be 2-D"),
+    ([[1.0, np.nan, 1.0]], "must be finite"),
+    ([[1.0, np.inf, 1.0]], "must be finite"),
+    ([[1e308, 1e308, 1e308]], "sum to inf"),  # normalized, every tap would read 0
+])
+def test_psf_rejects_bad_taps(taps, msg):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=msg):
+        Psf(taps)
+
+
+def test_psf_normalizes_to_unit_sum():
+    psf = Psf([[1.0, 2.0, 1.0]])
+    np.testing.assert_array_equal(psf.taps, [[0.25, 0.5, 0.25]])
 
 
 # -------------------------------------------------------------- plan.H
 
 
 def test_delta_spectrum_is_all_ones():
-    spec = SpectralPlan(np.zeros((8, 8)), Psf.delta()).H
+    spec = SpectralPlan(np.zeros((8, 8)), Psf([[1.0]])).H
     np.testing.assert_allclose(spec, 1.0, atol=1e-14)
 
 
@@ -79,7 +90,7 @@ def test_dc_gain_is_one():
 
 
 def test_embedding_matches_explicit_wrap():
-    psf = Psf.from_taps(np.ones((3, 3)))
+    psf = Psf(np.ones((3, 3)))
     canvas = np.zeros((8, 8))
     for ky in range(3):
         for kx in range(3):
@@ -98,7 +109,7 @@ def test_kernel_too_large():
 
 def test_convolve_delta_identity():
     img = rand_image(2)
-    np.testing.assert_allclose(circ_convolve(img, Psf.delta()), img, atol=1e-12)
+    np.testing.assert_allclose(circ_convolve(img, Psf([[1.0]])), img, atol=1e-12)
 
 
 def test_convolve_preserves_constant():
@@ -145,7 +156,7 @@ def test_derivative_spectral_equals_direct_differencing():
 def test_solve_guidance_inverse_filter_limit():
     g = rand_image(7)
     z = np.zeros_like(g)
-    out = solve_guidance(SpectralPlan(g, Psf.delta()), divergence(z, z), 1e-12)
+    out = solve_guidance(SpectralPlan(g, Psf([[1.0]])), divergence(z, z), 1e-12)
     np.testing.assert_allclose(out, g, atol=1e-6)
 
 
@@ -168,7 +179,7 @@ def test_solve_guidance_normal_equation_residual():
 
 def test_solve_input_fixed_point():
     g = rand_image(16)
-    plan = SpectralPlan(g, Psf.delta())
+    plan = SpectralPlan(g, Psf([[1.0]]))
     out = solve_input(plan, plan.spectrum(g), 1.0)
     np.testing.assert_allclose(out, g, atol=1e-10)
 
@@ -189,7 +200,7 @@ def test_solve_input_normal_equation_residual():
 def test_solve_rejects_nonpositive_lambda():
     g = rand_image(23)
     z = np.zeros_like(g)
-    plan = SpectralPlan(g, Psf.delta())
+    plan = SpectralPlan(g, Psf([[1.0]]))
     for lam in (0.0, -1.0, INFINITY):
         with pytest.raises(ValueError):
             solve_input(plan, plan.spectrum(z), lam)
@@ -199,7 +210,7 @@ def test_solve_rejects_nonpositive_lambda():
 
 def test_plan_rejects_mismatched_shapes():
     g = rand_image(38)
-    plan = SpectralPlan(g, Psf.delta())
+    plan = SpectralPlan(g, Psf([[1.0]]))
     z, small = np.zeros_like(g), np.zeros((16, 15))
     with pytest.raises(DimensionMismatch):
         plan.spectrum(small)
@@ -261,7 +272,7 @@ def test_solve_guidance_singular_in_a_later_block_leaves_out_untouched(monkeypat
     # of 2 rows.  The check runs block by block, still before out is written.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 2 * 5)
     shape, lam = (12, 8), 1e-20
-    plan = SpectralPlan(rand_image(57, shape), Psf.from_taps(np.ones((3, 1))))
+    plan = SpectralPlan(rand_image(57, shape), Psf(np.ones((3, 1))))
     denom = (plan.Dy_sq + plan.Dx_sq) * lam + (plan.H.real ** 2 + plan.H.imag ** 2)
     assert denom[:4].min() >= 1e-15 > denom[4].min()
     div, out = rand_image(58, shape), np.full(shape, 7.0)
@@ -321,7 +332,7 @@ def test_two_step_inverse_equals_irfft2(shape):
 
 def test_spectrum_into_given_buffer_equals_rfft2():
     img = rand_image(48, (63, 51))
-    plan = SpectralPlan(img, Psf.delta())
+    plan = SpectralPlan(img, Psf([[1.0]]))
     buf = np.empty_like(plan.G)
     assert plan.spectrum(img, buf) is buf
     assert np.array_equal(buf, np.fft.rfft2(img))
@@ -340,7 +351,7 @@ def test_discrepancy_closed_form_flat_spectrum():
     g = rand_image(27)
     z = np.zeros_like(g)
     g_sq = float(np.sum(g * g))
-    curve = plan_discrepancy(g, Psf.delta(), z)
+    curve = plan_discrepancy(g, Psf([[1.0]]), z)
     for lam in (0.5, 1.0, 4.0):
         expected = (lam / (1.0 + lam)) ** 2 * g_sq
         assert curve(lam) == pytest.approx(expected, rel=1e-10)
