@@ -21,6 +21,11 @@ class SingularDenominator(GfdError):
     """A spectral solve hit a near-zero denominator entry."""
 
 
+class UnreachableBound(GfdError):
+    """The discrepancy bound lies below the residual's floor at the
+    frequencies where the PSF's spectrum vanishes."""
+
+
 class ImageTooSmall(GfdError):
     """The image is too small for the requested operation."""
 

@@ -36,6 +36,9 @@ from .errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 # the bisection's tolerance, and the restore loop takes both solves to be v.
 INFINITY = math.inf
 
+# |H|^2, or a guidance solve's denominator, below SINGULAR counts as zero.
+SINGULAR = 1e-15
+
 # Half-plane elements per row block of the per-frequency loops, which
 # form their products and denominators a block at a time rather than as
 # half-plane temporaries.
@@ -238,7 +241,7 @@ def solve_guidance(plan: SpectralPlan, div, lam, spec=None, out=None):
         np.add(plan.Dy_sq[blk], plan.Dx_sq, out=denom)
         denom *= lam
         denom += h_sq
-        if np.min(denom) < 1e-15:
+        if np.min(denom) < SINGULAR:
             raise SingularDenominator("guidance solve denominator vanishes")
         s /= denom
     return _irfft2(spec, plan.shape[1], out)
@@ -294,6 +297,18 @@ def discrepancy_from_terms(a, b, npix: int, lam: float) -> float:
         np.add(a[blk], lam, out=x)
         np.divide(lam, x, out=x)
         np.multiply(x, x, out=x)
+        np.multiply(x, b[blk], out=x)
+        np.add.reduce(x, axis=1, out=row_sums[blk])
+    return float(np.add.reduce(row_sums) / npix)
+
+
+def discrepancy_floor(a, b, npix: int) -> float:
+    """The residual's floor where H vanishes: b summed where a = |H|^2 is
+    below SINGULAR, over npix, for a and b as discrepancy_from_terms
+    takes them.  Its lambda -> 0 limit, a row block at a time."""
+    row_sums = np.empty(a.shape[0])
+    for blk, x in _blocks(a.shape, np.float64):
+        np.less(a[blk], SINGULAR, out=x)
         np.multiply(x, b[blk], out=x)
         np.add.reduce(x, axis=1, out=row_sums[blk])
     return float(np.add.reduce(row_sums) / npix)

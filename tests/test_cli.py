@@ -408,14 +408,20 @@ def test_exit_codes(tmp_path, capsys):
         assert main(evaluate + ["--sigma", sigma]) == 2
         out, err = capsys.readouterr()
         assert msg in err and not out
-    # numerical failure: a 15x15 boxcar on a 15x15 canvas zeroes every
-    # nonzero frequency of H, and the guidance solve's denominator vanishes
+    # data error: a PSF whose zeros hold the residual above the bound, a
+    # 15x15 boxcar on a 15x15 canvas (H vanishes at every nonzero
+    # frequency) and a 3x3 one (at k/15 = 1/3); both exited 3 when the
+    # guidance solve's denominator vanished after the search
     canvas = tmp_path / "canvas.pgm"
     write_image(canvas, rand_int_image(8, (15, 15)))
-    assert main([
-        "deblur", "--in", str(canvas), "--psf", "boxcar:15", "--out", str(tmp_path / "c.pgm"),
-        "--sigma", "1", "--iters", "2",
-    ]) == 3
+    for psf in ("boxcar:15", "boxcar:3"):
+        capsys.readouterr()
+        assert main([
+            "deblur", "--in", str(canvas), "--psf", psf, "--out", str(tmp_path / "c.pgm"),
+            "--sigma", "1", "--iters", "2",
+        ]) == 2
+        assert "lies below the residual's floor" in capsys.readouterr().err
+    assert not (tmp_path / "c.pgm").exists()
     # numerical failure: a constant observation has no BSNR
     flat = tmp_path / "flat.pgm"
     write_image(flat, np.full((16, 16), 7.0))

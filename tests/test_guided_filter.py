@@ -50,38 +50,77 @@ def test_matches_unfused_reference_bit_exact():
     # order whole-image passes do.  (200, 700) and (600, 900) run in
     # several strips of unequal height, so strip edges fall mid-image and
     # take real neighbouring rows.  A (5, 70000) padded row is wider than
-    # STRIP_BYTES, so every strip is one row and each strip's halo
-    # reaches the mirror rows at both the top and the bottom.  (131, 96)
-    # is one strip.
+    # STRIP_BYTES, so each strip would be one row, under the 2r-row floor:
+    # one strip takes the whole image, and its halo reaches the mirror
+    # rows at both the top and the bottom.  (20, 40000) at w = 5 and
+    # (17, 33000) at w = 3 run in strips of 2r or 2r + 1 rows, the floor,
+    # so the 2r output rows each strip holds back are all of it but at
+    # most one row.  (131, 96) is one strip.  Each runs with out=None,
+    # over src, over the guide, and self-guided over the guide.
     assert 70000 * 8 > STRIP_BYTES and 200 * 700 * 8 > 2 * STRIP_BYTES
-    for k, shape in enumerate(((200, 700), (600, 900), (5, 70000), (131, 96))):
+    cells = [(shape, w) for shape in ((200, 700), (600, 900), (5, 70000), (131, 96))
+             for w in (1, 3, 5, 7, 9) if w <= min(shape)]
+    for k, (shape, w) in enumerate(cells + [((20, 40000), 5), ((17, 33000), 3)]):
         guide = rand_image(20 + k, shape)
         src = rand_image(30 + k, shape)
-        for w in (1, 3, 5, 7, 9):
-            if w > min(shape):
-                continue
-            p = GfParams(w, 40.0)
-            np.testing.assert_array_equal(
-                guidfilter(guide, src, p), guidfilter_unfused(guide, src, p), err_msg=f"{shape} {w}"
-            )
-            np.testing.assert_array_equal(
-                guidfilter(guide, guide, p), guidfilter_unfused(guide, guide, p),
-                err_msg=f"{shape} {w} self-guided",
-            )
+        p = GfParams(w, 40.0)
+        ref = guidfilter_unfused(guide, src, p)
+        ref_self = guidfilter_unfused(guide, guide, p)
+        np.testing.assert_array_equal(guidfilter(guide, src, p), ref, err_msg=f"{shape} {w}")
+        np.testing.assert_array_equal(guidfilter(guide, guide, p), ref_self,
+                                      err_msg=f"{shape} {w} self-guided")
+        for name in ("src", "guide", "self-guided"):
+            g, s = guide.copy(), src.copy()
+            if name == "self-guided":
+                s = g
+            out = s if name == "src" else g
+            assert guidfilter(g, s, p, out=out) is out
+            np.testing.assert_array_equal(out, ref_self if name == "self-guided" else ref,
+                                          err_msg=f"{shape} {w} out={name}")
+
+
+def test_strips_at_least_2r_rows():
+    # Each strip holds back 2r output rows, so none but an only strip is
+    # shorter than 2r.
+    for shape, w in (((20, 40000), 5), ((17, 33000), 3), ((5, 70000), 5), ((7, 20000), 7),
+                     ((600, 900), 9), ((9, 9), 9)):
+        strips = guided_filter._Strips(shape, w, False)
+        heights = [i1 - i0 for i0, i1 in strips.strips()]
+        assert sum(heights) == shape[0]
+        assert len(heights) == 1 or min(heights) >= w - 1, (shape, w, heights)
+
+
+def test_out_refused():
+    guide, src = rand_image(40, (12, 12)), rand_image(41, (12, 12))
+    p = GfParams(3, 0.1)
+    with pytest.raises(DimensionMismatch):
+        guidfilter(guide, src, p, out=np.empty((12, 13)))
+    with pytest.raises(ValueError, match="float64"):
+        guidfilter(guide, src, p, out=np.empty((12, 12), np.float32))
+    # A view sharing the images' memory is neither of them: refused
+    # before any row is written.
+    big = np.concatenate([src, src[:1]])
+    before = big.copy()
+    with pytest.raises(ValueError, match="share no memory"):
+        guidfilter(guide, big[:12], p, out=big[1:])
+    np.testing.assert_array_equal(big, before)
 
 
 def test_peak_memory_near_output():
-    # Strips keep every temporary small: the output is the only
-    # image-sized array (whole-image passes peak near 7x).
+    # Strips keep every temporary small: over src, the filter makes no
+    # image-sized array (0.31 images of strip buffers here), and with a
+    # new output that is the only one (1.31; whole-image passes peak near
+    # 7x).
     guide = rand_image(8, (1024, 1024))
     src = rand_image(9, (1024, 1024))
-    tracemalloc.start()
-    try:
-        out = guidfilter(guide, src, GfParams(5, 0.04))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * out.nbytes, peak / out.nbytes
+    for out in (src, None):
+        tracemalloc.start()
+        try:
+            res = guidfilter(guide, src, GfParams(5, 0.04), out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (0.4 if out is src else 1.35) * res.nbytes, peak / res.nbytes
 
 
 def test_self_guidance_identity_limit():
@@ -176,8 +215,9 @@ def test_smooth_gradients_matches_uncentred_composition_bit_exact(monkeypatch, s
     # The strip pass from v to the divergence adds every pixel's terms in
     # the order of whole-image differences, filters and divergence.
     # (20, 17) is one strip, (300, 700) several of unequal height, and a
-    # one-byte STRIP_BYTES makes every strip one row, whose halo reaches
-    # the mirror rows at the top and the bottom and whose y term needs
+    # one-byte STRIP_BYTES makes the shortest strips there are: one row
+    # at w = 1, 2r rows (the floor) at w = 3 and 5.  Their halos reach
+    # the mirror rows at the top and the bottom, and each y term needs
     # the row above from the strip before.
     if one_row_strips:
         monkeypatch.setattr(guided_filter, "STRIP_BYTES", 1)

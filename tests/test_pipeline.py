@@ -11,11 +11,11 @@ import gfdeblur.pipeline as pipeline
 import gfdeblur.spectral as spectral
 
 from gfdeblur.bench import SCENARIOS, degrade, isnr, rho_sweep
-from gfdeblur.errors import DimensionMismatch, WindowTooLarge
+from gfdeblur.errors import DimensionMismatch, UnreachableBound, WindowTooLarge
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, solve_input
 
-from conftest import STAGES, natural_image, psf_spectrum, rand_image, stage_peaks
+from conftest import STAGES, natural_image, psf_spectrum, rand_image, rand_int_image, stage_peaks
 
 
 def test_noiseless_identity_degradation():
@@ -195,21 +195,25 @@ def test_zero_observation_restores():
 def test_restore_peak_memory():
     # The plan holds two half-planes (H and F(g)), the solves work in
     # F(v)'s, v's and the divergence's buffers, the lambda search keeps
-    # |H|^2 in v's, the transforms make no image-sized working copy, and
-    # the gradient smoothing goes from v to the divergence in one strip
-    # pass: the peak, in the main filter, reads 6.33 images here; 7.02
-    # with |H|^2 in the plan and a half-plane per residual evaluation,
-    # 7.56 with whole gradient images.  The bound leaves 0.17 images.
-    pair = degrade(natural_image(7, 512), SCENARIOS[5], seed=0)
-    cfg = GfdConfig(iterations=3, sigma=pair.sigma)
-    tracemalloc.start()
-    try:
-        _, trace = run_gfd(pair.observed, pair.psf, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert math.isfinite(trace[0].lam)  # the solves ran
-    assert peak / (512 * 512 * 8) < 6.5
+    # |H|^2 in v's, the transforms make no image-sized working copy, the
+    # gradient smoothing goes from v to the divergence in one strip pass,
+    # and the main filter writes over u_p.  At 512^2 the peak, in the
+    # lambda search, reads 6.05 images here; 6.33 in the main filter with
+    # a new output and 10 strip buffers, 7.02 with |H|^2 in the plan and
+    # a half-plane per residual evaluation.  At 256^2, where the strip
+    # buffers are larger against the image, it reads 7.32; 9.01 with a
+    # new output and 10 strip buffers.
+    for size, bound in ((512, 6.2), (256, 7.7)):
+        pair = degrade(natural_image(7, size), SCENARIOS[5], seed=0)
+        cfg = GfdConfig(iterations=3, sigma=pair.sigma)
+        tracemalloc.start()
+        try:
+            _, trace = run_gfd(pair.observed, pair.psf, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(trace[0].lam)  # the solves ran
+        assert peak / (size * size * 8) < bound, size
 
 
 def test_stage_peak_memory():
@@ -218,14 +222,29 @@ def test_stage_peak_memory():
     # the solves, F(v) (5 images), plus the stage's own arrays.  Readings
     # here, and in brackets with |H|^2 in the plan and whole-plane
     # denominators and residuals: lambda search 6.05 (7.02), solves 5.83
-    # and 5.86 (6.09 and 6.52), main filter 6.33 (6.83).  Each bound
-    # leaves about 0.15 images.
+    # and 5.86 (6.09 and 6.52).  The main filter, over u_p, reads 5.10;
+    # 6.33 with a new output and 10 strip buffers.  Each bound leaves
+    # about 0.15 images.
     pair = degrade(natural_image(7, 512), SCENARIOS[5], seed=0)
     peaks = stage_peaks(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
     assert peaks["choose_lambda"] < 6.2
     assert peaks["solve_input"] < 6.0 and peaks["solve_guidance"] < 6.0
-    assert peaks["guidfilter"] < 6.5
+    assert peaks["guidfilter"] < 5.3
     assert peaks["run_gfd"] == max(peaks[name] for name in STAGES)
+
+
+def test_psf_zeros_above_the_bound_refused():
+    # A 3-tap boxcar zeroes H at k/15 = 1/3.  On a 15x15 image the
+    # residual cannot fall below b's sum there, about 2.9e5 against a
+    # bound of about 125: refused before any search, where the search
+    # ran its 60 steps and the guidance solve raised SingularDenominator.
+    # At 16x16 H has no zero and the same restore runs.
+    psf = Psf(np.ones((3, 3)))
+    cfg = GfdConfig(iterations=2, sigma=1.0)
+    with pytest.raises(UnreachableBound, match="floor .* at the 29 frequencies"):
+        run_gfd(rand_int_image(5, (15, 15)), psf, cfg)
+    out, trace = run_gfd(rand_int_image(5, (16, 16)), psf, cfg)
+    assert np.all(np.isfinite(out)) and all(math.isfinite(t.lam) for t in trace)
 
 
 FFT_NAMES = [n for n in np.fft.__all__ if n.endswith(("fft", "fft2", "fftn"))]
