@@ -166,16 +166,16 @@ def _fill(p: np.ndarray, fill, lo: int, hi: int, top: int, r: int) -> np.ndarray
     return p
 
 
-def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams,
-               out=None) -> np.ndarray:
-    """Filter src steered by guide, into out (a new image if None) and
-    return it.  out is a float64 image of the guide's shape; it may be
-    guide or src themselves, but no other array that shares their memory.
+def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarray:
+    """Filter src steered by guide, writing the result over src, and
+    return src.  src is a float64 image that shares no memory with the
+    guide unless it is the guide: a self-guided call (src is guide)
+    overwrites the guide.
 
     Per window: a = cov(guide, src) / (var(guide) + eps), b = mean(src)
     - a * mean(guide); the output at each pixel uses the window averages
-    of a and b.  A self-guided call (src is guide) reuses the guide's
-    window statistics for src.
+    of a and b.  A self-guided call reuses the guide's window statistics
+    for src.
 
     The filter commutes with adding a constant to either image, so both
     are centred on their global means first: the window moments
@@ -183,24 +183,18 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams,
     image, and var(guide) is clamped at 0 against what remains.
 
     The output is computed one horizontal strip of rows at a time (see
-    _Strips), so out is the only image-sized array.  A strip reads the
-    images from 2r rows above its first, so its last 2r output rows wait
-    in a small buffer until the next strip has read them.  Every pixel
-    gets the same additions in the same order as whole-image passes, so
-    the result does not depend on the strip height.
+    _Strips), so the filter makes no image-sized array.  A strip reads
+    the images from 2r rows above its first, so its last 2r output rows
+    wait in a small buffer until the next strip has read them.  Every
+    pixel gets the same additions in the same order as whole-image
+    passes, so the result does not depend on the strip height.
     """
     if guide.shape != src.shape:
         raise DimensionMismatch(
             f"guide {guide.shape} and input {src.shape} differ"
         )
-    if out is not None:
-        if out.shape != guide.shape:
-            raise DimensionMismatch(f"out {out.shape} differs from guide {guide.shape}")
-        if out.dtype != np.float64:
-            raise ValueError(f"out must be float64, got {out.dtype}")
-        if out is not guide and out is not src and (
-                np.may_share_memory(out, guide) or np.may_share_memory(out, src)):
-            raise ValueError("out may be guide or src, or share no memory with either")
+    if src.dtype != np.float64:
+        raise ValueError(f"src must be float64, got {src.dtype}")
     check_window_fits(params.win, guide.shape)
     self_guided = src is guide
     guide_mean = guide.mean()
@@ -215,16 +209,14 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams,
     strips = _Strips(guide.shape, params.win, self_guided)
     k = 2 * strips.r
     held = np.empty((k, guide.shape[1]))  # a strip's last k output rows
-    if out is None:  # after the strip buffers (see _Strips)
-        out = np.empty(guide.shape)
     for i0, i1 in strips.strips():
         o = strips.filter(i0, i1, fill_guide, None if self_guided else fill_src, params.eps)
         if i0:  # this strip has read the held rows' inputs
-            out[i0 - k : i0] = held
-        np.add(o[: i1 - i0 - k], src_mean, out=out[i0 : i1 - k])
+            src[i0 - k : i0] = held
+        np.add(o[: i1 - i0 - k], src_mean, out=src[i0 : i1 - k])
         np.add(o[i1 - i0 - k :], src_mean, out=held)
-    out[len(out) - k :] = held
-    return out
+    src[len(src) - k :] = held
+    return src
 
 
 def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:

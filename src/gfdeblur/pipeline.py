@@ -137,7 +137,7 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
             u_i = solve_guidance(plan, div, lam, spec=v_hat, out=div)
         del v_hat, v, div  # each image-sized array is dropped once no later step reads it
 
-        v = guidfilter(u_i, u_p, gf, out=u_p)
+        v = guidfilter(u_i, u_p, gf)  # over u_p, which no later step reads
         del u_i, u_p
         div = smooth_gradients(v, gf)
 

@@ -18,7 +18,6 @@ from .spectral import (
     INFINITY,
     SINGULAR,
     SpectralPlan,
-    discrepancy_floor,
     discrepancy_from_terms,
     discrepancy_terms,
 )
@@ -154,12 +153,15 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
     lambda's residual is computed once.  The doubling needs no cap: with
     A = max |H|^2 the residual is at least asymptote * (1 - 2 A / lambda),
     so it passes the bound by lambda = 2 A (1 + REL_TOL) / REL_TOL.
-    Where H vanishes (|H|^2 below spectral.SINGULAR), a term keeps about
-    its full b unless lambda is as small as |H|^2 there, too small for
-    the guidance solve; so those b, summed over npix, are a floor.  A
-    floor more than REL_TOL above the bound raises UnreachableBound
-    before any search.  A bound_c that is negative or not finite (an
-    overflowed rho or sigma) raises ValueError.
+    Where H vanishes, a term keeps about its full b down to lambda near
+    |H|^2 there.  A search that spends MAX_BISECT halvings without
+    meeting the bound, while b summed over npix where |H|^2 is below
+    spectral.SINGULAR is more than REL_TOL above the bound, raises
+    UnreachableBound: the residual stayed above the bound down to lambda
+    near 2^-MAX_BISECT, where the guidance solve's denominator is about
+    |H|^2, below SINGULAR, at those frequencies.  A bound_c that is
+    negative or not finite (an overflowed rho or sigma) raises
+    ValueError.
 
     A finite search writes |H|^2 over the front of work, a C-contiguous
     float64 image of the plan's shape (a new array if None); run_gfd
@@ -174,13 +176,6 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
     if entry <= bound_c * (1 + REL_TOL):
         return LambdaChoice(value=INFINITY, residual=entry, iterations=0)
     a = plan.H_sq(work)
-    floor = discrepancy_floor(a, b, npix)
-    if floor > bound_c * (1 + REL_TOL):
-        n_zeros = np.count_nonzero(a < SINGULAR)
-        raise UnreachableBound(
-            f"discrepancy bound {bound_c:.6g} lies below the residual's floor {floor:.6g} "
-            f"at the {n_zeros} frequencies where the PSF's spectrum vanishes"
-        )
 
     # The bisection starts at the bracket's last lambda, hi, and its
     # first midpoint is the one before, hi / 2: each residual is cached.
@@ -201,4 +196,12 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
             lo = mid
         else:
             hi = mid
+    if abs(res - bound_c) > REL_TOL * bound_c:
+        zeros = a < SINGULAR
+        floor = float(np.sum(b[zeros]) / npix)
+        if floor > bound_c * (1 + REL_TOL):
+            raise UnreachableBound(
+                f"discrepancy bound {bound_c:.6g} lies below the residual's floor {floor:.6g} "
+                f"at the {np.count_nonzero(zeros)} frequencies where the PSF's spectrum vanishes"
+            )
     return LambdaChoice(value=mid, residual=res, iterations=steps)

@@ -301,14 +301,3 @@ def discrepancy_from_terms(a, b, npix: int, lam: float) -> float:
         np.add.reduce(x, axis=1, out=row_sums[blk])
     return float(np.add.reduce(row_sums) / npix)
 
-
-def discrepancy_floor(a, b, npix: int) -> float:
-    """The residual's floor where H vanishes: b summed where a = |H|^2 is
-    below SINGULAR, over npix, for a and b as discrepancy_from_terms
-    takes them.  Its lambda -> 0 limit, a row block at a time."""
-    row_sums = np.empty(a.shape[0])
-    for blk, x in _blocks(a.shape, np.float64):
-        np.less(a[blk], SINGULAR, out=x)
-        np.multiply(x, b[blk], out=x)
-        np.add.reduce(x, axis=1, out=row_sums[blk])
-    return float(np.add.reduce(row_sums) / npix)

@@ -94,7 +94,7 @@ def test_criterion_1_guided_filter_oracle_equivalence():
         src = gen.uniform(0, 255, (16, 16))
         for w in (3, 5, 7):
             for eps in (0.01, 0.04, 1.0):
-                fast = guidfilter(guide, src, GfParams(w, eps))
+                fast = guidfilter(guide, src.copy(), GfParams(w, eps))
                 ref = gf_oracle(guide, src, w, eps)
                 worst = max(worst, float(np.max(np.abs(fast - ref))))
     assert worst <= 1e-8

@@ -55,8 +55,9 @@ def test_matches_unfused_reference_bit_exact():
     # rows at both the top and the bottom.  (20, 40000) at w = 5 and
     # (17, 33000) at w = 3 run in strips of 2r or 2r + 1 rows, the floor,
     # so the 2r output rows each strip holds back are all of it but at
-    # most one row.  (131, 96) is one strip.  Each runs with out=None,
-    # over src, over the guide, and self-guided over the guide.
+    # most one row.  (131, 96) is one strip.  Each runs guided by another
+    # image, which it leaves as it was, and self-guided; both write over
+    # src.
     assert 70000 * 8 > STRIP_BYTES and 200 * 700 * 8 > 2 * STRIP_BYTES
     cells = [(shape, w) for shape in ((200, 700), (600, 900), (5, 70000), (131, 96))
              for w in (1, 3, 5, 7, 9) if w <= min(shape)]
@@ -66,17 +67,12 @@ def test_matches_unfused_reference_bit_exact():
         p = GfParams(w, 40.0)
         ref = guidfilter_unfused(guide, src, p)
         ref_self = guidfilter_unfused(guide, guide, p)
-        np.testing.assert_array_equal(guidfilter(guide, src, p), ref, err_msg=f"{shape} {w}")
-        np.testing.assert_array_equal(guidfilter(guide, guide, p), ref_self,
-                                      err_msg=f"{shape} {w} self-guided")
-        for name in ("src", "guide", "self-guided"):
-            g, s = guide.copy(), src.copy()
-            if name == "self-guided":
-                s = g
-            out = s if name == "src" else g
-            assert guidfilter(g, s, p, out=out) is out
-            np.testing.assert_array_equal(out, ref_self if name == "self-guided" else ref,
-                                          err_msg=f"{shape} {w} out={name}")
+        g = guide.copy()
+        assert guidfilter(g, src, p) is src
+        np.testing.assert_array_equal(src, ref, err_msg=f"{shape} {w}")
+        np.testing.assert_array_equal(g, guide, err_msg=f"{shape} {w} guide")
+        assert guidfilter(g, g, p) is g
+        np.testing.assert_array_equal(g, ref_self, err_msg=f"{shape} {w} self-guided")
 
 
 def test_strips_at_least_2r_rows():
@@ -90,43 +86,32 @@ def test_strips_at_least_2r_rows():
         assert len(heights) == 1 or min(heights) >= w - 1, (shape, w, heights)
 
 
-def test_out_refused():
-    guide, src = rand_image(40, (12, 12)), rand_image(41, (12, 12))
-    p = GfParams(3, 0.1)
-    with pytest.raises(DimensionMismatch):
-        guidfilter(guide, src, p, out=np.empty((12, 13)))
+def test_src_must_be_float64():
+    guide = rand_image(40, (12, 12))
     with pytest.raises(ValueError, match="float64"):
-        guidfilter(guide, src, p, out=np.empty((12, 12), np.float32))
-    # A view sharing the images' memory is neither of them: refused
-    # before any row is written.
-    big = np.concatenate([src, src[:1]])
-    before = big.copy()
-    with pytest.raises(ValueError, match="share no memory"):
-        guidfilter(guide, big[:12], p, out=big[1:])
-    np.testing.assert_array_equal(big, before)
+        guidfilter(guide, guide.astype(np.float32), GfParams(3, 0.1))
 
 
 def test_peak_memory_near_output():
-    # Strips keep every temporary small: over src, the filter makes no
-    # image-sized array (0.31 images of strip buffers here), and with a
-    # new output that is the only one (1.31; whole-image passes peak near
-    # 7x).
+    # Strips keep every temporary small: written over src, the filter
+    # makes no image-sized array (0.31 images of strip buffers here;
+    # whole-image passes peak near 7x).
     guide = rand_image(8, (1024, 1024))
     src = rand_image(9, (1024, 1024))
-    for out in (src, None):
-        tracemalloc.start()
-        try:
-            res = guidfilter(guide, src, GfParams(5, 0.04), out=out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (0.4 if out is src else 1.35) * res.nbytes, peak / res.nbytes
+    tracemalloc.start()
+    try:
+        guidfilter(guide, src, GfParams(5, 0.04))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.4 * src.nbytes, peak / src.nbytes
 
 
 def test_self_guidance_identity_limit():
     # eps -> 0+ with non-constant windows: a -> 1, b -> 0, output -> input.
     x = rand_image(10)
-    out = guidfilter(x, x, GfParams(5, 1e-10))
+    out = x.copy()
+    guidfilter(out, out, GfParams(5, 1e-10))
     np.testing.assert_allclose(out, x, atol=1e-6)
 
 
@@ -140,7 +125,7 @@ def test_constant_input_fixed_point():
 def test_matches_bruteforce_oracle():
     guide = rand_image(12)
     src = rand_image(13)
-    out = guidfilter(guide, src, GfParams(5, 0.04))
+    out = guidfilter(guide, src.copy(), GfParams(5, 0.04))
     ref = guidfilter_bruteforce(guide, src, 5, 0.04)
     np.testing.assert_allclose(out, ref, atol=1e-8)
 
@@ -239,7 +224,8 @@ def test_large_near_constant_input_is_smoothed():
     # clamping the variance alone leaves a 1.6e-3 error.
     x = 128.0 + 1e-3 * np.random.default_rng(0).standard_normal((2048, 2048))
     p = GfParams(5, 1e-6)
-    out = guidfilter(x, x, p)
-    assert out.std() < x.std()
     y = x - 128.0
+    out = x.copy()
+    guidfilter(out, out, p)
+    assert out.std() < x.std()
     np.testing.assert_allclose(out, guidfilter(y, y, p) + 128.0, rtol=0, atol=1e-9)

@@ -236,8 +236,8 @@ def test_stage_peak_memory():
 def test_psf_zeros_above_the_bound_refused():
     # A 3-tap boxcar zeroes H at k/15 = 1/3.  On a 15x15 image the
     # residual cannot fall below b's sum there, about 2.9e5 against a
-    # bound of about 125: refused before any search, where the search
-    # ran its 60 steps and the guidance solve raised SingularDenominator.
+    # bound of about 125.  The search spends its 60 steps above the bound
+    # and is refused, where the guidance solve raised SingularDenominator.
     # At 16x16 H has no zero and the same restore runs.
     psf = Psf(np.ones((3, 3)))
     cfg = GfdConfig(iterations=2, sigma=1.0)

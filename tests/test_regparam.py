@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfdeblur.regparam as regparam
-from gfdeblur.bench import SCENARIOS, degrade, gaussian_field
+from gfdeblur.bench import SCENARIOS, degrade, gaussian_field, parse_psf_spec
 from gfdeblur.errors import DimensionMismatch, ImageTooSmall
 from gfdeblur.image_core import centered_sq_norm
 from gfdeblur.regparam import (
@@ -19,7 +19,15 @@ from gfdeblur.regparam import (
     estimate_sigma,
     rho_terms,
 )
-from gfdeblur.spectral import INFINITY, Psf, SpectralPlan, circ_convolve
+from gfdeblur.spectral import (
+    INFINITY,
+    SINGULAR,
+    Psf,
+    SpectralPlan,
+    circ_convolve,
+    discrepancy_terms,
+    solve_guidance,
+)
 
 from conftest import discrepancy, natural_image, rand_image
 
@@ -218,6 +226,23 @@ def test_returned_residual_meets_tolerance():
         choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
         assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
         assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
+
+
+def test_bound_below_b_where_H_is_tiny_is_met_when_reachable():
+    # A 25x25 Gaussian of std 1.6 puts |H|^2 below SINGULAR at 144 of a
+    # 64x64 half-plane's frequencies, from 1e-15 down to 2e-21, so b
+    # summed there is no floor: a bound 0.9 times that sum is met, near
+    # lambda = 1.4e-15, and the guidance solve takes that lambda.  Only
+    # a search that ends above the bound is refused.
+    g, v = rand_image(1, (64, 64)), rand_image(2, (64, 64))
+    plan, v_hat = plan_and_spectrum(g, parse_psf_spec("gaussian:25:1.6"), v)
+    a, b = plan.H_sq(), discrepancy_terms(plan, v_hat)
+    zeros = a < SINGULAR
+    assert np.count_nonzero(zeros) == 144
+    bound = 0.9 * float(np.sum(b[zeros]) / plan.npix)
+    choice = choose_lambda(plan, v_hat, bound)
+    assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
+    assert np.all(np.isfinite(solve_guidance(plan, rand_image(3, (64, 64)), choice.value)))
 
 
 def test_lambda_unique_up_to_tolerance(monkeypatch):

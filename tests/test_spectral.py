@@ -8,7 +8,6 @@ from gfdeblur.spectral import (
     Psf,
     SpectralPlan,
     circ_convolve,
-    discrepancy_floor,
     discrepancy_from_terms,
     discrepancy_terms,
     solve_guidance,
@@ -393,24 +392,6 @@ def test_discrepancy_by_row_blocks_equals_whole_plane(monkeypatch):
             x = lam / (a + lam)
             row_sums = np.sum(x * x * b, axis=1)
             assert discrepancy_from_terms(a, b, npix, lam) == float(np.sum(row_sums) / npix)
-
-
-def test_discrepancy_floor_sums_b_where_H_vanishes(monkeypatch):
-    # A 3x3 boxcar zeroes H at k/63 = 1/3, 2/3 down the rows and k/51 =
-    # 1/3 along the half-plane's columns: 2 * 26 + 63 - 2 = 113 zeros.  A
-    # delta PSF has none, and its floor is 0.
-    g, v = rand_image(52, (63, 51)), rand_image(53, (63, 51))
-    for psf, zeros in ((Psf(np.ones((3, 3))), 113), (Psf([[1.0]]), 0)):
-        plan = SpectralPlan(g, psf)
-        a = plan.H_sq()
-        b = discrepancy_terms(plan, plan.spectrum(v))
-        assert np.count_nonzero(a < spectral.SINGULAR) == zeros
-        want = np.sum(b[a < spectral.SINGULAR]) / plan.npix
-        for rows in (1, 5, 63):
-            monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
-            floor = discrepancy_floor(a, b, plan.npix)
-            assert floor == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert (floor > 0) == (zeros > 0)
 
 
 def test_discrepancy_monotone_in_lambda():
