@@ -99,7 +99,10 @@ def parse_psf_spec(spec: str) -> Psf:
         return Psf(boxcar_kernel(int(rest)))
     if kind == "gaussian":
         size_s, _, std_s = rest.partition(":")
-        return Psf(gaussian_kernel(int(size_s), float(std_s)))
+        size, std = int(size_s), float(std_s)
+        if size < 1 or size % 2 == 0 or not 0 < std < np.inf:
+            raise ValueError(f"bad PSF spec {spec!r}: needs an odd SIZE >= 1, a finite STD > 0")
+        return Psf(gaussian_kernel(size, std))
     if kind == "rational":
         return Psf(rational_kernel(int(rest)))
     if kind == "binomial5":

@@ -174,13 +174,17 @@ def _cmd_degrade(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    est = NoiseEstimate(args.sigma) if args.sigma is not None else None  # checked before any output
+    # sigma is checked as bsnr checks it, and every number computed, before any output.
+    sigma_sq = None if args.sigma is None else NoiseEstimate(args.sigma).variance
+    if sigma_sq == 0.0:
+        raise ValueError(f"sigma_sq must be finite and positive, got {sigma_sq!r}")
     clean = pgm.read_image(args.clean)
     observed = pgm.read_image(args.observed)
     restored = pgm.read_image(args.restored)
-    print(f"isnr_db={bench.isnr(clean, observed, restored):.6g}")
-    if est is not None:
-        print(f"bsnr_db={bench.bsnr(observed, est.variance):.6g}")
+    lines = [f"isnr_db={bench.isnr(clean, observed, restored):.6g}"]
+    if sigma_sq is not None:
+        lines.append(f"bsnr_db={bench.bsnr(observed, sigma_sq):.6g}")
+    print("\n".join(lines))
     return 0
 
 

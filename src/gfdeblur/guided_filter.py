@@ -219,20 +219,24 @@ def guidfilter(guide: np.ndarray, src: np.ndarray, params: GfParams) -> np.ndarr
     return src
 
 
-def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:
+def smooth_gradients(v: np.ndarray, params: GfParams, div: np.ndarray) -> np.ndarray:
     """Self-guided filtering of the forward-difference derivatives of v,
-    returned as the divergence of the two filtered derivatives: the only
-    form in which the guidance solve takes them.
+    written over div, a float64 image of v's shape apart from v, and
+    returned there as their divergence: the form the guidance solve takes.
 
     One strip loop goes from v to the divergence, so the stage makes no
-    image-sized array but the divergence.  Each strip writes v's
-    circular forward differences straight into its padded blocks,
-    filters them as guidfilter does and writes its divergence rows,
-    Dx^T gx + Dy^T gy, each pixel added in the order
+    image-sized array.  Each strip writes v's circular forward
+    differences straight into its padded blocks, filters them as
+    guidfilter does and writes its divergence rows, Dx^T gx + Dy^T gy,
+    each pixel added in the order
     ((gx[i, j-1] - gx[i, j]) + gy[i-1, j]) - gy[i, j].  The differences
     are not centred: their means are 0 up to rounding.  Row 0's y term
     waits for the last strip.
     """
+    if div.shape != v.shape:
+        raise DimensionMismatch(f"image {v.shape} and divergence {div.shape} differ")
+    if div.dtype != np.float64:
+        raise ValueError(f"div must be float64, got {div.dtype}")
     check_window_fits(params.win, v.shape)
     h, wd = v.shape
     eps = params.eps
@@ -247,10 +251,6 @@ def smooth_gradients(v: np.ndarray, params: GfParams) -> np.ndarray:
         if hi == h:
             np.subtract(v[0], v[h - 1], out=dst[-1])
 
-    # div is allocated before the strip buffers, which are freed on
-    # return: with div after them, 256^2 restores refaulted a trimmed
-    # heap top (268 minor faults per iteration against 39).
-    div = np.empty((h, wd))
     strips = _Strips(v.shape, params.win, True)
     held = np.empty((2, wd))  # gy's row 0, and the row above the strip
     for i0, i1 in strips.strips():

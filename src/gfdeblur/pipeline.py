@@ -110,8 +110,8 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
     g_terms = rho_terms(g, est)
     plan = SpectralPlan(g, psf)
     npix = g.size
-    # C order whatever g's, as the filters' outputs are: the lambda search
-    # writes |H|^2 into v's buffer as a half-plane.
+    # One buffer each for v and div, kept for the whole restore; C order
+    # whatever g's, as the lambda search writes |H|^2 into v's as a half-plane.
     v = np.zeros(g.shape)
     div = np.zeros(g.shape)  # divergence of v's smoothed gradients
 
@@ -124,22 +124,20 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
         bound_c = rho * npix * est.variance
         v_hat = plan.spectrum(v)
         # A finite search keeps |H|^2 in v's buffer, which u_p overwrites next.
-        choice = choose_lambda(plan, v_hat, bound_c, work=v)
+        choice = choose_lambda(plan, v_hat, bound_c, v)
         lam = choice.value
         if choice.is_infinite:
             # v already meets the bound, so both solves are v.
             u_i = u_p = v
         else:
-            # The solves read v only as F(v) and work in their own
-            # buffers: u_p goes into v's, then div is transformed into
-            # F(v)'s and u_i goes into div's.
-            u_p = solve_input(plan, v_hat, lam, out=v)
-            u_i = solve_guidance(plan, div, lam, spec=v_hat, out=div)
-        del v_hat, v, div  # each image-sized array is dropped once no later step reads it
+            # u_p goes into v's buffer from F(v)'s, u_i over div through F(v)'s.
+            u_p = solve_input(plan, v_hat, lam, v)
+            u_i = solve_guidance(plan, div, lam, v_hat)
+        del v_hat
 
         v = guidfilter(u_i, u_p, gf)  # over u_p, which no later step reads
-        del u_i, u_p
-        div = smooth_gradients(v, gf)
+        # Over u_i, or at lambda = INFINITY over the divergence no solve read.
+        div = smooth_gradients(v, gf, div)
 
         trace.append(IterationRecord(
             k=k, lam=lam, rho=rho, residual=choice.residual,

@@ -140,7 +140,7 @@ def compute_rho(terms: RhoTerms, v: np.ndarray, tau: float) -> float:
 
 
 def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
-                  work=None) -> LambdaChoice:
+                  work: np.ndarray) -> LambdaChoice:
     """Solve the discrepancy equation residual(lambda) = bound_c by
     bisection, given the pre-estimate's spectrum v_hat = plan.spectrum(v).
 
@@ -164,8 +164,8 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
     ValueError.
 
     A finite search writes |H|^2 over the front of work, a C-contiguous
-    float64 image of the plan's shape (a new array if None); run_gfd
-    passes v, which only the lambda = INFINITY branch reads again.
+    float64 image of the plan's shape; run_gfd passes v, which only the
+    lambda = INFINITY branch reads again.
     """
     if not 0 <= bound_c < INFINITY:
         raise ValueError(f"bound_c must be finite and nonnegative, got {bound_c!r}")

@@ -169,22 +169,19 @@ class SpectralPlan:
     def spectrum(self, img: np.ndarray, out=None) -> np.ndarray:
         """Half-plane spectrum of an image of the plan's shape, written into
         out (a new half-plane if None)."""
-        self._check_images(img)
+        self._check_image(img)
         if out is not None:
             self._check_spectrum(out)
         return _rfft2(img, out)
 
-    def H_sq(self, work=None) -> np.ndarray:
+    def H_sq(self, work) -> np.ndarray:
         """|H|^2 on the half-plane, a row block at a time, written over the
         front of work, a C-contiguous float64 image of the plan's shape,
-        which holds a half-plane (a new array if None)."""
-        if work is None:
-            out = np.empty(self.H.shape)
-        else:
-            self._check_images(work)
-            if work.dtype != np.float64 or not work.flags.c_contiguous:
-                raise ValueError("work must be a C-contiguous float64 image")
-            out = work.reshape(-1)[: self.H.size].reshape(self.H.shape)
+        which holds a half-plane."""
+        self._check_image(work)
+        if work.dtype != np.float64 or not work.flags.c_contiguous:
+            raise ValueError("work must be a C-contiguous float64 image")
+        out = work.reshape(-1)[: self.H.size].reshape(self.H.shape)
         for blk, tmp in _blocks(self.H.shape, np.float64):
             _abs_sq(self.H[blk], out[blk], tmp)
         return out
@@ -204,11 +201,9 @@ class SpectralPlan:
             spare = prod.view(np.float64)
             yield blk, s, _abs_sq(H, h_sq, spare[:, :cols]), spare[:, cols:]
 
-    def _check_images(self, *imgs) -> None:
-        """Each image has the plan's shape; None, an output not given, passes."""
-        for im in imgs:
-            if im is not None and im.shape != self.shape:
-                raise DimensionMismatch(f"image {im.shape} differs from plan {self.shape}")
+    def _check_image(self, img) -> None:
+        if img.shape != self.shape:
+            raise DimensionMismatch(f"image {img.shape} differs from plan {self.shape}")
 
     def _check_spectrum(self, img_hat) -> None:
         if img_hat.shape != self.H.shape:
@@ -222,19 +217,18 @@ def _check_lambda(lam) -> None:
         raise ValueError(f"lambda must be finite and positive, got {lam!r}")
 
 
-def solve_guidance(plan: SpectralPlan, div, lam, spec=None, out=None):
+def solve_guidance(plan: SpectralPlan, div, lam, spec):
     """Closed-form guidance solve: data fit plus gradient-matching prior.
 
     Minimizes ||h * u - g||^2 + lam (||dx u - vx||^2 + ||dy u - vy||^2)
     in the Fourier domain, for finite lam > 0, given the prior's
     gradients only as div = Dx^T vx + Dy^T vy.  div is transformed into
-    spec, a half-plane buffer the solve overwrites (a new one if None),
-    and u is written into out (a new image if None), which may be div.
-    Each row block's denominator (|Dx|^2 + |Dy|^2) lam + |H|^2 is checked
-    before the block is divided; SingularDenominator is raised before out
-    is written.
+    spec, a half-plane buffer the solve overwrites, and u is written over
+    div, which is returned.  Each row block's denominator (|Dx|^2 +
+    |Dy|^2) lam + |H|^2 is checked before the block is divided;
+    SingularDenominator is raised before div is written.
     """
-    plan._check_images(div, out)
+    plan._check_image(div)
     _check_lambda(lam)
     spec = plan.spectrum(div, spec)
     for blk, s, h_sq, denom in plan._solve_blocks(spec, lam):
@@ -244,19 +238,19 @@ def solve_guidance(plan: SpectralPlan, div, lam, spec=None, out=None):
         if np.min(denom) < SINGULAR:
             raise SingularDenominator("guidance solve denominator vanishes")
         s /= denom
-    return _irfft2(spec, plan.shape[1], out)
+    return _irfft2(spec, plan.shape[1], div)
 
 
-def solve_input(plan: SpectralPlan, v_hat, lam, out=None):
+def solve_input(plan: SpectralPlan, v_hat, lam, out):
     """Closed-form input solve: data fit plus proximity-to-v prior.
 
     Minimizes ||h * u - g||^2 + lam ||u - v||^2 in the Fourier domain,
     given v_hat = plan.spectrum(v), for finite lam > 0.  The solve works
-    in v_hat's buffer, which it overwrites, and writes u into out (a new
-    image if None), which may be v.
+    in v_hat's buffer, which it overwrites, and writes u into out, which
+    may be v.
     """
     plan._check_spectrum(v_hat)
-    plan._check_images(out)
+    plan._check_image(out)
     _check_lambda(lam)
     for _, s, h_sq, _ in plan._solve_blocks(v_hat, lam):
         h_sq += lam
@@ -267,7 +261,7 @@ def solve_input(plan: SpectralPlan, v_hat, lam, out=None):
 def discrepancy_terms(plan: SpectralPlan, v_hat) -> np.ndarray:
     """The data's part of the discrepancy curve: b = w |F(h) F(v) - F(g)|^2
     on the half-plane, w the Parseval column weights, so that with
-    a = plan.H_sq() the data-fit residual of the input solve at lam is
+    a = plan.H_sq(work) the data-fit residual of the input solve at lam is
     sum(lam^2 b / (a + lam)^2) / npix, and its lam -> inf limit is
     sum(b) / npix.  The complex residual is formed a row block at a time.
     """

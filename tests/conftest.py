@@ -228,7 +228,7 @@ def discrepancy(g, psf: Psf, v, lam: float) -> float:
 def plan_discrepancy(g, psf: Psf, v):
     """The restorer's discrepancy curve, lam -> residual, from the plan."""
     plan = SpectralPlan(g, psf)
-    a, b = plan.H_sq(), discrepancy_terms(plan, plan.spectrum(v))
+    a, b = plan.H_sq(np.empty(plan.shape)), discrepancy_terms(plan, plan.spectrum(v))
     return lambda lam: discrepancy_from_terms(a, b, plan.npix, lam)
 
 

@@ -115,10 +115,10 @@ def test_criterion_2_spectral_solve_residuals():
         dx, dy = derivative_spectra(16, 16)
 
         plan = SpectralPlan(g, psf)
-        u_i = solve_guidance(plan, divergence(vx, vy), lam)
+        u_i = solve_guidance(plan, divergence(vx, vy), lam, np.empty_like(plan.G))
         res_i = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u_i) \
             - np.conj(H) * G - lam * (np.conj(dx) * np.fft.fft2(vx) + np.conj(dy) * np.fft.fft2(vy))
-        u_p = solve_input(plan, plan.spectrum(v), lam)
+        u_p = solve_input(plan, plan.spectrum(v), lam, np.empty_like(v))
         res_p = (np.abs(H) ** 2 + lam) * np.fft.fft2(u_p) - np.conj(H) * G - lam * np.fft.fft2(v)
         worst = max(worst, float(np.max(np.abs(res_i))) / scale, float(np.max(np.abs(res_p))) / scale)
     assert worst < 1e-8
@@ -141,7 +141,7 @@ def test_criterion_3_discrepancy_consistency():
             assert val <= bound * (1 + 1e-7)  # Parseval upper bound
         lam = float(gen.uniform(0.1, 10.0))
         plan = SpectralPlan(g, psf)
-        u_p = solve_input(plan, plan.spectrum(v), lam)
+        u_p = solve_input(plan, plan.spectrum(v), lam, np.empty_like(v))
         spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
         assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
     report(3, "spectral = spatial discrepancy, monotone in lambda, bound never violated")
@@ -156,7 +156,7 @@ def test_criterion_4_bisection_contract(monkeypatch):
         asymptote = float(np.sum((circ_convolve(v, psf) - g) ** 2))
         bound = float(gen.uniform(0.05, 0.8)) * asymptote
         plan = SpectralPlan(g, psf)
-        choice = choose_lambda(plan, plan.spectrum(v), bound)
+        choice = choose_lambda(plan, plan.spectrum(v), bound, np.empty_like(g))
         assert not choice.is_infinite
         assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
     g = gen.uniform(0, 255, (16, 16))
@@ -164,7 +164,7 @@ def test_criterion_4_bisection_contract(monkeypatch):
     plan = SpectralPlan(g, Psf([[1.0]]))
     monkeypatch.setattr(regparam, "REL_TOL", 1e-8)
     monkeypatch.setattr(regparam, "MAX_BISECT", 200)
-    choice = choose_lambda(plan, plan.spectrum(np.zeros_like(g)), bound)
+    choice = choose_lambda(plan, plan.spectrum(np.zeros_like(g)), bound, np.empty_like(g))
     assert choice.value == pytest.approx(1.0, abs=1e-6)
     report(4, "bisection hits the bound to 1e-3 on 50 instances; closed form lambda = 1")
 

@@ -58,6 +58,11 @@ def test_psf_spec_file(tmp_path):
 def test_psf_spec_unknown():
     with pytest.raises(ValueError):
         parse_psf_spec("motion:5")
+    # A Gaussian takes an odd size >= 1 and a finite std > 0, as a boxcar
+    # takes an odd size; 5:0 divided by zero before it was refused.
+    for spec in ("gaussian:4:1.0", "gaussian:0:1.0", "gaussian:5:-1", "gaussian:5:0"):
+        with pytest.raises(ValueError, match=f"bad PSF spec '{spec}'"):
+            parse_psf_spec(spec)
 
 
 def test_parse_grid():
@@ -396,14 +401,15 @@ def test_exit_codes(tmp_path, capsys):
         assert msg in capsys.readouterr().err
     assert not (tmp_path / "o.pgm").exists()
     # data error: a BSNR level whose noise variance overflows or
-    # underflows, and an evaluate sigma that NoiseEstimate refuses
+    # underflows, and an evaluate sigma that NoiseEstimate or bsnr refuses
     for level in ("4000", "-4000"):
         capsys.readouterr()
         assert main(sweep + [f"--bsnr={level}"]) == 2
         assert f"BSNR {float(level)!r} dB" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
     evaluate = ["evaluate", "--clean", str(src), "--observed", str(src), "--restored", str(src)]
-    for sigma, msg in (("1e200", "sigma too large"), ("inf", "sigma must be finite")):
+    for sigma, msg in (("1e200", "sigma too large"), ("inf", "sigma must be finite"),
+                       ("0", "sigma_sq must be finite and positive")):
         capsys.readouterr()
         assert main(evaluate + ["--sigma", sigma]) == 2
         out, err = capsys.readouterr()
@@ -422,13 +428,16 @@ def test_exit_codes(tmp_path, capsys):
         ]) == 2
         assert "lies below the residual's floor" in capsys.readouterr().err
     assert not (tmp_path / "c.pgm").exists()
-    # numerical failure: a constant observation has no BSNR
+    # numerical failure: a constant observation has no BSNR, and its
+    # ISNR is not printed either
     flat = tmp_path / "flat.pgm"
     write_image(flat, np.full((16, 16), 7.0))
+    capsys.readouterr()
     assert main([
         "evaluate", "--clean", str(src), "--observed", str(flat),
         "--restored", str(src), "--sigma", "1",
     ]) == 3
+    assert not capsys.readouterr().out
 
 
 def test_readme_commands_parse():

@@ -37,6 +37,8 @@ def test_params_reject_even_window():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         guidfilter(np.zeros((4, 4)), np.zeros((4, 5)), GfParams(3, 0.1))
+    with pytest.raises(DimensionMismatch):
+        smooth_gradients(np.zeros((4, 4)), GfParams(3, 0.1), np.zeros((4, 5)))
 
 
 def test_window_too_large():
@@ -90,21 +92,28 @@ def test_src_must_be_float64():
     guide = rand_image(40, (12, 12))
     with pytest.raises(ValueError, match="float64"):
         guidfilter(guide, guide.astype(np.float32), GfParams(3, 0.1))
+    with pytest.raises(ValueError, match="float64"):
+        smooth_gradients(guide, GfParams(3, 0.1), np.zeros((12, 12), np.float32))
 
 
 def test_peak_memory_near_output():
     # Strips keep every temporary small: written over src, the filter
     # makes no image-sized array (0.31 images of strip buffers here;
-    # whole-image passes peak near 7x).
+    # whole-image passes peak near 7x), nor does the gradient smoothing
+    # written over a given divergence (0.24 images; 1.24 when it made
+    # the divergence).
     guide = rand_image(8, (1024, 1024))
     src = rand_image(9, (1024, 1024))
-    tracemalloc.start()
-    try:
-        guidfilter(guide, src, GfParams(5, 0.04))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 0.4 * src.nbytes, peak / src.nbytes
+    div = np.empty_like(src)
+    for stage in (lambda: guidfilter(guide, src, GfParams(5, 0.04)),
+                  lambda: smooth_gradients(guide, GfParams(5, 0.04), div)):
+        tracemalloc.start()
+        try:
+            stage()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.4 * src.nbytes, peak / src.nbytes
 
 
 def test_self_guidance_identity_limit():
@@ -154,20 +163,20 @@ def test_scale_equivariance(seed, alpha):
 
 def test_smooth_gradients_constant():
     v = np.full((12, 12), 42.0)
-    div = smooth_gradients(v, GfParams(3, 0.1))
+    div = smooth_gradients(v, GfParams(3, 0.1), np.full_like(v, np.nan))
     np.testing.assert_allclose(div, 0.0, atol=1e-12)
 
 
 def test_smooth_gradients_zero_start_state():
     v = np.zeros((8, 8))
-    div = smooth_gradients(v, GfParams(3, 0.1))
+    div = smooth_gradients(v, GfParams(3, 0.1), np.full_like(v, np.nan))
     assert not div.any()
 
 
 def test_smooth_gradients_matches_composition():
     v = rand_image(14)
     p = GfParams(5, 0.04)
-    div = smooth_gradients(v, p)
+    div = smooth_gradients(v, p, np.full_like(v, np.nan))
     gx = guidfilter_bruteforce(diff_x(v), diff_x(v), 5, 0.04)
     gy = guidfilter_bruteforce(diff_y(v), diff_y(v), 5, 0.04)
     np.testing.assert_allclose(div, divergence(gx, gy), atol=1e-8)
@@ -182,7 +191,7 @@ def test_self_guided_reuse_is_bit_identical(monkeypatch):
     calls = []
     box_mean = guided_filter.box_mean
     monkeypatch.setattr(guided_filter, "box_mean", lambda *a: calls.append(1) or box_mean(*a))
-    div = smooth_gradients(v, p)
+    div = smooth_gradients(v, p, np.full_like(v, np.nan))
     assert len(calls) == 8
     monkeypatch.undo()
     dx, dy = diff_x(v), diff_y(v)
@@ -203,7 +212,8 @@ def test_smooth_gradients_matches_uncentred_composition_bit_exact(monkeypatch, s
     # one-byte STRIP_BYTES makes the shortest strips there are: one row
     # at w = 1, 2r rows (the floor) at w = 3 and 5.  Their halos reach
     # the mirror rows at the top and the bottom, and each y term needs
-    # the row above from the strip before.
+    # the row above from the strip before.  The divergence is written
+    # over every pixel of the buffer given, which is returned.
     if one_row_strips:
         monkeypatch.setattr(guided_filter, "STRIP_BYTES", 1)
     else:
@@ -211,9 +221,9 @@ def test_smooth_gradients_matches_uncentred_composition_bit_exact(monkeypatch, s
     v = rand_image(16, shape)
     for w in (1, 3, 5):
         p = GfParams(w, 0.04)
-        np.testing.assert_array_equal(
-            smooth_gradients(v, p), smooth_gradients_unfused(v, p), err_msg=f"{shape} {w}"
-        )
+        div = np.full(shape, np.nan)
+        assert smooth_gradients(v, p, div) is div
+        np.testing.assert_array_equal(div, smooth_gradients_unfused(v, p), err_msg=f"{shape} {w}")
 
 
 def test_large_near_constant_input_is_smoothed():

@@ -38,7 +38,7 @@ def test_first_iteration_is_pure_tikhonov_solve():
     H = psf_spectrum(psf, *g.shape)
     direct = np.real(np.fft.ifft2(np.conj(H) * np.fft.fft2(g) / (np.abs(H) ** 2 + lam)))
     plan, z = SpectralPlan(g, psf), np.zeros_like(g)
-    via_solver = solve_input(plan, plan.spectrum(z), lam)
+    via_solver = solve_input(plan, plan.spectrum(z), lam, np.empty_like(z))
     np.testing.assert_allclose(via_solver, direct, atol=1e-10)
 
 
@@ -223,13 +223,15 @@ def test_stage_peak_memory():
     # here, and in brackets with |H|^2 in the plan and whole-plane
     # denominators and residuals: lambda search 6.05 (7.02), solves 5.83
     # and 5.86 (6.09 and 6.52).  The main filter, over u_p, reads 5.10;
-    # 6.33 with a new output and 10 strip buffers.  Each bound leaves
+    # 6.33 with a new output and 10 strip buffers.  The gradient
+    # smoothing, over the divergence, reads 4.85.  Each bound leaves
     # about 0.15 images.
     pair = degrade(natural_image(7, 512), SCENARIOS[5], seed=0)
     peaks = stage_peaks(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
     assert peaks["choose_lambda"] < 6.2
     assert peaks["solve_input"] < 6.0 and peaks["solve_guidance"] < 6.0
     assert peaks["guidfilter"] < 5.3
+    assert peaks["smooth_gradients"] < 5.0
     assert peaks["run_gfd"] == max(peaks[name] for name in STAGES)
 
 

@@ -192,7 +192,7 @@ def test_square_branch_never_exceeds_linear_branch():
 
 def test_perfect_preestimate_returns_infinity():
     g = rand_image(5)
-    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), g), 1.0)
+    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), g), 1.0, np.empty_like(g))
     assert choice.is_infinite
     assert choice.residual <= 1.0
 
@@ -202,7 +202,7 @@ def test_infinity_implies_v_meets_bound():
     psf = random_psf(7)
     v = circ_convolve(g, psf)  # decent pre-estimate
     bound = float(np.sum((circ_convolve(v, psf) - g) ** 2)) * 1.5
-    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
+    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, np.empty_like(g))
     assert choice.is_infinite
     assert float(np.sum((circ_convolve(v, psf) - g) ** 2)) <= bound
 
@@ -213,7 +213,7 @@ def test_closed_form_lambda_equals_one(monkeypatch):
     g = rand_image(8)
     z = np.zeros_like(g)
     bound = 0.25 * float(np.sum(g * g))
-    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), z), bound)
+    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), z), bound, np.empty_like(g))
     assert choice.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -223,7 +223,7 @@ def test_returned_residual_meets_tolerance():
     # [-1, 3, -1] has max |H|^2 = 25: the doubling still brackets with no cap.
     for psf in (random_psf(10), Psf([[-1, 3, -1]])):
         bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
-        choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound)
+        choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, np.empty_like(g))
         assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
         assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
 
@@ -236,13 +236,13 @@ def test_bound_below_b_where_H_is_tiny_is_met_when_reachable():
     # a search that ends above the bound is refused.
     g, v = rand_image(1, (64, 64)), rand_image(2, (64, 64))
     plan, v_hat = plan_and_spectrum(g, parse_psf_spec("gaussian:25:1.6"), v)
-    a, b = plan.H_sq(), discrepancy_terms(plan, v_hat)
+    a, b = plan.H_sq(np.empty_like(g)), discrepancy_terms(plan, v_hat)
     zeros = a < SINGULAR
     assert np.count_nonzero(zeros) == 144
     bound = 0.9 * float(np.sum(b[zeros]) / plan.npix)
-    choice = choose_lambda(plan, v_hat, bound)
+    choice = choose_lambda(plan, v_hat, bound, np.empty_like(g))
     assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
-    assert np.all(np.isfinite(solve_guidance(plan, rand_image(3, (64, 64)), choice.value)))
+    assert np.all(np.isfinite(solve_guidance(plan, rand_image(3, (64, 64)), choice.value, v_hat)))
 
 
 def test_lambda_unique_up_to_tolerance(monkeypatch):
@@ -253,9 +253,9 @@ def test_lambda_unique_up_to_tolerance(monkeypatch):
     plan, v_hat = plan_and_spectrum(g, psf, v)
     monkeypatch.setattr(regparam, "MAX_BISECT", 200)
     monkeypatch.setattr(regparam, "REL_TOL", 1e-3)
-    coarse = choose_lambda(plan, v_hat, bound)
+    coarse = choose_lambda(plan, v_hat, bound, np.empty_like(g))
     monkeypatch.setattr(regparam, "REL_TOL", 1e-4)
-    fine = choose_lambda(plan, v_hat, bound)
+    fine = choose_lambda(plan, v_hat, bound, np.empty_like(g))
     # The finer solve's residual still satisfies the coarser band.
     assert abs(discrepancy(g, psf, v, fine.value) - bound) <= 1e-3 * bound
     assert abs(discrepancy(g, psf, v, coarse.value) - bound) <= 1e-3 * bound
@@ -269,7 +269,7 @@ def test_asymptote_within_tolerance_of_bound_returns_infinity():
     g_sq = float(np.sum(g * g))
     plan, v_hat = plan_and_spectrum(g, Psf([[1.0]]), np.zeros_like(g))
     for bound in (g_sq * (1 - 1e-15), g_sq / (1 + 0.999 * regparam.REL_TOL)):
-        choice = choose_lambda(plan, v_hat, bound)
+        choice = choose_lambda(plan, v_hat, bound, np.empty_like(g))
         assert choice.value == INFINITY
         assert choice.residual == pytest.approx(g_sq, rel=1e-12)
         assert choice.iterations == 0
@@ -278,7 +278,7 @@ def test_asymptote_within_tolerance_of_bound_returns_infinity():
 def test_choose_lambda_writes_work_only_on_a_finite_search():
     # run_gfd passes v as work: the lambda = inf branch reads v again, so
     # only a finite search may write |H|^2 over its front, and the choice
-    # is the one made with a fresh buffer.
+    # is the one made with a buffer of its own.
     g, v = rand_image(15, (24, 20)), rand_image(16, (24, 20))
     psf = random_psf(17)
     plan, v_hat = plan_and_spectrum(g, psf, v)
@@ -287,8 +287,9 @@ def test_choose_lambda_writes_work_only_on_a_finite_search():
     assert choose_lambda(plan, v_hat, 2 * asymptote, work).is_infinite
     assert np.array_equal(work, v)
     choice = choose_lambda(plan, v_hat, 0.5 * asymptote, work)
-    assert not choice.is_infinite and choice == choose_lambda(plan, v_hat, 0.5 * asymptote)
-    assert np.array_equal(work.ravel()[: plan.H.size], plan.H_sq().ravel())
+    assert not choice.is_infinite
+    assert choice == choose_lambda(plan, v_hat, 0.5 * asymptote, np.empty_like(v))
+    assert np.array_equal(work.ravel()[: plan.H.size], plan.H_sq(np.empty_like(v)).ravel())
 
 
 def test_noise_estimate_variance_consistency():
@@ -325,11 +326,11 @@ def test_choose_lambda_evaluates_each_lambda_once(monkeypatch):
         for frac in (0.05, 0.3, 0.8):
             bound = frac * float(np.sum((circ_convolve(v, psf) - g) ** 2))
             evaluated.clear()
-            choice = choose_lambda(plan, v_hat, bound)
+            choice = choose_lambda(plan, v_hat, bound, np.empty_like(g))
             assert not choice.is_infinite
             assert len(evaluated) == len(set(evaluated)), evaluated
             b = regparam.discrepancy_terms(plan, v_hat)
-            assert choice.residual == real(plan.H_sq(), b, plan.npix, choice.value)
+            assert choice.residual == real(plan.H_sq(np.empty_like(g)), b, plan.npix, choice.value)
 
 
 def test_choose_lambda_rejects_bad_bound():
@@ -337,4 +338,4 @@ def test_choose_lambda_rejects_bad_bound():
     plan, v_hat = plan_and_spectrum(g, Psf([[1.0]]), np.zeros_like(g))
     for bound in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bound_c"):
-            choose_lambda(plan, v_hat, bound)
+            choose_lambda(plan, v_hat, bound, np.empty_like(g))

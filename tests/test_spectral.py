@@ -156,7 +156,8 @@ def test_derivative_spectral_equals_direct_differencing():
 def test_solve_guidance_inverse_filter_limit():
     g = rand_image(7)
     z = np.zeros_like(g)
-    out = solve_guidance(SpectralPlan(g, Psf([[1.0]])), divergence(z, z), 1e-12)
+    plan = SpectralPlan(g, Psf([[1.0]]))
+    out = solve_guidance(plan, divergence(z, z), 1e-12, np.empty_like(plan.G))
     np.testing.assert_allclose(out, g, atol=1e-6)
 
 
@@ -167,7 +168,8 @@ def test_solve_guidance_normal_equation_residual():
         vx, vy = rand_image(12, shape), rand_image(13, shape)
         psf = random_psf(15)
         lam = 0.5
-        u = solve_guidance(SpectralPlan(g, psf), divergence(vx, vy), lam)
+        plan = SpectralPlan(g, psf)
+        u = solve_guidance(plan, divergence(vx, vy), lam, np.empty_like(plan.G))
         H = psf_spectrum(psf, *g.shape)
         dx, dy = derivative_spectra(*g.shape)
         lhs = (np.abs(H) ** 2 + lam * (np.abs(dx) ** 2 + np.abs(dy) ** 2)) * np.fft.fft2(u)
@@ -180,7 +182,7 @@ def test_solve_guidance_normal_equation_residual():
 def test_solve_input_fixed_point():
     g = rand_image(16)
     plan = SpectralPlan(g, Psf([[1.0]]))
-    out = solve_input(plan, plan.spectrum(g), 1.0)
+    out = solve_input(plan, plan.spectrum(g), 1.0, np.empty_like(g))
     np.testing.assert_allclose(out, g, atol=1e-10)
 
 
@@ -190,7 +192,7 @@ def test_solve_input_normal_equation_residual():
         psf = random_psf(22)
         lam = 2.0
         plan = SpectralPlan(g, psf)
-        u = solve_input(plan, plan.spectrum(v), lam)
+        u = solve_input(plan, plan.spectrum(v), lam, np.empty_like(v))
         H = psf_spectrum(psf, *g.shape)
         lhs = (np.abs(H) ** 2 + lam) * np.fft.fft2(u)
         rhs = np.conj(H) * np.fft.fft2(g) + lam * np.fft.fft2(v)
@@ -203,9 +205,9 @@ def test_solve_rejects_nonpositive_lambda():
     plan = SpectralPlan(g, Psf([[1.0]]))
     for lam in (0.0, -1.0, INFINITY):
         with pytest.raises(ValueError):
-            solve_input(plan, plan.spectrum(z), lam)
+            solve_input(plan, plan.spectrum(z), lam, np.empty_like(z))
         with pytest.raises(ValueError):
-            solve_guidance(plan, divergence(z, z), lam)
+            solve_guidance(plan, divergence(z, z), lam, np.empty_like(plan.G))
 
 
 def test_plan_rejects_mismatched_shapes():
@@ -215,15 +217,15 @@ def test_plan_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch):
         plan.spectrum(small)
     with pytest.raises(DimensionMismatch):
-        solve_input(plan, np.fft.fft2(z), 1.0)
+        solve_input(plan, np.fft.fft2(z), 1.0, np.empty_like(z))
     with pytest.raises(DimensionMismatch):
-        solve_guidance(plan, small, 1.0)
+        solve_guidance(plan, small, 1.0, np.empty_like(plan.G))
     with pytest.raises(DimensionMismatch):
-        solve_input(plan, plan.spectrum(z), 1.0, out=small)
+        solve_input(plan, plan.spectrum(z), 1.0, small)
     with pytest.raises(DimensionMismatch):
-        solve_guidance(plan, z, 1.0, out=small)
+        solve_guidance(plan, z, 1.0, np.fft.fft2(z))
     with pytest.raises(DimensionMismatch):
-        solve_guidance(plan, z, 1.0, spec=np.fft.rfft2(small))
+        solve_guidance(plan, z, 1.0, np.fft.rfft2(small))
     with pytest.raises(DimensionMismatch):
         discrepancy_terms(plan, np.fft.rfft2(small))
     with pytest.raises(KernelTooLarge):
@@ -249,75 +251,65 @@ def test_plan_holds_two_half_planes(shape):
 @pytest.mark.parametrize("rows", [1, 5, 7, 64])
 def test_solves_by_row_blocks_equal_whole_plane(rows, monkeypatch):
     # Each element gets the whole-plane expressions' operations in their
-    # order, so every block height (5 rows do not divide 63) gives the
-    # same bits.
+    # order, so every block height (5 rows do not divide 63 or 64) gives
+    # the same bits, with the solves in buffers of their own and in the
+    # restore loop's: u_p into v's buffer from F(v)'s, then div
+    # transformed into F(v)'s buffer and u_i written over div.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
-    shape = (63, 51)
-    g, v = rand_image(52, shape), rand_image(53, shape)
-    div = divergence(rand_image(54, shape), rand_image(55, shape))
-    plan = SpectralPlan(g, random_psf(56))
-    lam = 0.37
-    H_sq = plan.H.real ** 2 + plan.H.imag ** 2
-    conj_H_G = np.conj(plan.H) * plan.G
-    expected_p = np.fft.irfft2((np.fft.rfft2(v) * lam + conj_H_G) / (H_sq + lam), s=shape)
-    denom = (plan.Dy_sq + plan.Dx_sq) * lam + H_sq
-    expected_i = np.fft.irfft2((np.fft.rfft2(div) * lam + conj_H_G) / denom, s=shape)
-    assert np.array_equal(solve_input(plan, plan.spectrum(v), lam), expected_p)
-    assert np.array_equal(solve_guidance(plan, div, lam), expected_i)
+    for shape in ((63, 51), (64, 50)):  # odd and even widths, both 26 half-plane columns
+        g, v = rand_image(52, shape), rand_image(53, shape)
+        div = divergence(rand_image(54, shape), rand_image(55, shape))
+        plan = SpectralPlan(g, random_psf(56))
+        lam = 0.37
+        H_sq = plan.H.real ** 2 + plan.H.imag ** 2
+        conj_H_G = np.conj(plan.H) * plan.G
+        expected_p = np.fft.irfft2((np.fft.rfft2(v) * lam + conj_H_G) / (H_sq + lam), s=shape)
+        denom = (plan.Dy_sq + plan.Dx_sq) * lam + H_sq
+        expected_i = np.fft.irfft2((np.fft.rfft2(div) * lam + conj_H_G) / denom, s=shape)
+        u_p = solve_input(plan, plan.spectrum(v), lam, np.empty(shape))
+        u_i = solve_guidance(plan, div.copy(), lam, np.empty_like(plan.G))
+        assert np.array_equal(u_p, expected_p) and np.array_equal(u_i, expected_i)
+        v_hat = plan.spectrum(v)
+        u_p = solve_input(plan, v_hat, lam, v)
+        u_i = solve_guidance(plan, div, lam, v_hat)
+        assert u_p is v and u_i is div
+        assert np.array_equal(u_p, expected_p) and np.array_equal(u_i, expected_i)
 
 
 def test_solve_guidance_singular_in_a_later_block_leaves_out_untouched(monkeypatch):
     # A 3x1 boxcar on 12 rows zeroes H on rows 4 and 8, so at a tiny lam
     # the denominator vanishes there and nowhere in the first two blocks
-    # of 2 rows.  The check runs block by block, still before out is written.
+    # of 2 rows.  The check runs block by block, still before div is written.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 2 * 5)
     shape, lam = (12, 8), 1e-20
     plan = SpectralPlan(rand_image(57, shape), Psf(np.ones((3, 1))))
     denom = (plan.Dy_sq + plan.Dx_sq) * lam + (plan.H.real ** 2 + plan.H.imag ** 2)
     assert denom[:4].min() >= 1e-15 > denom[4].min()
-    div, out = rand_image(58, shape), np.full(shape, 7.0)
+    div, spec = rand_image(58, shape), np.empty_like(plan.G)
+    before = div.copy()
     with pytest.raises(SingularDenominator):
-        solve_guidance(plan, div, lam, out=out)
-    assert np.all(out == 7.0)
-    assert solve_guidance(plan, div, 1.0, out=out) is out and not np.all(out == 7.0)
+        solve_guidance(plan, div, lam, spec)
+    assert np.array_equal(div, before)
+    assert solve_guidance(plan, div, 1.0, spec) is div and not np.array_equal(div, before)
 
 
 def test_H_sq_by_row_blocks_into_work(monkeypatch):
     # |H|^2 is made a few rows at a time over the front of a given image's
-    # buffer, which holds a half-plane; a buffer it cannot use is refused.
+    # buffer, which holds a half-plane, and the rest is left as it was; a
+    # buffer it cannot use is refused.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 5 * 26)
     plan = SpectralPlan(rand_image(59, (63, 51)), random_psf(60))
     expected = plan.H.real ** 2 + plan.H.imag ** 2
-    assert np.array_equal(plan.H_sq(), expected)
     work = np.full((63, 51), np.nan)
     a = plan.H_sq(work)
     assert np.shares_memory(a, work) and np.array_equal(a, expected)
+    assert np.isnan(work.ravel()[a.size :]).all()
     with pytest.raises(ValueError, match="C-contiguous"):
         plan.H_sq(np.empty((51, 63)).T)
     with pytest.raises(ValueError, match="C-contiguous"):
         plan.H_sq(np.empty((63, 51), dtype=np.float32))
     with pytest.raises(DimensionMismatch):
         plan.H_sq(np.empty((63, 50)))
-
-
-@pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
-def test_solves_into_given_buffers_equal_fresh_outputs(shape, monkeypatch):
-    # The restore loop's buffer reuse: u_p into v's buffer from F(v)'s,
-    # then div transformed into F(v)'s buffer and u_i written over div.
-    # Row blocks of 7 half-plane rows make the conj(H) F(g) loop take
-    # several blocks, one of them short.
-    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 7 * (shape[1] // 2 + 1))
-    g, v = rand_image(42, shape), rand_image(43, shape)
-    div = divergence(rand_image(44, shape), rand_image(45, shape))
-    plan = SpectralPlan(g, random_psf(46))
-    lam = 0.37
-    fresh_p = solve_input(plan, plan.spectrum(v), lam)
-    fresh_i = solve_guidance(plan, div, lam)
-    v_hat = plan.spectrum(v)
-    u_p = solve_input(plan, v_hat, lam, out=v)
-    u_i = solve_guidance(plan, div, lam, spec=v_hat, out=div)
-    assert u_p is v and u_i is div
-    assert np.array_equal(u_p, fresh_p) and np.array_equal(u_i, fresh_i)
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51), (1, 7), (7, 1), (5, 2)])
@@ -366,11 +358,12 @@ def test_discrepancy_equals_spatial_recomputation():
         plan = SpectralPlan(g, psf)
         v_hat = plan.spectrum(v)
         for lam in (0.1, 1.0, 10.0):
-            u_p = solve_input(plan, v_hat.copy(), lam)  # the solve overwrites its spectrum
+            # The solve overwrites its spectrum.
+            u_p = solve_input(plan, v_hat.copy(), lam, np.empty_like(v))
             spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
             assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
             b = discrepancy_terms(plan, v_hat)
-            planned = discrepancy_from_terms(plan.H_sq(), b, plan.npix, lam)
+            planned = discrepancy_from_terms(plan.H_sq(np.empty_like(v)), b, plan.npix, lam)
             assert planned == pytest.approx(spatial, rel=1e-7)
 
 
