@@ -252,9 +252,7 @@ def test_plan_holds_two_half_planes(shape):
 def test_solves_by_row_blocks_equal_whole_plane(rows, monkeypatch):
     # Each element gets the whole-plane expressions' operations in their
     # order, so every block height (5 rows do not divide 63 or 64) gives
-    # the same bits, with the solves in buffers of their own and in the
-    # restore loop's: u_p into v's buffer from F(v)'s, then div
-    # transformed into F(v)'s buffer and u_i written over div.
+    # the same bits.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
     for shape in ((63, 51), (64, 50)):  # odd and even widths, both 26 half-plane columns
         g, v = rand_image(52, shape), rand_image(53, shape)
@@ -267,12 +265,7 @@ def test_solves_by_row_blocks_equal_whole_plane(rows, monkeypatch):
         denom = (plan.Dy_sq + plan.Dx_sq) * lam + H_sq
         expected_i = np.fft.irfft2((np.fft.rfft2(div) * lam + conj_H_G) / denom, s=shape)
         u_p = solve_input(plan, plan.spectrum(v), lam, np.empty(shape))
-        u_i = solve_guidance(plan, div.copy(), lam, np.empty_like(plan.G))
-        assert np.array_equal(u_p, expected_p) and np.array_equal(u_i, expected_i)
-        v_hat = plan.spectrum(v)
-        u_p = solve_input(plan, v_hat, lam, v)
-        u_i = solve_guidance(plan, div, lam, v_hat)
-        assert u_p is v and u_i is div
+        u_i = solve_guidance(plan, div, lam, np.empty_like(plan.G))
         assert np.array_equal(u_p, expected_p) and np.array_equal(u_i, expected_i)
 
 
@@ -310,6 +303,27 @@ def test_H_sq_by_row_blocks_into_work(monkeypatch):
         plan.H_sq(np.empty((63, 51), dtype=np.float32))
     with pytest.raises(DimensionMismatch):
         plan.H_sq(np.empty((63, 50)))
+
+
+@pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
+def test_solves_into_given_buffers_equal_fresh_outputs(shape, monkeypatch):
+    # The restore loop's buffer reuse: u_p into v's buffer from F(v)'s,
+    # then div transformed into F(v)'s buffer and u_i written over div,
+    # gives the same bits as each solve in fresh buffers of its own.
+    # Row blocks of 7 half-plane rows make the conj(H) F(g) loop take
+    # several blocks, one of them short.
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 7 * (shape[1] // 2 + 1))
+    g, v = rand_image(42, shape), rand_image(43, shape)
+    div = divergence(rand_image(44, shape), rand_image(45, shape))
+    plan = SpectralPlan(g, random_psf(46))
+    lam = 0.37
+    fresh_p = solve_input(plan, plan.spectrum(v), lam, np.empty(shape))
+    fresh_i = solve_guidance(plan, div.copy(), lam, np.empty_like(plan.G))
+    v_hat = plan.spectrum(v)
+    u_p = solve_input(plan, v_hat, lam, v)
+    u_i = solve_guidance(plan, div, lam, v_hat)
+    assert u_p is v and u_i is div
+    assert np.array_equal(u_p, fresh_p) and np.array_equal(u_i, fresh_i)
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51), (1, 7), (7, 1), (5, 2)])
