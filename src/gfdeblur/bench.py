@@ -102,6 +102,12 @@ def parse_psf_spec(spec: str) -> Psf:
         size, std = int(size_s), float(std_s)
         if size < 1 or size % 2 == 0 or not 0 < std < np.inf:
             raise ValueError(f"bad PSF spec {spec!r}: needs an odd SIZE >= 1, a finite STD > 0")
+        # gaussian_kernel's largest exponent, at a corner; a STD so small
+        # that it overflows, or is 0 / 0 at SIZE 1, cannot form the kernel.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            exponent = np.float64(2 * (size // 2) ** 2) / (2.0 * std * std)
+        if not np.isfinite(exponent):
+            raise ValueError(f"bad PSF spec {spec!r}: STD {std!r} is too small to form the kernel")
         return Psf(gaussian_kernel(size, std))
     if kind == "rational":
         return Psf(rational_kernel(int(rest)))

@@ -102,8 +102,14 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
     try:  # only a sigma or eps far above g's scale overflows here
         sigma = None if cfg.sigma is None else math.ldexp(cfg.sigma, -e)
         eps = None if cfg.gf_eps is None else math.ldexp(cfg.gf_eps, -2 * e)
+        # as does the eps NoiseEstimate derives from sigma, (2 sigma)^2
+        if sigma is not None and (2.0 * sigma) * (2.0 * sigma) == math.inf:
+            raise OverflowError
     except OverflowError:
-        raise ValueError("sigma or gf_eps overflows when scaled with the observation") from None
+        raise ValueError(
+            f"sigma or gf_eps overflows when scaled with the observation by 2^{-e}: "
+            f"sigma {cfg.sigma!r}, gf_eps {cfg.gf_eps!r}"
+        ) from None
     est = NoiseEstimate(sigma) if sigma is not None else estimate_sigma(g)
     gf = GfParams(cfg.gf_w, eps if eps is not None else max((2.0 * est.sigma) ** 2, EPS_FLOOR))
 

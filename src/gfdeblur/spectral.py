@@ -12,21 +12,26 @@ Everything runs on the rfft2 half-plane (columns 0 .. width // 2): a
 real image's spectrum is Hermitian, so the half-plane holds all of it;
 discrepancy_terms weights column 0 once, interior columns twice and, for
 even widths, column width / 2 once to recover full-plane sums of
-|F(x)|^2.  Every per-frequency pass (|H|^2, the solves, the discrepancy
-terms and each residual evaluation) works a row block of the half-plane
-at a time in the scratch _blocks yields, so none makes a half-plane
-temporary.  Every inverse takes two steps, ifft over the columns in the
-spectrum's own buffer, then irfft over the rows into the output image;
-this is irfft2 told the image shape, bit for bit, without its
-image-sized working copies.  The guidance solve transforms the
-divergence Dx^T vx + Dy^T vy, whose spectrum is conj(Dx) F(vx) +
-conj(Dy) F(vy): a forward difference's adjoint is the backward one.
+|F(x)|^2.  A rank-1 PSF (Psf.factors) has H = Hy Hx, its column
+spectrum times its row spectrum, and the plan keeps only those two
+vectors; any other PSF's H is kept as a half-plane.  Every per-frequency
+pass (|H|^2, the solves, the discrepancy terms and each residual
+evaluation) works a row block of the half-plane at a time in the
+scratch _blocks yields, which also takes a rank-1 H's row block, so
+none makes a half-plane temporary.  Every inverse takes two steps, ifft
+over the columns in the spectrum's own buffer, then irfft over the rows
+into the output image; this is irfft2 told the image shape, bit for
+bit, without its image-sized working copies.  The guidance solve
+transforms the divergence Dx^T vx + Dy^T vy, whose spectrum is
+conj(Dx) F(vx) + conj(Dy) F(vy): a forward difference's adjoint is the
+backward one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -63,11 +68,23 @@ def _abs_sq(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
+# A PSF is rank 1 when no normalized tap differs from outer(col, row),
+# Psf.factors, by more than RANK1_TOL times the largest |tap|.
+RANK1_TOL = 1e-12
+
+
 @dataclass(frozen=True, eq=False)
 class Psf:
-    """Small centered convolution kernel; Psf(taps) normalizes to unit sum."""
+    """Small centered convolution kernel; Psf(taps) normalizes to unit sum.
+
+    factors is (col, row), shapes (kh, 1) and (1, kw), when the
+    normalized taps are rank 1 within RANK1_TOL, and None otherwise: with
+    (i0, j0) the largest |tap|, col is column j0 and row is row i0
+    divided by that tap.
+    """
 
     taps: np.ndarray = field()
+    factors: Optional[tuple] = field(init=False, repr=False)
 
     def __post_init__(self):
         taps = np.asarray(self.taps, dtype=np.float64)
@@ -81,29 +98,39 @@ class Psf:
         s = taps.sum()
         if s == 0.0 or not np.isfinite(s):
             raise ValueError(f"PSF taps sum to {s}; cannot normalize")
-        object.__setattr__(self, "taps", taps / s)
+        taps = taps / s
+        object.__setattr__(self, "taps", taps)
+        i0, j0 = np.unravel_index(np.argmax(np.abs(taps)), taps.shape)
+        pivot = taps[i0, j0]
+        col, row = taps[:, j0 : j0 + 1], taps[i0 : i0 + 1] / pivot
+        with np.errstate(over="ignore"):  # taps near the float64 limit: inf, not rank 1
+            rank1 = np.max(np.abs(col * row - taps)) <= RANK1_TOL * abs(pivot)
+        object.__setattr__(self, "factors", (col, row) if rank1 else None)
 
     @property
     def shape(self):
         return self.taps.shape
 
 
-def _embed_psf(psf: Psf, height: int, width: int) -> np.ndarray:
-    """The PSF placed on a height x width canvas, center tap at the origin.
+def _check_fits(psf: Psf, height: int, width: int) -> None:
+    kh, kw = psf.shape
+    if kh > height or kw > width:
+        raise KernelTooLarge(f"PSF {kh}x{kw} does not fit canvas {height}x{width}")
+
+
+def _embed_psf(taps: np.ndarray, height: int, width: int) -> np.ndarray:
+    """PSF taps, which _check_fits has found to fit, placed on a
+    height x width canvas, center tap at the origin.
 
     The kernel wraps circularly, so pointwise multiplication by the
     canvas spectrum implements centered circular convolution.
     """
-    kh, kw = psf.shape
-    if kh > height or kw > width:
-        raise KernelTooLarge(
-            f"PSF {kh}x{kw} does not fit canvas {height}x{width}"
-        )
+    kh, kw = taps.shape
     canvas = np.zeros((height, width), dtype=np.float64)
     cy, cx = kh // 2, kw // 2
     rows = (np.arange(kh) - cy) % height
     cols = (np.arange(kw) - cx) % width
-    canvas[np.ix_(rows, cols)] += psf.taps
+    canvas[np.ix_(rows, cols)] += taps
     return canvas
 
 
@@ -128,7 +155,8 @@ def _irfft2(spec: np.ndarray, width: int, out=None) -> np.ndarray:
 
 def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     """Centered circular convolution of an image with a PSF."""
-    psf_hat = _rfft2(_embed_psf(psf, *img.shape))
+    _check_fits(psf, *img.shape)
+    psf_hat = _rfft2(_embed_psf(psf.taps, *img.shape))
     spec = _rfft2(img)
     spec *= psf_hat
     return _irfft2(spec, img.shape[1])
@@ -138,19 +166,36 @@ class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
 
-    H and F(g), the Parseval column weights that discrepancy_terms folds
+    F(g), H, the Parseval column weights that discrepancy_terms folds
     into b, and the closed-form |Dx|^2 + |Dy|^2 as its two factors:
     Dy_sq, shape (height, 1), and Dx_sq, shape (width // 2 + 1,), which
-    broadcast to the half-plane sum.  The solves form conj(H) F(g) and
-    |H|^2 a row block at a time; H_sq makes |H|^2 as a whole half-plane
+    broadcast to the half-plane sum.  A rank-1 PSF keeps H as its column
+    and row spectra, _Hy of shape (height, 1) and _Hx of shape
+    (1, width // 2 + 1), the rfft2s of psf.factors embedded on a
+    height x 1 and a 1 x width canvas, with |Hy|^2 and |Hx|^2; F(g) is
+    then its one half-plane.  Any other PSF keeps H as a second
+    half-plane, _H.  _H_block and _H_sq_block give a row block of H and
+    of |H|^2 in either form; the solves form conj(H) F(g) and |H|^2 a
+    row block at a time, and H_sq writes |H|^2 into a buffer it is given
     for the lambda search.
     """
 
-    __slots__ = ("shape", "H", "G", "Dy_sq", "Dx_sq", "weights")
+    __slots__ = ("shape", "G", "_H", "_Hy", "_Hx", "_Hy_sq", "_Hx_sq",
+                 "Dy_sq", "Dx_sq", "weights")
 
     def __init__(self, g: np.ndarray, psf: Psf):
         height, width = self.shape = g.shape
-        self.H = _rfft2(_embed_psf(psf, height, width))
+        _check_fits(psf, height, width)
+        if psf.factors is None:
+            self._H = _rfft2(_embed_psf(psf.taps, height, width))
+            self._Hy = self._Hx = self._Hy_sq = self._Hx_sq = None
+        else:
+            col, row = psf.factors
+            self._H = None
+            self._Hy = _rfft2(_embed_psf(col, height, 1))
+            self._Hx = _rfft2(_embed_psf(row, 1, width))
+            self._Hy_sq = self._Hy.real ** 2 + self._Hy.imag ** 2
+            self._Hx_sq = self._Hx.real ** 2 + self._Hx.imag ** 2
         self.G = _rfft2(g)
         kx = np.arange(width // 2 + 1)
         ky = np.arange(height)
@@ -174,16 +219,33 @@ class SpectralPlan:
             self._check_spectrum(out)
         return _rfft2(img, out)
 
+    def _H_block(self, blk: slice, out: np.ndarray) -> np.ndarray:
+        """H's rows blk: a view of _H, or for a rank-1 PSF Hy[blk] Hx
+        written into out, a complex block of those rows."""
+        if self._H is not None:
+            return self._H[blk]
+        return np.multiply(self._Hy[blk], self._Hx, out=out)
+
+    def _H_sq_block(self, blk: slice, out: np.ndarray, tmp) -> np.ndarray:
+        """|H|^2's rows blk into out, with tmp, a real block of out's shape,
+        as scratch; for a rank-1 PSF, |Hy[blk]|^2 |Hx|^2, which needs none."""
+        if self._H is not None:
+            return _abs_sq(self._H[blk], out, tmp)
+        return np.multiply(self._Hy_sq[blk], self._Hx_sq, out=out)
+
     def H_sq(self, work) -> np.ndarray:
-        """|H|^2 on the half-plane, a row block at a time, written over the
-        front of work, a C-contiguous float64 image of the plan's shape,
-        which holds a half-plane."""
+        """|H|^2 on the half-plane, written over the front of work, a
+        C-contiguous float64 image of the plan's shape, which holds a
+        half-plane: for a rank-1 PSF in one broadcast multiply, otherwise
+        a row block at a time."""
         self._check_image(work)
         if work.dtype != np.float64 or not work.flags.c_contiguous:
             raise ValueError("work must be a C-contiguous float64 image")
-        out = work.reshape(-1)[: self.H.size].reshape(self.H.shape)
-        for blk, tmp in _blocks(self.H.shape, np.float64):
-            _abs_sq(self.H[blk], out[blk], tmp)
+        out = work.reshape(-1)[: self.G.size].reshape(self.G.shape)
+        if self._H is None:
+            return self._H_sq_block(slice(None), out, None)
+        for blk, tmp in _blocks(out.shape, np.float64):
+            self._H_sq_block(blk, out[blk], tmp)
         return out
 
     def _solve_blocks(self, spec: np.ndarray, lam: float):
@@ -191,24 +253,26 @@ class SpectralPlan:
         a time; yields (row slice, spec's block, the block's |H|^2, a real
         scratch block) for the caller to divide the block by its
         denominator before the next."""
-        cols = self.H.shape[1]
-        for blk, prod, h_sq in _blocks(self.H.shape, np.complex128, np.float64):
+        cols = self.G.shape[1]
+        for blk, prod, h_sq in _blocks(self.G.shape, np.complex128, np.float64):
+            # prod's block is |H|^2's scratch, then takes H and conj(H) F(g);
+            # once s has taken that, it serves as two real blocks.
+            spare = prod.view(np.float64)
+            self._H_sq_block(blk, h_sq, spare[:, :cols])
+            H = self._H_block(blk, prod)
             s = spec[blk]
             s *= lam
-            H = self.H[blk]
             s += np.multiply(np.conj(H, out=prod), self.G[blk], out=prod)
-            # Once s has taken conj(H) F(g), prod's block serves as two real ones.
-            spare = prod.view(np.float64)
-            yield blk, s, _abs_sq(H, h_sq, spare[:, :cols]), spare[:, cols:]
+            yield blk, s, h_sq, spare[:, cols:]
 
     def _check_image(self, img) -> None:
         if img.shape != self.shape:
             raise DimensionMismatch(f"image {img.shape} differs from plan {self.shape}")
 
     def _check_spectrum(self, img_hat) -> None:
-        if img_hat.shape != self.H.shape:
+        if img_hat.shape != self.G.shape:
             raise DimensionMismatch(
-                f"spectrum {img_hat.shape} is not the plan's half-plane {self.H.shape}"
+                f"spectrum {img_hat.shape} is not the plan's half-plane {self.G.shape}"
             )
 
 
@@ -266,9 +330,9 @@ def discrepancy_terms(plan: SpectralPlan, v_hat) -> np.ndarray:
     sum(b) / npix.  The complex residual is formed a row block at a time.
     """
     plan._check_spectrum(v_hat)
-    b = np.empty(plan.H.shape)
+    b = np.empty(plan.G.shape)
     for blk, x in _blocks(b.shape, np.complex128):
-        np.multiply(plan.H[blk], v_hat[blk], out=x)
+        np.multiply(plan._H_block(blk, x), v_hat[blk], out=x)
         x -= plan.G[blk]
         # Square x's real and imaginary parts in place, then add each pair.
         xf = np.square(x.view(np.float64), out=x.view(np.float64))

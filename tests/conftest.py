@@ -5,6 +5,7 @@ the suite needs no image assets."""
 
 from __future__ import annotations
 
+import copy
 import os
 import tracemalloc
 from pathlib import Path
@@ -188,7 +189,21 @@ def guidfilter_bruteforce(guide: np.ndarray, src: np.ndarray, w: int, eps: float
 
 def psf_spectrum(psf: Psf, height: int, width: int) -> np.ndarray:
     """Full-plane spectrum of the PSF embedded in a height x width canvas."""
-    return np.fft.fft2(_embed_psf(psf, height, width))
+    return np.fft.fft2(_embed_psf(psf.taps, height, width))
+
+
+def plan_H(plan: SpectralPlan) -> np.ndarray:
+    """The plan's H on the half-plane as its per-block accessor forms it:
+    the stored half-plane's own bits, or a rank-1 PSF's Hy Hx."""
+    return plan._H_block(slice(None), np.empty_like(plan.G))
+
+
+def without_factors(psf: Psf) -> Psf:
+    """psf with the same taps and no rank-1 factors, so a plan keeps its H
+    as a half-plane, the path of every PSF that is not rank 1."""
+    twin = copy.copy(psf)
+    object.__setattr__(twin, "factors", None)
+    return twin
 
 
 def derivative_spectra(height: int, width: int):

@@ -59,10 +59,24 @@ def test_psf_spec_unknown():
     with pytest.raises(ValueError):
         parse_psf_spec("motion:5")
     # A Gaussian takes an odd size >= 1 and a finite std > 0, as a boxcar
-    # takes an odd size; 5:0 divided by zero before it was refused.
-    for spec in ("gaussian:4:1.0", "gaussian:0:1.0", "gaussian:5:-1", "gaussian:5:0"):
+    # takes an odd size; 5:0 divided by zero before it was refused.  A std
+    # whose kernel exponent overflows (5:1e-160) or divides by a 2 std^2
+    # that underflows to 0 (5:1e-300) is refused alike, not warned about.
+    for spec in ("gaussian:4:1.0", "gaussian:0:1.0", "gaussian:5:-1", "gaussian:5:0",
+                 "gaussian:5:1e-160", "gaussian:5:1e-300"):
         with pytest.raises(ValueError, match=f"bad PSF spec '{spec}'"):
             parse_psf_spec(spec)
+
+
+def test_deblur_tiny_gaussian_std_exits_2(tmp_path, capsys):
+    src = tmp_path / "g.pgm"
+    write_image(src, rand_int_image(8, (16, 16)))
+    for spec in ("gaussian:5:1e-160", "gaussian:5:1e-300"):
+        capsys.readouterr()
+        assert main(["deblur", "--in", str(src), "--psf", spec, "--sigma", "1",
+                     "--out", str(tmp_path / "o.pgm")]) == 2
+        assert f"bad PSF spec '{spec}'" in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
 
 
 def test_parse_grid():

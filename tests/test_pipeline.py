@@ -15,7 +15,15 @@ from gfdeblur.errors import DimensionMismatch, UnreachableBound, WindowTooLarge
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, solve_input
 
-from conftest import STAGES, natural_image, psf_spectrum, rand_image, rand_int_image, stage_peaks
+from conftest import (
+    STAGES,
+    natural_image,
+    psf_spectrum,
+    rand_image,
+    rand_int_image,
+    stage_peaks,
+    without_factors,
+)
 
 
 def test_noiseless_identity_degradation():
@@ -40,6 +48,21 @@ def test_first_iteration_is_pure_tikhonov_solve():
     plan, z = SpectralPlan(g, psf), np.zeros_like(g)
     via_solver = solve_input(plan, plan.spectrum(z), lam, np.empty_like(z))
     np.testing.assert_allclose(via_solver, direct, atol=1e-10)
+
+
+@pytest.mark.parametrize("scenario", [3, 4, 5])
+def test_rank1_psf_restores_as_its_taps_kept_whole(scenario):
+    # A rank-1 PSF's H formed from its factors and the same taps' H kept
+    # as a half-plane differ at rounding level, and so do their restores,
+    # on a [0, 255] scale; every lambda and bisection count agrees.
+    pair = degrade(natural_image(7, 64), SCENARIOS[scenario], seed=3)
+    assert pair.psf.factors is not None
+    cfg = GfdConfig(iterations=5, sigma=pair.sigma)
+    out, trace = run_gfd(pair.observed, pair.psf, cfg)
+    whole, whole_trace = run_gfd(pair.observed, without_factors(pair.psf), cfg)
+    assert np.max(np.abs(out - whole)) < 1e-10
+    assert [t.bisect_steps for t in trace] == [t.bisect_steps for t in whole_trace]
+    assert [t.lam for t in trace] == pytest.approx([t.lam for t in whole_trace], rel=1e-9)
 
 
 def test_determinism():
@@ -154,6 +177,16 @@ def test_setting_overflowing_at_observation_scale_rejected():
             run_gfd(g, psf, cfg)
 
 
+def test_sigma_whose_eps_overflows_at_observation_scale_rejected():
+    # sigma = 1 at scale 2^996 is 1.7e302, finite, but its derived eps
+    # (2 sigma)^2 is not.  The refusal names the sigma the user gave,
+    # not the scaled one NoiseEstimate would have named.
+    g = natural_image(3, 16) * 1e-300
+    with pytest.raises(ValueError, match=r"overflows when scaled .* by 2\^996: sigma 1.0,") as err:
+        run_gfd(g, Psf(np.ones((3, 3))), GfdConfig(iterations=1, sigma=1.0))
+    assert "e+302" not in str(err.value)
+
+
 def test_nonfinite_observation_rejected():
     g = natural_image(10, 32)
     g[5, 7] = np.nan
@@ -193,18 +226,21 @@ def test_zero_observation_restores():
 
 
 def test_restore_peak_memory():
-    # The plan holds two half-planes (H and F(g)), the solves work in
-    # F(v)'s, v's and the divergence's buffers, the lambda search keeps
-    # |H|^2 in v's, the transforms make no image-sized working copy, the
-    # gradient smoothing goes from v to the divergence in one strip pass,
-    # and the main filter writes over u_p.  At 512^2 the peak, in the
-    # lambda search, reads 6.05 images here; 6.33 in the main filter with
-    # a new output and 10 strip buffers, 7.02 with |H|^2 in the plan and
-    # a half-plane per residual evaluation.  At 256^2, where the strip
-    # buffers are larger against the image, it reads 7.32; 9.01 with a
-    # new output and 10 strip buffers.
-    for size, bound in ((512, 6.2), (256, 7.7)):
-        pair = degrade(natural_image(7, size), SCENARIOS[5], seed=0)
+    # The plan holds F(g) and, for scenario 1's rational kernel, H as a
+    # second half-plane; scenario 5's rank-1 Gaussian keeps H as two
+    # vectors.  The solves work in F(v)'s, v's and the divergence's
+    # buffers, the lambda search keeps |H|^2 in v's, the transforms make
+    # no image-sized working copy, the gradient smoothing goes from v to
+    # the divergence in one strip pass, and the main filter writes over
+    # u_p.  At 512^2 the peak, in the lambda search, reads 5.15 images for
+    # scenario 5 and 6.05 for scenario 1, as scenario 5 did with H stored;
+    # 6.33 in the main filter with a new output and 10 strip buffers, 7.02
+    # with |H|^2 in the plan and a half-plane per residual evaluation.  At
+    # 256^2, where the strip buffers are larger against the image, the
+    # main filter sets it: 6.33 for scenario 5 and 7.32 for scenario 1;
+    # 9.01 with a new output and 10 strip buffers.
+    for size, scenario, bound in ((512, 5, 5.3), (256, 5, 6.5), (512, 1, 6.2), (256, 1, 7.7)):
+        pair = degrade(natural_image(7, size), SCENARIOS[scenario], seed=0)
         cfg = GfdConfig(iterations=3, sigma=pair.sigma)
         tracemalloc.start()
         try:
@@ -213,26 +249,30 @@ def test_restore_peak_memory():
         finally:
             tracemalloc.stop()
         assert math.isfinite(trace[0].lam)  # the solves ran
-        assert peak / (size * size * 8) < bound, size
+        assert peak / (size * size * 8) < bound, (size, scenario)
 
 
 def test_stage_peak_memory():
     # Each stage's peak counts all that is live while it runs: the plan's
-    # two half-planes, v, the divergence and, in the lambda search and
-    # the solves, F(v) (5 images), plus the stage's own arrays.  Readings
-    # here, and in brackets with |H|^2 in the plan and whole-plane
-    # denominators and residuals: lambda search 6.05 (7.02), solves 5.83
-    # and 5.86 (6.09 and 6.52).  The main filter, over u_p, reads 5.10;
-    # 6.33 with a new output and 10 strip buffers.  The gradient
-    # smoothing, over the divergence, reads 4.85.  Each bound leaves
-    # about 0.15 images.
-    pair = degrade(natural_image(7, 512), SCENARIOS[5], seed=0)
-    peaks = stage_peaks(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
-    assert peaks["choose_lambda"] < 6.2
-    assert peaks["solve_input"] < 6.0 and peaks["solve_guidance"] < 6.0
-    assert peaks["guidfilter"] < 5.3
-    assert peaks["smooth_gradients"] < 5.0
-    assert peaks["run_gfd"] == max(peaks[name] for name in STAGES)
+    # F(g), and H for a PSF that is not rank 1, v, the divergence and, in
+    # the lambda search and the solves, F(v) (4 images for scenario 5's
+    # rank-1 Gaussian, 5 for scenario 1's rational kernel), plus the
+    # stage's own arrays.  Readings for scenario 5, then scenario 1, as
+    # scenario 5 read with H stored, and in brackets with |H|^2 in the
+    # plan and whole-plane denominators and residuals: lambda search 5.15,
+    # 6.05 (7.02); solves 4.90 and 4.90, 5.83 and 5.86 (6.09 and 6.52).
+    # The main filter, over u_p, reads 4.10, 5.10; 6.33 with a new output
+    # and 10 strip buffers.  The gradient smoothing, over the divergence,
+    # reads 3.85, 4.85.  Each bound leaves about 0.15 images.
+    for scenario, bounds in ((5, (5.3, 5.05, 4.25, 4.0)), (1, (6.2, 6.0, 5.3, 5.0))):
+        pair = degrade(natural_image(7, 512), SCENARIOS[scenario], seed=0)
+        peaks = stage_peaks(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
+        search, solves, main_filter, smoothing = bounds
+        assert peaks["choose_lambda"] < search, scenario
+        assert peaks["solve_input"] < solves and peaks["solve_guidance"] < solves, scenario
+        assert peaks["guidfilter"] < main_filter, scenario
+        assert peaks["smooth_gradients"] < smoothing, scenario
+        assert peaks["run_gfd"] == max(peaks[name] for name in STAGES)
 
 
 def test_psf_zeros_above_the_bound_refused():
@@ -290,14 +330,18 @@ def test_mismatched_reference_rejected(monkeypatch):
 
 
 def test_fft_calls_per_iteration(monkeypatch):
-    # The plan costs 2 forward transforms per restore; an iteration costs
+    # The plan costs, per restore, F(g) and H: for scenario 5's rank-1
+    # Gaussian the rfft2s of its column and row factors on a height x 1
+    # and a 1 x width canvas (3 calls, npix + height + width points), and
+    # for the same taps without their factors, the path of a PSF that is
+    # not rank 1, one more image (2 calls, 2 npix).  An iteration costs
     # F(v) plus, for finite lambda, the input solve's inverse and the
     # guidance solve's forward transform of one image and its inverse.
     # Each inverse is two calls, ifft over the columns and irfft over the
     # rows.
     # Scenario 5 at 32x32 mixes finite and infinite lambda within 6 iterations.
     clean = natural_image(1, 32)
-    npix = clean.size
+    (height, width), npix = clean.shape, clean.size
     pair = degrade(clean, SCENARIOS[5], seed=0)
     calls = _count_fft_calls(monkeypatch)
     per_iter = []
@@ -306,14 +350,17 @@ def test_fft_calls_per_iteration(monkeypatch):
         pipeline, "smooth_gradients",
         lambda *a: per_iter.append((len(calls), sum(calls))) or smooth(*a),
     )
-    _, trace = run_gfd(pair.observed, pair.psf, GfdConfig(iterations=6, sigma=pair.sigma))
-    infinite = [math.isinf(rec.lam) for rec in trace]
-    assert any(infinite) and not all(infinite)
-    # (calls, forward-transform input points) per iteration
-    expected = [[1, npix] if inf else [6, 2 * npix] for inf in infinite]
-    expected[0][0] += 2
-    expected[0][1] += 2 * npix
-    assert np.diff([(0, 0)] + per_iter, axis=0).tolist() == expected
+    for psf, plan_cost in ((pair.psf, [3, npix + height + width]),
+                           (without_factors(pair.psf), [2, 2 * npix])):
+        calls.clear()
+        per_iter.clear()
+        _, trace = run_gfd(pair.observed, psf, GfdConfig(iterations=6, sigma=pair.sigma))
+        infinite = [math.isinf(rec.lam) for rec in trace]
+        assert any(infinite) and not all(infinite)
+        # (calls, forward-transform input points) per iteration
+        expected = [[1, npix] if inf else [6, 2 * npix] for inf in infinite]
+        expected[0] = [n + cost for n, cost in zip(expected[0], plan_cost)]
+        assert np.diff([(0, 0)] + per_iter, axis=0).tolist() == expected
 
 
 def test_library_uses_only_the_half_plane_pair(monkeypatch):

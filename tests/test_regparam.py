@@ -289,7 +289,7 @@ def test_choose_lambda_writes_work_only_on_a_finite_search():
     choice = choose_lambda(plan, v_hat, 0.5 * asymptote, work)
     assert not choice.is_infinite
     assert choice == choose_lambda(plan, v_hat, 0.5 * asymptote, np.empty_like(v))
-    assert np.array_equal(work.ravel()[: plan.H.size], plan.H_sq(np.empty_like(v)).ravel())
+    assert np.array_equal(work.ravel()[: plan.G.size], plan.H_sq(np.empty_like(v)).ravel())
 
 
 def test_noise_estimate_variance_consistency():

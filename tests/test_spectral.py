@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from gfdeblur import spectral
+from gfdeblur.bench import parse_psf_spec
 from gfdeblur.errors import DimensionMismatch, KernelTooLarge, SingularDenominator
 from gfdeblur.spectral import (
     INFINITY,
@@ -20,6 +23,7 @@ from conftest import (
     diff_y,
     discrepancy,
     divergence,
+    plan_H,
     plan_discrepancy,
     psf_spectrum,
     rand_image,
@@ -29,6 +33,11 @@ from conftest import (
 def random_psf(seed: int, size: int = 5) -> Psf:
     gen = np.random.default_rng(seed)
     return Psf(gen.uniform(0.1, 1.0, (size, size)))
+
+
+def rank1_psf() -> Psf:
+    """A 5x3 rank-1 kernel, so the plan keeps H as its two factors."""
+    return Psf(np.outer([1.0, 4.0, 6.0, 4.0, 1.0], [1.0, 3.0, 1.0]))
 
 
 def spatial_circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
@@ -76,17 +85,50 @@ def test_psf_normalizes_to_unit_sum():
     np.testing.assert_array_equal(psf.taps, [[0.25, 0.5, 0.25]])
 
 
+@pytest.mark.parametrize("spec", ["boxcar:9", "binomial5", "gaussian:25:1.6"])
+def test_psf_finds_rank1(spec):
+    # The column and row through the largest tap: their outer product is
+    # the kernel within RANK1_TOL of that tap (0 for the first two,
+    # 2.2e-16 for the Gaussian).
+    psf = parse_psf_spec(spec)
+    col, row = psf.factors
+    assert col.shape == (psf.shape[0], 1) and row.shape == (1, psf.shape[1])
+    assert np.max(np.abs(col * row - psf.taps)) <= spectral.RANK1_TOL * psf.taps.max()
+
+
+def test_psf_not_rank1():
+    # The rational kernel misses by 8.3e-2 of its largest tap; a random
+    # kernel is not rank 1, nor one tap off a rank-1 kernel by 1e-9.
+    taps = rank1_psf().taps.copy()
+    taps[0, 0] += 1e-9 * taps.max()
+    for psf in (parse_psf_spec("rational:7"), random_psf(61), Psf(taps)):
+        assert psf.factors is None
+
+
 # -------------------------------------------------------------- plan.H
 
 
 def test_delta_spectrum_is_all_ones():
-    spec = SpectralPlan(np.zeros((8, 8)), Psf([[1.0]])).H
+    spec = plan_H(SpectralPlan(np.zeros((8, 8)), Psf([[1.0]])))
     np.testing.assert_allclose(spec, 1.0, atol=1e-14)
 
 
 def test_dc_gain_is_one():
-    spec = SpectralPlan(np.zeros((16, 16)), random_psf(0)).H
-    assert abs(spec[0, 0] - 1.0) <= 1e-12
+    for psf in (random_psf(0), rank1_psf()):
+        spec = plan_H(SpectralPlan(np.zeros((16, 16)), psf))
+        assert abs(spec[0, 0] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["boxcar:9", "binomial5", "gaussian:25:1.6"])
+@pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
+def test_factored_H_matches_full_spectrum(spec, shape):
+    # Hy Hx against the fft2 of the whole embedded kernel, on an even and
+    # an odd width's half-plane.
+    psf = parse_psf_spec(spec)
+    plan = SpectralPlan(np.zeros(shape), psf)
+    assert plan._H is None
+    full = psf_spectrum(psf, *shape)[:, : shape[1] // 2 + 1]
+    assert np.max(np.abs(plan_H(plan) - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_embedding_matches_explicit_wrap():
@@ -95,7 +137,7 @@ def test_embedding_matches_explicit_wrap():
     for ky in range(3):
         for kx in range(3):
             canvas[(ky - 1) % 8, (kx - 1) % 8] = psf.taps[ky, kx]
-    spec = SpectralPlan(np.zeros((8, 8)), psf).H
+    spec = plan_H(SpectralPlan(np.zeros((8, 8)), psf))
     np.testing.assert_allclose(spec, np.fft.rfft2(canvas), atol=1e-13)
 
 
@@ -228,39 +270,46 @@ def test_plan_rejects_mismatched_shapes():
         solve_guidance(plan, z, 1.0, np.fft.rfft2(small))
     with pytest.raises(DimensionMismatch):
         discrepancy_terms(plan, np.fft.rfft2(small))
-    with pytest.raises(KernelTooLarge):
-        SpectralPlan(np.zeros((4, 4)), random_psf(1, 5))
+    # A rank-1 PSF is named whole, not by the factor that does not fit.
+    for psf in (random_psf(1, 5), Psf(np.ones((5, 3))), Psf(np.ones((3, 5)))):
+        kh, kw = psf.shape
+        with pytest.raises(KernelTooLarge, match=f"PSF {kh}x{kw} does not fit canvas 4x4"):
+            SpectralPlan(np.zeros((4, 4)), psf)
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
 def test_plan_holds_two_half_planes(shape):
-    # H and F(g); the solves form conj(H) F(g) and |H|^2 a row block at a
-    # time, the lambda search makes |H|^2 in a buffer it is given, and
-    # |Dx|^2 + |Dy|^2 is kept as its two factors, vectors like the
-    # Parseval weights.
+    # H and F(g), or for a rank-1 PSF only F(g), with H as its column and
+    # row spectra and their squared magnitudes; the solves form conj(H)
+    # F(g) and |H|^2 a row block at a time, the lambda search makes |H|^2
+    # in a buffer it is given, and |Dx|^2 + |Dy|^2 is kept as its two
+    # factors, vectors like the Parseval weights.
     height, width = shape
-    plan = SpectralPlan(rand_image(40, shape), random_psf(41))
-    arrays = [getattr(plan, name) for name in SpectralPlan.__slots__]
-    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
     half = height * (width // 2 + 1)
-    assert sorted(a.dtype.kind for a in arrays if a.size == half) == ["c", "c"]
-    assert all(a.size < height + width for a in arrays if a.size != half)
-    assert sum(a.nbytes for a in arrays) <= 2 * 16 * half + 3 * 8 * (height + width)
+    for psf, planes in ((random_psf(41), 2), (rank1_psf(), 1)):
+        plan = SpectralPlan(rand_image(40, shape), psf)
+        arrays = [getattr(plan, name) for name in SpectralPlan.__slots__]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert sorted(a.dtype.kind for a in arrays if a.size == half) == ["c"] * planes
+        assert all(a.size < height + width for a in arrays if a.size != half)
+        assert sum(a.nbytes for a in arrays) <= 2 * 16 * half + 3 * 8 * (height + width)
 
 
 @pytest.mark.parametrize("rows", [1, 5, 7, 64])
 def test_solves_by_row_blocks_equal_whole_plane(rows, monkeypatch):
     # Each element gets the whole-plane expressions' operations in their
     # order, so every block height (5 rows do not divide 63 or 64) gives
-    # the same bits.
+    # the same bits, with H and |H|^2 stored or formed from their factors.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
-    for shape in ((63, 51), (64, 50)):  # odd and even widths, both 26 half-plane columns
+    for shape, psf in itertools.product(((63, 51), (64, 50)), (random_psf(56), rank1_psf())):
+        # odd and even widths, both 26 half-plane columns
         g, v = rand_image(52, shape), rand_image(53, shape)
         div = divergence(rand_image(54, shape), rand_image(55, shape))
-        plan = SpectralPlan(g, random_psf(56))
+        plan = SpectralPlan(g, psf)
         lam = 0.37
-        H_sq = plan.H.real ** 2 + plan.H.imag ** 2
-        conj_H_G = np.conj(plan.H) * plan.G
+        H = plan_H(plan)
+        H_sq = plan.H_sq(np.empty(shape))
+        conj_H_G = np.conj(H) * plan.G
         expected_p = np.fft.irfft2((np.fft.rfft2(v) * lam + conj_H_G) / (H_sq + lam), s=shape)
         denom = (plan.Dy_sq + plan.Dx_sq) * lam + H_sq
         expected_i = np.fft.irfft2((np.fft.rfft2(div) * lam + conj_H_G) / denom, s=shape)
@@ -276,7 +325,7 @@ def test_solve_guidance_singular_in_a_later_block_leaves_out_untouched(monkeypat
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 2 * 5)
     shape, lam = (12, 8), 1e-20
     plan = SpectralPlan(rand_image(57, shape), Psf(np.ones((3, 1))))
-    denom = (plan.Dy_sq + plan.Dx_sq) * lam + (plan.H.real ** 2 + plan.H.imag ** 2)
+    denom = (plan.Dy_sq + plan.Dx_sq) * lam + plan.H_sq(np.empty(shape))
     assert denom[:4].min() >= 1e-15 > denom[4].min()
     div, spec = rand_image(58, shape), np.empty_like(plan.G)
     before = div.copy()
@@ -287,16 +336,22 @@ def test_solve_guidance_singular_in_a_later_block_leaves_out_untouched(monkeypat
 
 
 def test_H_sq_by_row_blocks_into_work(monkeypatch):
-    # |H|^2 is made a few rows at a time over the front of a given image's
+    # |H|^2 is made a few rows at a time, or for a rank-1 PSF as
+    # |Hy|^2 |Hx|^2 in one multiply, over the front of a given image's
     # buffer, which holds a half-plane, and the rest is left as it was; a
     # buffer it cannot use is refused.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 5 * 26)
-    plan = SpectralPlan(rand_image(59, (63, 51)), random_psf(60))
-    expected = plan.H.real ** 2 + plan.H.imag ** 2
-    work = np.full((63, 51), np.nan)
-    a = plan.H_sq(work)
-    assert np.shares_memory(a, work) and np.array_equal(a, expected)
-    assert np.isnan(work.ravel()[a.size :]).all()
+    for psf in (random_psf(60), rank1_psf()):
+        plan = SpectralPlan(rand_image(59, (63, 51)), psf)
+        if psf.factors is None:
+            H = plan_H(plan)
+            expected = H.real ** 2 + H.imag ** 2
+        else:
+            expected = plan._Hy_sq * plan._Hx_sq
+        work = np.full((63, 51), np.nan)
+        a = plan.H_sq(work)
+        assert np.shares_memory(a, work) and np.array_equal(a, expected)
+        assert np.isnan(work.ravel()[a.size :]).all()
     with pytest.raises(ValueError, match="C-contiguous"):
         plan.H_sq(np.empty((51, 63)).T)
     with pytest.raises(ValueError, match="C-contiguous"):
@@ -385,20 +440,21 @@ def test_discrepancy_by_row_blocks_equals_whole_plane(monkeypatch):
     # b is formed a few rows at a time: the whole-plane expression's bits.
     # Each residual sums its rows, then the row sums, so for every block
     # height (5 rows do not divide 63) it equals that sum over the whole
-    # plane, bit for bit.
+    # plane, bit for bit, with H stored or formed from its factors.
     g, v = rand_image(49, (63, 51)), rand_image(50, (63, 51))
-    plan = SpectralPlan(g, random_psf(51))
-    v_hat = plan.spectrum(v)
-    r = plan.H * v_hat - plan.G
-    a, npix = plan.H.real ** 2 + plan.H.imag ** 2, plan.npix
-    for rows in (1, 5, 7, 63):
-        monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
-        b = discrepancy_terms(plan, v_hat)
-        assert np.array_equal(b, (r.real ** 2 + r.imag ** 2) * plan.weights)
-        for lam in (0.01, 0.8, 300.0):
-            x = lam / (a + lam)
-            row_sums = np.sum(x * x * b, axis=1)
-            assert discrepancy_from_terms(a, b, npix, lam) == float(np.sum(row_sums) / npix)
+    for psf in (random_psf(51), rank1_psf()):
+        plan = SpectralPlan(g, psf)
+        v_hat = plan.spectrum(v)
+        r = plan_H(plan) * v_hat - plan.G
+        a, npix = plan.H_sq(np.empty_like(g)), plan.npix
+        for rows in (1, 5, 7, 63):
+            monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
+            b = discrepancy_terms(plan, v_hat)
+            assert np.array_equal(b, (r.real ** 2 + r.imag ** 2) * plan.weights)
+            for lam in (0.01, 0.8, 300.0):
+                x = lam / (a + lam)
+                row_sums = np.sum(x * x * b, axis=1)
+                assert discrepancy_from_terms(a, b, npix, lam) == float(np.sum(row_sums) / npix)
 
 
 def test_discrepancy_monotone_in_lambda():
