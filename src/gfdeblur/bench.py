@@ -86,36 +86,44 @@ def binomial5_kernel() -> np.ndarray:
 
 
 def gaussian_kernel(size: int, std: float) -> np.ndarray:
+    if size < 1 or size % 2 == 0 or not 0 < std < np.inf:
+        raise ValueError("needs an odd SIZE >= 1, a finite STD > 0")
     r = size // 2
+    # The largest exponent, at a corner; a STD so small that it
+    # overflows, or is 0 / 0 at SIZE 1, cannot form the kernel.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        exponent = np.float64(2 * r ** 2) / (2.0 * std * std)
+    if not np.isfinite(exponent):
+        raise ValueError(f"STD {std!r} is too small to form the kernel")
     i = np.arange(-r, r + 1)
     return np.exp(-(i[:, None] ** 2 + i[None, :] ** 2) / (2.0 * std * std))
 
 
+# kind -> (kernel builder, the types of its ':'-separated fields)
+PSF_KINDS = {
+    "boxcar": (boxcar_kernel, (int,)),
+    "gaussian": (gaussian_kernel, (int, float)),
+    "rational": (rational_kernel, (int,)),
+    "binomial5": (binomial5_kernel, ()),
+}
+
+
 def parse_psf_spec(spec: str) -> Psf:
     """PSF mini-language: boxcar:N, gaussian:SIZE:STD, rational:R,
-    binomial5, or file:PATH (a PGM whose samples are kernel weights)."""
-    kind, _, rest = spec.partition(":")
-    if kind == "boxcar":
-        return Psf(boxcar_kernel(int(rest)))
-    if kind == "gaussian":
-        size_s, _, std_s = rest.partition(":")
-        size, std = int(size_s), float(std_s)
-        if size < 1 or size % 2 == 0 or not 0 < std < np.inf:
-            raise ValueError(f"bad PSF spec {spec!r}: needs an odd SIZE >= 1, a finite STD > 0")
-        # gaussian_kernel's largest exponent, at a corner; a STD so small
-        # that it overflows, or is 0 / 0 at SIZE 1, cannot form the kernel.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            exponent = np.float64(2 * (size // 2) ** 2) / (2.0 * std * std)
-        if not np.isfinite(exponent):
-            raise ValueError(f"bad PSF spec {spec!r}: STD {std!r} is too small to form the kernel")
-        return Psf(gaussian_kernel(size, std))
-    if kind == "rational":
-        return Psf(rational_kernel(int(rest)))
-    if kind == "binomial5":
-        return Psf(binomial5_kernel())
-    if kind == "file":
-        return Psf(pgm.read_image(rest))
-    raise ValueError(f"unknown PSF spec {spec!r}")
+    binomial5, or file:PATH (a PGM whose samples are kernel weights).
+    ValueError names a spec that is not one of these."""
+    kind, *fields = spec.split(":")
+    if kind == "file":  # a path may contain ':'
+        return Psf(pgm.read_image(spec[len("file:"):]))
+    if kind not in PSF_KINDS:
+        raise ValueError(f"unknown PSF spec {spec!r}")
+    build, types = PSF_KINDS[kind]
+    try:
+        if len(fields) != len(types):
+            raise ValueError(f"{kind} takes {len(types)} ':'-separated field(s), got {len(fields)}")
+        return Psf(build(*(t(f) for t, f in zip(types, fields))))
+    except ValueError as exc:
+        raise ValueError(f"bad PSF spec {spec!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

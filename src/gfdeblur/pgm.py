@@ -8,39 +8,16 @@ half away from zero, so written files round-trip bit-exactly.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import PgmParseError, UnsupportedFormat
 
 
-def _read_header_tokens(data: bytes, count: int):
-    """Pull `count` whitespace/comment-delimited tokens after the magic.
-
-    Returns (tokens, offset of the byte after the final delimiter).
-    """
-    tokens = []
-    pos = 2  # past the magic
-    while len(tokens) < count:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise PgmParseError(f"truncated header at byte {pos}")
-        tok = data[start:pos]
-        if not tok.isdigit():
-            raise PgmParseError(
-                f"expected integer header field at byte {start}, got {tok!r}"
-            )
-        tokens.append(int(tok))
-    if pos >= len(data):
-        raise PgmParseError(f"missing payload after header at byte {pos}")
-    return tokens, pos + 1  # exactly one whitespace byte before payload
+# The magic, then width, height and maxval, each after any run of
+# whitespace and '#' comments; a field is empty only at the end of data.
+_HEADER = re.compile(rb".." + rb"(?:\s|#[^\n\r]*)*(\S*)" * 3)
 
 
 def read_image(path) -> np.ndarray:
@@ -56,7 +33,17 @@ def read_pgm(path):
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise UnsupportedFormat(f"not a PGM file (magic {magic!r})")
-    (width, height, maxval), payload_at = _read_header_tokens(data, 3)
+    header = _HEADER.match(data)
+    for i in (1, 2, 3):
+        field, at = header.group(i), header.start(i)
+        if not field:
+            raise PgmParseError(f"truncated header at byte {at}")
+        if not field.isdigit():
+            raise PgmParseError(f"expected integer header field at byte {at}, got {field!r}")
+    width, height, maxval = map(int, header.groups())
+    if header.end() >= len(data):
+        raise PgmParseError(f"missing payload after header at byte {header.end()}")
+    payload_at = header.end() + 1  # exactly one whitespace byte before payload
     if width < 1 or height < 1:
         raise PgmParseError(f"bad dimensions {width}x{height}")
     if not 0 < maxval < 65536:

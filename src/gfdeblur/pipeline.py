@@ -51,6 +51,8 @@ class GfdConfig:
     sigma: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.iterations, (int, np.integer)):
+            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations!r}")
         validate_window(self.gf_w)

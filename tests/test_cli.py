@@ -62,8 +62,11 @@ def test_psf_spec_unknown():
     # takes an odd size; 5:0 divided by zero before it was refused.  A std
     # whose kernel exponent overflows (5:1e-160) or divides by a 2 std^2
     # that underflows to 0 (5:1e-300) is refused alike, not warned about.
+    # A field that is not its kind's type, a size the kernel cannot take,
+    # and a spec with the wrong number of fields are each refused by name.
     for spec in ("gaussian:4:1.0", "gaussian:0:1.0", "gaussian:5:-1", "gaussian:5:0",
-                 "gaussian:5:1e-160", "gaussian:5:1e-300"):
+                 "gaussian:5:1e-160", "gaussian:5:1e-300", "boxcar:abc", "boxcar:-1",
+                 "boxcar:0", "boxcar:3:7", "rational:-1", "gaussian:5", "binomial5:3"):
         with pytest.raises(ValueError, match=f"bad PSF spec '{spec}'"):
             parse_psf_spec(spec)
 
@@ -72,6 +75,18 @@ def test_deblur_tiny_gaussian_std_exits_2(tmp_path, capsys):
     src = tmp_path / "g.pgm"
     write_image(src, rand_int_image(8, (16, 16)))
     for spec in ("gaussian:5:1e-160", "gaussian:5:1e-300"):
+        capsys.readouterr()
+        assert main(["deblur", "--in", str(src), "--psf", spec, "--sigma", "1",
+                     "--out", str(tmp_path / "o.pgm")]) == 2
+        assert f"bad PSF spec '{spec}'" in capsys.readouterr().err
+    assert not (tmp_path / "o.pgm").exists()
+
+
+def test_deblur_malformed_psf_spec_exits_2(tmp_path, capsys):
+    src = tmp_path / "g.pgm"
+    write_image(src, rand_int_image(8, (16, 16)))
+    for spec in ("boxcar:abc", "boxcar:-1", "boxcar:0", "rational:-1", "gaussian:5",
+                 "boxcar:3:7", "binomial5:3"):
         capsys.readouterr()
         assert main(["deblur", "--in", str(src), "--psf", spec, "--sigma", "1",
                      "--out", str(tmp_path / "o.pgm")]) == 2

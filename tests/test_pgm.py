@@ -124,10 +124,12 @@ PGM_HEADER_CASES = [
      (PgmParseError, "P2 payload has 3 samples, expected 4")),
     ("truncated_p5_payload", b"P5 2 2 255 \x00\x01\x02",
      (PgmParseError, "P5 payload truncated at byte 14: expected 4 bytes, got 3")),
-] + [(f"bad_header_{i}", data, (PgmParseError, msg)) for i, (data, msg) in enumerate(BAD_PGM_HEADERS)]
+] + [(f"bad_header_{i}", data, (PgmParseError, msg))
+      for i, (data, msg) in enumerate(BAD_PGM_HEADERS)]
 
 
-@pytest.mark.parametrize("data, outcome", [pytest.param(d, o, id=n) for n, d, o in PGM_HEADER_CASES])
+@pytest.mark.parametrize("data, outcome",
+                         [pytest.param(d, o, id=n) for n, d, o in PGM_HEADER_CASES])
 def test_header_table(tmp_path, data, outcome):
     p = tmp_path / "h.pgm"
     p.write_bytes(data)

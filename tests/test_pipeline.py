@@ -163,6 +163,10 @@ def test_config_rejects_bad_settings():
     for sigma in (math.inf, math.nan, -1.0):
         with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
             GfdConfig(sigma=sigma)
+    for iterations in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"iterations must be an integer, got {iterations!r}"):
+            GfdConfig(iterations=iterations)
+    assert GfdConfig(iterations=np.int64(3)).iterations == 3
 
 
 def test_setting_overflowing_at_observation_scale_rejected():
