@@ -5,6 +5,7 @@ reference comparison table.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import astuple, dataclass, replace
 from pathlib import Path
@@ -111,7 +112,8 @@ PSF_KINDS = {
 def parse_psf_spec(spec: str) -> Psf:
     """PSF mini-language: boxcar:N, gaussian:SIZE:STD, rational:R,
     binomial5, or file:PATH (a PGM whose samples are kernel weights).
-    ValueError names a spec that is not one of these."""
+    ValueError names a spec that is not one of these, or whose kernel
+    cannot be allocated."""
     kind, *fields = spec.split(":")
     if kind == "file":  # a path may contain ':'
         return Psf(pgm.read_image(spec[len("file:"):]))
@@ -122,7 +124,7 @@ def parse_psf_spec(spec: str) -> Psf:
         if len(fields) != len(types):
             raise ValueError(f"{kind} takes {len(types)} ':'-separated field(s), got {len(fields)}")
         return Psf(build(*(t(f) for t, f in zip(types, fields))))
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"bad PSF spec {spec!r}: {exc}") from exc
 
 
@@ -340,11 +342,11 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header: str, rows: Iterable[Sequence]) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(c) for c in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """UTF-8, with csv's quoting of a field such as an image name that
+    holds a comma or a quote."""
+    lines = [header.split(",")] + [[_fmt(c) for c in row] for row in rows]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(lines)
 
 
 def _write_dict_csv(path, header: str, rows: List[dict]) -> None:

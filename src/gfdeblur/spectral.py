@@ -14,9 +14,10 @@ discrepancy_terms weights column 0 once, interior columns twice and, for
 even widths, column width / 2 once to recover full-plane sums of
 |F(x)|^2.  A rank-1 PSF (Psf.factors) has H = Hy Hx, its column
 spectrum times its row spectrum, and the plan keeps only those two
-vectors; any other PSF's H is kept as a half-plane.  Every per-frequency
-pass (|H|^2, the solves, the discrepancy terms and each residual
-evaluation) works a row block of the half-plane at a time in the
+vectors; any other PSF's H is kept as a half-plane, and circ_convolve
+blurs through a plan, so H is formed in one place.  Every per-frequency
+pass (the blur, |H|^2, the solves, the discrepancy terms and each
+residual evaluation) works a row block of the half-plane at a time in the
 scratch _blocks yields, which also takes a rank-1 H's row block, so
 none makes a half-plane temporary.  Every inverse takes two steps, ifft
 over the columns in the spectrum's own buffer, then irfft over the rows
@@ -112,15 +113,9 @@ class Psf:
         return self.taps.shape
 
 
-def _check_fits(psf: Psf, height: int, width: int) -> None:
-    kh, kw = psf.shape
-    if kh > height or kw > width:
-        raise KernelTooLarge(f"PSF {kh}x{kw} does not fit canvas {height}x{width}")
-
-
 def _embed_psf(taps: np.ndarray, height: int, width: int) -> np.ndarray:
-    """PSF taps, which _check_fits has found to fit, placed on a
-    height x width canvas, center tap at the origin.
+    """PSF taps, which fit, placed on a height x width canvas, center
+    tap at the origin.
 
     The kernel wraps circularly, so pointwise multiplication by the
     canvas spectrum implements centered circular convolution.
@@ -153,15 +148,6 @@ def _irfft2(spec: np.ndarray, width: int, out=None) -> np.ndarray:
     return np.fft.irfft(spec, n=width, axis=1, out=out)
 
 
-def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
-    """Centered circular convolution of an image with a PSF."""
-    _check_fits(psf, *img.shape)
-    psf_hat = _rfft2(_embed_psf(psf.taps, *img.shape))
-    spec = _rfft2(img)
-    spec *= psf_hat
-    return _irfft2(spec, img.shape[1])
-
-
 class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
@@ -172,30 +158,28 @@ class SpectralPlan:
     broadcast to the half-plane sum.  A rank-1 PSF keeps H as its column
     and row spectra, _Hy of shape (height, 1) and _Hx of shape
     (1, width // 2 + 1), the rfft2s of psf.factors embedded on a
-    height x 1 and a 1 x width canvas, with |Hy|^2 and |Hx|^2; F(g) is
-    then its one half-plane.  Any other PSF keeps H as a second
-    half-plane, _H.  _H_block and _H_sq_block give a row block of H and
-    of |H|^2 in either form; the solves form conj(H) F(g) and |H|^2 a
-    row block at a time, and H_sq writes |H|^2 into a buffer it is given
-    for the lambda search.
+    height x 1 and a 1 x width canvas; F(g) is then its one half-plane.
+    Any other PSF keeps H as a second half-plane, _H.  _H_block and
+    _H_sq_block give a row block of H and of |H|^2 in either form; the
+    solves form conj(H) F(g) and |H|^2 a row block at a time, and H_sq
+    writes |H|^2 into a buffer it is given for the lambda search.
     """
 
-    __slots__ = ("shape", "G", "_H", "_Hy", "_Hx", "_Hy_sq", "_Hx_sq",
-                 "Dy_sq", "Dx_sq", "weights")
+    __slots__ = ("shape", "G", "_H", "_Hy", "_Hx", "Dy_sq", "Dx_sq", "weights")
 
     def __init__(self, g: np.ndarray, psf: Psf):
         height, width = self.shape = g.shape
-        _check_fits(psf, height, width)
+        kh, kw = psf.shape
+        if kh > height or kw > width:
+            raise KernelTooLarge(f"PSF {kh}x{kw} does not fit canvas {height}x{width}")
         if psf.factors is None:
             self._H = _rfft2(_embed_psf(psf.taps, height, width))
-            self._Hy = self._Hx = self._Hy_sq = self._Hx_sq = None
+            self._Hy = self._Hx = None
         else:
             col, row = psf.factors
             self._H = None
             self._Hy = _rfft2(_embed_psf(col, height, 1))
             self._Hx = _rfft2(_embed_psf(row, 1, width))
-            self._Hy_sq = self._Hy.real ** 2 + self._Hy.imag ** 2
-            self._Hx_sq = self._Hx.real ** 2 + self._Hx.imag ** 2
         self.G = _rfft2(g)
         kx = np.arange(width // 2 + 1)
         ky = np.arange(height)
@@ -231,7 +215,8 @@ class SpectralPlan:
         as scratch; for a rank-1 PSF, |Hy[blk]|^2 |Hx|^2, which needs none."""
         if self._H is not None:
             return _abs_sq(self._H[blk], out, tmp)
-        return np.multiply(self._Hy_sq[blk], self._Hx_sq, out=out)
+        hy, hx = self._Hy[blk], self._Hx
+        return np.multiply(hy.real ** 2 + hy.imag ** 2, hx.real ** 2 + hx.imag ** 2, out=out)
 
     def H_sq(self, work) -> np.ndarray:
         """|H|^2 on the half-plane, written over the front of work, a
@@ -274,6 +259,16 @@ class SpectralPlan:
             raise DimensionMismatch(
                 f"spectrum {img_hat.shape} is not the plan's half-plane {self.G.shape}"
             )
+
+
+def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
+    """Centered circular convolution of an image with a PSF: the plan's
+    F(img) times its H, a row block at a time, inverted in two steps."""
+    plan = SpectralPlan(img, psf)
+    for blk, h in _blocks(plan.G.shape, np.complex128):
+        spec = plan.G[blk]
+        spec *= plan._H_block(blk, h)
+    return _irfft2(plan.G, img.shape[1])
 
 
 def _check_lambda(lam) -> None:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,19 @@ def test_csv_schemas(tmp_path):
     assert lines[0] == "k,lambda,rho,residual,bisect_steps,isnr_db"
     assert len(lines) == 3
     assert [line.split(",")[4] for line in lines[1:]] == [str(rec.bisect_steps) for rec in trace]
+
+
+def test_scenarios_csv_quotes_and_encodes_image_names(tmp_path):
+    # A name with a comma is quoted and one outside ASCII written as
+    # UTF-8, so every column reads back under its own header.
+    row = {"scenario": 3, "bsnr_db": 40.0, "isnr_db": 9.5, "ref_gfd_db": "",
+           "delta_db": "", "secs_per_iter": 0.01}
+    path = tmp_path / "scenarios.csv"
+    write_scenarios_csv(path, [dict(row, image=name) for name in ("a,b", "café")])
+    with open(path, newline="", encoding="utf-8") as fh:
+        back = list(csv.DictReader(fh))
+    assert [r["image"] for r in back] == ["a,b", "café"]
+    assert all(r["scenario"] == "3" and None not in r for r in back)
 
 
 def test_csv_prints_infinity_as_inf(tmp_path):

@@ -94,6 +94,22 @@ def test_deblur_malformed_psf_spec_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o.pgm").exists()
 
 
+def test_deblur_psf_that_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch):
+    # A kernel too large to allocate is refused by name; the builder
+    # raises as numpy would for rational:100000, without allocating.
+    def unallocatable(radius):
+        raise MemoryError(f"Unable to allocate the taps of radius {radius}")
+
+    monkeypatch.setitem(bench.PSF_KINDS, "rational", (unallocatable, (int,)))
+    src = tmp_path / "g.pgm"
+    write_image(src, rand_int_image(8, (16, 16)))
+    assert main(["deblur", "--in", str(src), "--psf", "rational:100000", "--sigma", "1",
+                 "--out", str(tmp_path / "o.pgm")]) == 2
+    assert ("bad PSF spec 'rational:100000': Unable to allocate the taps of radius 100000"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o.pgm").exists()
+
+
 def test_parse_grid():
     assert parse_grid("0.1:0.05:0.2") == pytest.approx([0.1, 0.15, 0.2])
     # 0.09 + 13 * 0.07 rounds to just past 1.0; the last point is stop itself.

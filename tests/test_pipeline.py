@@ -10,7 +10,7 @@ import gfdeblur.guided_filter as guided_filter
 import gfdeblur.pipeline as pipeline
 import gfdeblur.spectral as spectral
 
-from gfdeblur.bench import SCENARIOS, degrade, isnr, rho_sweep
+from gfdeblur.bench import SCENARIOS, degrade, isnr, parse_psf_spec, rho_sweep
 from gfdeblur.errors import DimensionMismatch, UnreachableBound, WindowTooLarge
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.spectral import Psf, SpectralPlan, solve_input
@@ -365,6 +365,21 @@ def test_fft_calls_per_iteration(monkeypatch):
         expected = [[1, npix] if inf else [6, 2 * npix] for inf in infinite]
         expected[0] = [n + cost for n, cost in zip(expected[0], plan_cost)]
         assert np.diff([(0, 0)] + per_iter, axis=0).tolist() == expected
+
+
+def test_fft_calls_per_blur(monkeypatch):
+    # circ_convolve transforms the image once and, for a rank-1 PSF, only
+    # its column and row factors on a height x 1 and a 1 x width canvas,
+    # never a whole PSF canvas; a PSF that is not rank 1 costs one more
+    # image.  The inverse is the two steps, ifft then irfft.
+    clean = natural_image(3, 256)
+    npix = clean.size
+    psf = parse_psf_spec(SCENARIOS[5].psf_spec)
+    calls = _count_fft_calls(monkeypatch)
+    for blur_psf, forward in ((psf, [256, 256, npix]), (without_factors(psf), [npix, npix])):
+        calls.clear()
+        spectral.circ_convolve(clean, blur_psf)
+        assert calls == forward + [0, 0]
 
 
 def test_library_uses_only_the_half_plane_pair(monkeypatch):

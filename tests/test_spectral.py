@@ -27,6 +27,7 @@ from conftest import (
     plan_discrepancy,
     psf_spectrum,
     rand_image,
+    without_factors,
 )
 
 
@@ -144,6 +145,9 @@ def test_embedding_matches_explicit_wrap():
 def test_kernel_too_large():
     with pytest.raises(KernelTooLarge):
         circ_convolve(np.zeros((4, 4)), random_psf(1, 5))
+    # A rank-1 kernel is named whole, not by the factor that does not fit.
+    with pytest.raises(KernelTooLarge, match="PSF 25x25 does not fit canvas 24x64"):
+        circ_convolve(np.zeros((24, 64)), parse_psf_spec("gaussian:25:1.6"))
 
 
 # ------------------------------------------------------- circ_convolve
@@ -167,6 +171,26 @@ def test_convolve_matches_spatial_oracle():
         np.testing.assert_allclose(
             circ_convolve(img, psf), spatial_circ_convolve(img, psf), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
+def test_convolve_blurs_with_the_plans_H(shape):
+    # circ_convolve forms H as a SpectralPlan does: a PSF that is not rank
+    # 1 gives the bits of the whole-canvas product, irfft2(F(img) F(h)),
+    # and a rank-1 PSF, blurred with its factored H, agrees with its
+    # whole-taps blur to rounding.
+    height, width = shape
+    img = rand_image(62, shape)
+    for spec in ("boxcar:9", "binomial5", "gaussian:25:1.6", "rational:7"):
+        psf = parse_psf_spec(spec)
+        whole = circ_convolve(img, without_factors(psf))
+        psf_hat = np.fft.rfft2(spectral._embed_psf(psf.taps, height, width))
+        assert np.array_equal(whole, np.fft.irfft2(np.fft.rfft2(img) * psf_hat, s=shape))
+        blurred = circ_convolve(img, psf)
+        if psf.factors is None:
+            assert spec == "rational:7" and np.array_equal(blurred, whole)
+        else:
+            assert np.max(np.abs(blurred - whole)) <= 1e-12 * np.max(np.abs(img))
 
 
 # -------------------------------------------------- derivative_spectra
@@ -280,10 +304,10 @@ def test_plan_rejects_mismatched_shapes():
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
 def test_plan_holds_two_half_planes(shape):
     # H and F(g), or for a rank-1 PSF only F(g), with H as its column and
-    # row spectra and their squared magnitudes; the solves form conj(H)
-    # F(g) and |H|^2 a row block at a time, the lambda search makes |H|^2
-    # in a buffer it is given, and |Dx|^2 + |Dy|^2 is kept as its two
-    # factors, vectors like the Parseval weights.
+    # row spectra; the solves form conj(H) F(g) and |H|^2 a row block at
+    # a time, the lambda search makes |H|^2 in a buffer it is given, and
+    # |Dx|^2 + |Dy|^2 is kept as its two factors, vectors like the
+    # Parseval weights.
     height, width = shape
     half = height * (width // 2 + 1)
     for psf, planes in ((random_psf(41), 2), (rank1_psf(), 1)):
@@ -347,7 +371,8 @@ def test_H_sq_by_row_blocks_into_work(monkeypatch):
             H = plan_H(plan)
             expected = H.real ** 2 + H.imag ** 2
         else:
-            expected = plan._Hy_sq * plan._Hx_sq
+            Hy, Hx = plan._Hy, plan._Hx
+            expected = (Hy.real ** 2 + Hy.imag ** 2) * (Hx.real ** 2 + Hx.imag ** 2)
         work = np.full((63, 51), np.nan)
         a = plan.H_sq(work)
         assert np.shares_memory(a, work) and np.array_equal(a, expected)
