@@ -118,9 +118,12 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
     g_terms = rho_terms(g, est)
     plan = SpectralPlan(g, psf)
     npix = g.size
-    # One buffer each for v and div, kept for the whole restore; C order
-    # whatever g's, as the lambda search writes |H|^2 into v's as a half-plane.
-    v = np.zeros(g.shape)
+    # One buffer each for v and div, kept for the whole restore.  v is the
+    # front of its buffer, which also holds the two half-planes the lambda
+    # search writes, b and |H|^2: 2 * height floats more than v for an
+    # even width, height for an odd one.
+    v_buf = np.zeros(max(npix, 2 * plan.G.size))
+    v = v_buf[:npix].reshape(g.shape)
     div = np.zeros(g.shape)  # divergence of v's smoothed gradients
 
     trace: list[IterationRecord] = []
@@ -131,12 +134,13 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
             rho = compute_rho(g_terms, v, cfg.tau)
         bound_c = rho * npix * est.variance
         v_hat = plan.spectrum(v)
-        # A finite search keeps |H|^2 in v's buffer, which u_p overwrites next.
-        choice = choose_lambda(plan, v_hat, bound_c, v)
+        # The search writes over v's buffer; v lives on as v_hat.
+        choice = choose_lambda(plan, v_hat, bound_c, v_buf)
         lam = choice.value
         if choice.is_infinite:
-            # v already meets the bound, so both solves are v.
-            u_i = u_p = v
+            # v already meets the bound, so both solves are their lambda -> inf
+            # limit, v: F^-1(F(v)), back into v's buffer.
+            u_i = u_p = plan.image(v_hat, v)
         else:
             # u_p goes into v's buffer from F(v)'s, u_i over div through F(v)'s.
             u_p = solve_input(plan, v_hat, lam, v)

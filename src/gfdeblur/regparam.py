@@ -147,10 +147,10 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
     The residual rises monotonically to its lambda -> inf asymptote,
     the residual of v itself.  If that asymptote is at most REL_TOL
     above the bound (the bisection's own stop band), returns INFINITY
-    (downstream then takes u_I = u_p = v).  Otherwise brackets by
-    doubling from lambda = 1 and bisects until the residual is within
-    REL_TOL of the bound or MAX_BISECT halvings are spent; each
-    lambda's residual is computed once.  The doubling needs no cap: with
+    (downstream then takes u_I = u_p = F^-1(F(v)), the solves' limit).
+    Otherwise brackets by doubling from lambda = 1 and bisects until the
+    residual is within REL_TOL of the bound or MAX_BISECT halvings are
+    spent; each lambda's residual is computed once.  The doubling needs no cap: with
     A = max |H|^2 the residual is at least asymptote * (1 - 2 A / lambda),
     so it passes the bound by lambda = 2 A (1 + REL_TOL) / REL_TOL.
     Where H vanishes, a term keeps about its full b down to lambda near
@@ -163,19 +163,28 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
     negative or not finite (an overflowed rho or sigma) raises
     ValueError.
 
-    A finite search writes |H|^2 over the front of work, a C-contiguous
-    float64 image of the plan's shape; run_gfd passes v, which only the
-    lambda = INFINITY branch reads again.
+    work is a C-contiguous float64 array of at least two half-planes,
+    2 * plan.G.size elements, and anything else raises ValueError before
+    it is written.  Every search writes b over its first half-plane and
+    a finite one writes |H|^2 over the second; run_gfd passes v's buffer,
+    which no later step reads as v.
     """
     if not 0 <= bound_c < INFINITY:
         raise ValueError(f"bound_c must be finite and nonnegative, got {bound_c!r}")
-    b = discrepancy_terms(plan, v_hat)
+    size = plan.G.size
+    if work.dtype != np.float64 or not work.flags.c_contiguous or work.size < 2 * size:
+        raise ValueError(
+            f"work must be a C-contiguous float64 array of at least {2 * size} elements, "
+            f"got {work.dtype} {work.shape}"
+        )
+    b_out, a_out = work.reshape(-1)[: 2 * size].reshape((2,) + plan.G.shape)
+    b = discrepancy_terms(plan, v_hat, b_out)
     npix = plan.npix
     # lam -> inf asymptote equals the residual of v itself (Parseval).
     entry = float(b.sum() / npix)
     if entry <= bound_c * (1 + REL_TOL):
         return LambdaChoice(value=INFINITY, residual=entry, iterations=0)
-    a = plan.H_sq(work)
+    a = plan.H_sq(a_out)
 
     # The bisection starts at the bracket's last lambda, hi, and its
     # first midpoint is the one before, hi / 2: each residual is cached.

@@ -19,10 +19,11 @@ blurs through a plan, so H is formed in one place.  Every per-frequency
 pass (the blur, |H|^2, the solves, the discrepancy terms and each
 residual evaluation) works a row block of the half-plane at a time in the
 scratch _blocks yields, which also takes a rank-1 H's row block, so
-none makes a half-plane temporary.  Every inverse takes two steps, ifft
-over the columns in the spectrum's own buffer, then irfft over the rows
-into the output image; this is irfft2 told the image shape, bit for
-bit, without its image-sized working copies.  The guidance solve
+none makes a half-plane temporary; |H|^2 and the discrepancy terms are
+written into half-planes the caller gives.  Every inverse takes two
+steps, ifft over the columns in the spectrum's own buffer, then irfft
+over the rows into the output image; this is irfft2 told the image
+shape, bit for bit, without its image-sized working copies.  The guidance solve
 transforms the divergence Dx^T vx + Dy^T vy, whose spectrum is
 conj(Dx) F(vx) + conj(Dy) F(vy): a forward difference's adjoint is the
 backward one.
@@ -162,7 +163,9 @@ class SpectralPlan:
     Any other PSF keeps H as a second half-plane, _H.  _H_block and
     _H_sq_block give a row block of H and of |H|^2 in either form; the
     solves form conj(H) F(g) and |H|^2 a row block at a time, and H_sq
-    writes |H|^2 into a buffer it is given for the lambda search.
+    writes |H|^2 into a half-plane it is given for the lambda search.
+    spectrum and image are the two transforms, each into a buffer it is
+    given or a new one.
     """
 
     __slots__ = ("shape", "G", "_H", "_Hy", "_Hx", "Dy_sq", "Dx_sq", "weights")
@@ -203,6 +206,14 @@ class SpectralPlan:
             self._check_spectrum(out)
         return _rfft2(img, out)
 
+    def image(self, spec: np.ndarray, out=None) -> np.ndarray:
+        """The image of a half-plane spectrum, written into out (a new image
+        if None) by the two-step inverse, which overwrites spec."""
+        self._check_spectrum(spec)
+        if out is not None:
+            self._check_image(out)
+        return _irfft2(spec, self.shape[1], out)
+
     def _H_block(self, blk: slice, out: np.ndarray) -> np.ndarray:
         """H's rows blk: a view of _H, or for a rank-1 PSF Hy[blk] Hx
         written into out, a complex block of those rows."""
@@ -218,15 +229,11 @@ class SpectralPlan:
         hy, hx = self._Hy[blk], self._Hx
         return np.multiply(hy.real ** 2 + hy.imag ** 2, hx.real ** 2 + hx.imag ** 2, out=out)
 
-    def H_sq(self, work) -> np.ndarray:
-        """|H|^2 on the half-plane, written over the front of work, a
-        C-contiguous float64 image of the plan's shape, which holds a
-        half-plane: for a rank-1 PSF in one broadcast multiply, otherwise
-        a row block at a time."""
-        self._check_image(work)
-        if work.dtype != np.float64 or not work.flags.c_contiguous:
-            raise ValueError("work must be a C-contiguous float64 image")
-        out = work.reshape(-1)[: self.G.size].reshape(self.G.shape)
+    def H_sq(self, out: np.ndarray) -> np.ndarray:
+        """|H|^2 written into out, a C-contiguous float64 half-plane: for a
+        rank-1 PSF in one broadcast multiply, otherwise a row block at a
+        time."""
+        self._check_half_plane(out)
         if self._H is None:
             return self._H_sq_block(slice(None), out, None)
         for blk, tmp in _blocks(out.shape, np.float64):
@@ -260,6 +267,12 @@ class SpectralPlan:
                 f"spectrum {img_hat.shape} is not the plan's half-plane {self.G.shape}"
             )
 
+    def _check_half_plane(self, out) -> None:
+        """out can take a real half-plane, |H|^2 or the discrepancy terms."""
+        self._check_spectrum(out)
+        if out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous float64 half-plane")
+
 
 def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     """Centered circular convolution of an image with a PSF: the plan's
@@ -268,7 +281,7 @@ def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     for blk, h in _blocks(plan.G.shape, np.complex128):
         spec = plan.G[blk]
         spec *= plan._H_block(blk, h)
-    return _irfft2(plan.G, img.shape[1])
+    return plan.image(plan.G)
 
 
 def _check_lambda(lam) -> None:
@@ -297,7 +310,7 @@ def solve_guidance(plan: SpectralPlan, div, lam, spec):
         if np.min(denom) < SINGULAR:
             raise SingularDenominator("guidance solve denominator vanishes")
         s /= denom
-    return _irfft2(spec, plan.shape[1], div)
+    return plan.image(spec, div)
 
 
 def solve_input(plan: SpectralPlan, v_hat, lam, out):
@@ -314,26 +327,27 @@ def solve_input(plan: SpectralPlan, v_hat, lam, out):
     for _, s, h_sq, _ in plan._solve_blocks(v_hat, lam):
         h_sq += lam
         s /= h_sq
-    return _irfft2(v_hat, plan.shape[1], out)
+    return plan.image(v_hat, out)
 
 
-def discrepancy_terms(plan: SpectralPlan, v_hat) -> np.ndarray:
+def discrepancy_terms(plan: SpectralPlan, v_hat, out) -> np.ndarray:
     """The data's part of the discrepancy curve: b = w |F(h) F(v) - F(g)|^2
-    on the half-plane, w the Parseval column weights, so that with
-    a = plan.H_sq(work) the data-fit residual of the input solve at lam is
+    on the half-plane, w the Parseval column weights, written into out, a
+    C-contiguous float64 half-plane, so that with a = |H|^2 (plan.H_sq)
+    the data-fit residual of the input solve at lam is
     sum(lam^2 b / (a + lam)^2) / npix, and its lam -> inf limit is
     sum(b) / npix.  The complex residual is formed a row block at a time.
     """
     plan._check_spectrum(v_hat)
-    b = np.empty(plan.G.shape)
-    for blk, x in _blocks(b.shape, np.complex128):
+    plan._check_half_plane(out)
+    for blk, x in _blocks(out.shape, np.complex128):
         np.multiply(plan._H_block(blk, x), v_hat[blk], out=x)
         x -= plan.G[blk]
         # Square x's real and imaginary parts in place, then add each pair.
         xf = np.square(x.view(np.float64), out=x.view(np.float64))
-        y = np.add(xf[:, 0::2], xf[:, 1::2], out=b[blk])
+        y = np.add(xf[:, 0::2], xf[:, 1::2], out=out[blk])
         y *= plan.weights
-    return b
+    return out
 
 
 def discrepancy_from_terms(a, b, npix: int, lam: float) -> float:

@@ -6,6 +6,7 @@ the suite needs no image assets."""
 from __future__ import annotations
 
 import copy
+import functools
 import os
 import tracemalloc
 from pathlib import Path
@@ -13,10 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfdeblur.errors import DimensionMismatch
+from gfdeblur.errors import DimensionMismatch, UnreachableBound
 from gfdeblur.guided_filter import GfParams
 from gfdeblur.image_core import box_mean
+from gfdeblur.regparam import LambdaChoice
 from gfdeblur.spectral import (
+    INFINITY,
+    SINGULAR,
     Psf,
     SpectralPlan,
     _embed_psf,
@@ -243,8 +247,48 @@ def discrepancy(g, psf: Psf, v, lam: float) -> float:
 def plan_discrepancy(g, psf: Psf, v):
     """The restorer's discrepancy curve, lam -> residual, from the plan."""
     plan = SpectralPlan(g, psf)
-    a, b = plan.H_sq(np.empty(plan.shape)), discrepancy_terms(plan, plan.spectrum(v))
+    a = plan.H_sq(np.empty(plan.G.shape))
+    b = discrepancy_terms(plan, plan.spectrum(v), np.empty(plan.G.shape))
     return lambda lam: discrepancy_from_terms(a, b, plan.npix, lam)
+
+
+def search_work(plan: SpectralPlan) -> np.ndarray:
+    """A buffer of the two half-planes choose_lambda writes, b and |H|^2."""
+    return np.empty(2 * plan.G.size)
+
+
+def choose_lambda_apart(plan: SpectralPlan, v_hat, bound_c: float) -> LambdaChoice:
+    """choose_lambda's search with b and |H|^2 each in a half-plane of its
+    own, the same expressions in the same order: the reference for the
+    search in one buffer it is given."""
+    from gfdeblur import regparam
+
+    b = discrepancy_terms(plan, v_hat, np.empty(plan.G.shape))
+    npix = plan.npix
+    entry = float(b.sum() / npix)
+    if entry <= bound_c * (1 + regparam.REL_TOL):
+        return LambdaChoice(value=INFINITY, residual=entry, iterations=0)
+    a = plan.H_sq(np.empty(plan.G.shape))
+    residual = functools.cache(lambda lam: discrepancy_from_terms(a, b, npix, lam))
+    hi = 1.0
+    while residual(hi) < bound_c:
+        hi *= 2.0
+    lo, mid = 0.0, hi
+    res = residual(mid)
+    steps = 0
+    while steps < regparam.MAX_BISECT and abs(res - bound_c) > regparam.REL_TOL * bound_c:
+        mid = 0.5 * (lo + hi)
+        res = residual(mid)
+        steps += 1
+        if res < bound_c:
+            lo = mid
+        else:
+            hi = mid
+    if abs(res - bound_c) > regparam.REL_TOL * bound_c:
+        zeros = a < SINGULAR
+        if float(np.sum(b[zeros]) / npix) > bound_c * (1 + regparam.REL_TOL):
+            raise UnreachableBound("the residual's floor lies above the bound")
+    return LambdaChoice(value=mid, residual=res, iterations=steps)
 
 
 # The names run_gfd calls its stages by, in gfdeblur.pipeline.

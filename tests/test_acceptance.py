@@ -51,6 +51,7 @@ from conftest import (
     plan_discrepancy,
     psf_spectrum,
     require_asset,
+    search_work,
 )
 
 
@@ -156,7 +157,7 @@ def test_criterion_4_bisection_contract(monkeypatch):
         asymptote = float(np.sum((circ_convolve(v, psf) - g) ** 2))
         bound = float(gen.uniform(0.05, 0.8)) * asymptote
         plan = SpectralPlan(g, psf)
-        choice = choose_lambda(plan, plan.spectrum(v), bound, np.empty_like(g))
+        choice = choose_lambda(plan, plan.spectrum(v), bound, search_work(plan))
         assert not choice.is_infinite
         assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
     g = gen.uniform(0, 255, (16, 16))
@@ -164,7 +165,7 @@ def test_criterion_4_bisection_contract(monkeypatch):
     plan = SpectralPlan(g, Psf([[1.0]]))
     monkeypatch.setattr(regparam, "REL_TOL", 1e-8)
     monkeypatch.setattr(regparam, "MAX_BISECT", 200)
-    choice = choose_lambda(plan, plan.spectrum(np.zeros_like(g)), bound, np.empty_like(g))
+    choice = choose_lambda(plan, plan.spectrum(np.zeros_like(g)), bound, search_work(plan))
     assert choice.value == pytest.approx(1.0, abs=1e-6)
     report(4, "bisection hits the bound to 1e-3 on 50 instances; closed form lambda = 1")
 

@@ -96,6 +96,40 @@ def test_restore_does_not_depend_on_block_height(monkeypatch):
         assert out_b.tobytes() == out.tobytes() and trace_b == trace
 
 
+@pytest.mark.parametrize("width", [39, 40])
+def test_infinite_lambda_takes_the_inverse_of_F_v(width, monkeypatch):
+    # At lambda = inf both solves are their lambda -> inf limit, v.  The
+    # search has written over v's buffer, so u_i = u_p is F^-1(F(v)): v
+    # up to rounding, the same image for guide and input.
+    clean = natural_image(1, 64)[:47, :width]
+    pair = degrade(clean, SCENARIOS[5], seed=0)
+    seen = []  # [v before the search, the choice, u_i is u_p, u_p] per iteration
+    rho, choose, guide = pipeline.compute_rho, pipeline.choose_lambda, pipeline.guidfilter
+
+    def watch_rho(terms, v, tau):
+        seen.append([v.copy()])
+        return rho(terms, v, tau)
+
+    def watch_choice(*args):
+        seen[-1].append(choose(*args))
+        return seen[-1][-1]
+
+    def watch_filter(u_i, u_p, gf):
+        seen[-1] += [u_i is u_p, u_p.copy()]
+        return guide(u_i, u_p, gf)
+
+    monkeypatch.setattr(pipeline, "compute_rho", watch_rho)
+    monkeypatch.setattr(pipeline, "choose_lambda", watch_choice)
+    monkeypatch.setattr(pipeline, "guidfilter", watch_filter)
+    run_gfd(pair.observed, pair.psf, GfdConfig(iterations=6, sigma=pair.sigma))
+    infinite = [it for it in seen if it[1].is_infinite]
+    assert infinite and len(infinite) < len(seen)
+    for v, _, self_guided, u_p in infinite:
+        assert self_guided
+        err = np.max(np.abs(u_p - np.fft.irfft2(np.fft.rfft2(v), s=v.shape)))
+        assert err <= 1e-12 * np.max(np.abs(v)) and np.max(np.abs(v)) > 0
+
+
 def test_trace_integrity():
     clean = natural_image(5, 64)
     pair = degrade(clean, SCENARIOS[2], seed=2)
@@ -233,19 +267,21 @@ def test_restore_peak_memory():
     # The plan holds F(g) and, for scenario 1's rational kernel, H as a
     # second half-plane; scenario 5's rank-1 Gaussian keeps H as two
     # vectors.  The solves work in F(v)'s, v's and the divergence's
-    # buffers, the lambda search keeps |H|^2 in v's, the transforms make
-    # no image-sized working copy, the gradient smoothing goes from v to
-    # the divergence in one strip pass, and the main filter writes over
-    # u_p.  At 512^2 the peak, in the lambda search, reads 5.15 images for
-    # scenario 5 and 6.05 for scenario 1, as scenario 5 did with H stored;
-    # 6.33 in the main filter with a new output and 10 strip buffers, 7.02
-    # with |H|^2 in the plan and a half-plane per residual evaluation.  At
-    # 256^2, where the strip buffers are larger against the image, the
+    # buffers, the lambda search keeps b and |H|^2 in v's, the transforms
+    # make no image-sized working copy, the gradient smoothing goes from
+    # v to the divergence in one strip pass, and the main filter writes
+    # over u_p.  At 512^2 the peak, in the solves, reads 4.90 images for
+    # scenario 5 and 5.87 for scenario 1; 5.15 and 6.05, in the lambda
+    # search, with b a half-plane of its own.  At 1024^2 (scenario 5,
+    # estimated sigma) the solves set it at 4.23 images, 4.67 with b apart.
+    # At 256^2, where the strip buffers are larger against the image, the
     # main filter sets it: 6.33 for scenario 5 and 7.32 for scenario 1;
     # 9.01 with a new output and 10 strip buffers.
-    for size, scenario, bound in ((512, 5, 5.3), (256, 5, 6.5), (512, 1, 6.2), (256, 1, 7.7)):
+    for size, scenario, known, bound in ((512, 5, True, 5.05), (256, 5, True, 6.5),
+                                         (512, 1, True, 6.0), (256, 1, True, 7.7),
+                                         (1024, 5, False, 4.4)):
         pair = degrade(natural_image(7, size), SCENARIOS[scenario], seed=0)
-        cfg = GfdConfig(iterations=3, sigma=pair.sigma)
+        cfg = GfdConfig(iterations=3, sigma=pair.sigma if known else None)
         tracemalloc.start()
         try:
             _, trace = run_gfd(pair.observed, pair.psf, cfg)
@@ -263,12 +299,13 @@ def test_stage_peak_memory():
     # rank-1 Gaussian, 5 for scenario 1's rational kernel), plus the
     # stage's own arrays.  Readings for scenario 5, then scenario 1, as
     # scenario 5 read with H stored, and in brackets with |H|^2 in the
-    # plan and whole-plane denominators and residuals: lambda search 5.15,
-    # 6.05 (7.02); solves 4.90 and 4.90, 5.83 and 5.86 (6.09 and 6.52).
+    # plan and whole-plane denominators and residuals: lambda search, with
+    # b and |H|^2 in v's buffer, 4.65, 5.55 (5.15, 6.05 with b a half-plane
+    # of its own; 7.02); solves 4.90 and 4.90, 5.83 and 5.86 (6.09 and 6.52).
     # The main filter, over u_p, reads 4.10, 5.10; 6.33 with a new output
     # and 10 strip buffers.  The gradient smoothing, over the divergence,
     # reads 3.85, 4.85.  Each bound leaves about 0.15 images.
-    for scenario, bounds in ((5, (5.3, 5.05, 4.25, 4.0)), (1, (6.2, 6.0, 5.3, 5.0))):
+    for scenario, bounds in ((5, (4.8, 5.05, 4.25, 4.0)), (1, (5.7, 6.0, 5.3, 5.0))):
         pair = degrade(natural_image(7, 512), SCENARIOS[scenario], seed=0)
         peaks = stage_peaks(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
         search, solves, main_filter, smoothing = bounds
@@ -340,9 +377,9 @@ def test_fft_calls_per_iteration(monkeypatch):
     # for the same taps without their factors, the path of a PSF that is
     # not rank 1, one more image (2 calls, 2 npix).  An iteration costs
     # F(v) plus, for finite lambda, the input solve's inverse and the
-    # guidance solve's forward transform of one image and its inverse.
-    # Each inverse is two calls, ifft over the columns and irfft over the
-    # rows.
+    # guidance solve's forward transform of one image and its inverse,
+    # and for infinite lambda the inverse of F(v).  Each inverse is two
+    # calls, ifft over the columns and irfft over the rows.
     # Scenario 5 at 32x32 mixes finite and infinite lambda within 6 iterations.
     clean = natural_image(1, 32)
     (height, width), npix = clean.shape, clean.size
@@ -362,7 +399,7 @@ def test_fft_calls_per_iteration(monkeypatch):
         infinite = [math.isinf(rec.lam) for rec in trace]
         assert any(infinite) and not all(infinite)
         # (calls, forward-transform input points) per iteration
-        expected = [[1, npix] if inf else [6, 2 * npix] for inf in infinite]
+        expected = [[3, npix] if inf else [6, 2 * npix] for inf in infinite]
         expected[0] = [n + cost for n, cost in zip(expected[0], plan_cost)]
         assert np.diff([(0, 0)] + per_iter, axis=0).tolist() == expected
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import gfdeblur.regparam as regparam
 from gfdeblur.bench import SCENARIOS, degrade, gaussian_field, parse_psf_spec
-from gfdeblur.errors import DimensionMismatch, ImageTooSmall
+from gfdeblur.errors import DimensionMismatch, ImageTooSmall, UnreachableBound
 from gfdeblur.image_core import centered_sq_norm
 from gfdeblur.regparam import (
     NoiseEstimate,
@@ -29,7 +29,13 @@ from gfdeblur.spectral import (
     solve_guidance,
 )
 
-from conftest import discrepancy, natural_image, rand_image
+from conftest import (
+    choose_lambda_apart,
+    discrepancy,
+    natural_image,
+    rand_image,
+    search_work,
+)
 
 
 def random_psf(seed, size=5):
@@ -192,7 +198,8 @@ def test_square_branch_never_exceeds_linear_branch():
 
 def test_perfect_preestimate_returns_infinity():
     g = rand_image(5)
-    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), g), 1.0, np.empty_like(g))
+    plan, v_hat = plan_and_spectrum(g, Psf([[1.0]]), g)
+    choice = choose_lambda(plan, v_hat, 1.0, search_work(plan))
     assert choice.is_infinite
     assert choice.residual <= 1.0
 
@@ -202,7 +209,8 @@ def test_infinity_implies_v_meets_bound():
     psf = random_psf(7)
     v = circ_convolve(g, psf)  # decent pre-estimate
     bound = float(np.sum((circ_convolve(v, psf) - g) ** 2)) * 1.5
-    choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, np.empty_like(g))
+    plan, v_hat = plan_and_spectrum(g, psf, v)
+    choice = choose_lambda(plan, v_hat, bound, search_work(plan))
     assert choice.is_infinite
     assert float(np.sum((circ_convolve(v, psf) - g) ** 2)) <= bound
 
@@ -213,7 +221,8 @@ def test_closed_form_lambda_equals_one(monkeypatch):
     g = rand_image(8)
     z = np.zeros_like(g)
     bound = 0.25 * float(np.sum(g * g))
-    choice = choose_lambda(*plan_and_spectrum(g, Psf([[1.0]]), z), bound, np.empty_like(g))
+    plan, z_hat = plan_and_spectrum(g, Psf([[1.0]]), z)
+    choice = choose_lambda(plan, z_hat, bound, search_work(plan))
     assert choice.value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -223,7 +232,8 @@ def test_returned_residual_meets_tolerance():
     # [-1, 3, -1] has max |H|^2 = 25: the doubling still brackets with no cap.
     for psf in (random_psf(10), Psf([[-1, 3, -1]])):
         bound = 0.3 * float(np.sum((circ_convolve(v, psf) - g) ** 2))
-        choice = choose_lambda(*plan_and_spectrum(g, psf, v), bound, np.empty_like(g))
+        plan, v_hat = plan_and_spectrum(g, psf, v)
+        choice = choose_lambda(plan, v_hat, bound, search_work(plan))
         assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
         assert choice.residual == pytest.approx(discrepancy(g, psf, v, choice.value), rel=1e-12)
 
@@ -236,11 +246,12 @@ def test_bound_below_b_where_H_is_tiny_is_met_when_reachable():
     # a search that ends above the bound is refused.
     g, v = rand_image(1, (64, 64)), rand_image(2, (64, 64))
     plan, v_hat = plan_and_spectrum(g, parse_psf_spec("gaussian:25:1.6"), v)
-    a, b = plan.H_sq(np.empty_like(g)), discrepancy_terms(plan, v_hat)
+    a = plan.H_sq(np.empty(plan.G.shape))
+    b = discrepancy_terms(plan, v_hat, np.empty(plan.G.shape))
     zeros = a < SINGULAR
     assert np.count_nonzero(zeros) == 144
     bound = 0.9 * float(np.sum(b[zeros]) / plan.npix)
-    choice = choose_lambda(plan, v_hat, bound, np.empty_like(g))
+    choice = choose_lambda(plan, v_hat, bound, search_work(plan))
     assert abs(choice.residual - bound) <= regparam.REL_TOL * bound
     assert np.all(np.isfinite(solve_guidance(plan, rand_image(3, (64, 64)), choice.value, v_hat)))
 
@@ -253,9 +264,9 @@ def test_lambda_unique_up_to_tolerance(monkeypatch):
     plan, v_hat = plan_and_spectrum(g, psf, v)
     monkeypatch.setattr(regparam, "MAX_BISECT", 200)
     monkeypatch.setattr(regparam, "REL_TOL", 1e-3)
-    coarse = choose_lambda(plan, v_hat, bound, np.empty_like(g))
+    coarse = choose_lambda(plan, v_hat, bound, search_work(plan))
     monkeypatch.setattr(regparam, "REL_TOL", 1e-4)
-    fine = choose_lambda(plan, v_hat, bound, np.empty_like(g))
+    fine = choose_lambda(plan, v_hat, bound, search_work(plan))
     # The finer solve's residual still satisfies the coarser band.
     assert abs(discrepancy(g, psf, v, fine.value) - bound) <= 1e-3 * bound
     assert abs(discrepancy(g, psf, v, coarse.value) - bound) <= 1e-3 * bound
@@ -269,27 +280,67 @@ def test_asymptote_within_tolerance_of_bound_returns_infinity():
     g_sq = float(np.sum(g * g))
     plan, v_hat = plan_and_spectrum(g, Psf([[1.0]]), np.zeros_like(g))
     for bound in (g_sq * (1 - 1e-15), g_sq / (1 + 0.999 * regparam.REL_TOL)):
-        choice = choose_lambda(plan, v_hat, bound, np.empty_like(g))
+        choice = choose_lambda(plan, v_hat, bound, search_work(plan))
         assert choice.value == INFINITY
         assert choice.residual == pytest.approx(g_sq, rel=1e-12)
         assert choice.iterations == 0
 
 
-def test_choose_lambda_writes_work_only_on_a_finite_search():
-    # run_gfd passes v as work: the lambda = inf branch reads v again, so
-    # only a finite search may write |H|^2 over its front, and the choice
-    # is the one made with a buffer of its own.
+def test_choose_lambda_writes_b_then_H_sq_over_work():
+    # run_gfd passes v's buffer as work.  Every search writes b over its
+    # first half-plane, a finite one |H|^2 over the second, and the rest
+    # of the buffer is left as it was.
     g, v = rand_image(15, (24, 20)), rand_image(16, (24, 20))
     psf = random_psf(17)
     plan, v_hat = plan_and_spectrum(g, psf, v)
+    size = plan.G.size
+    b = discrepancy_terms(plan, v_hat, np.empty(plan.G.shape)).ravel()
+    a = plan.H_sq(np.empty(plan.G.shape)).ravel()
     asymptote = float(np.sum((circ_convolve(v, psf) - g) ** 2))
-    work = v.copy()
+    work = np.full(2 * size + 3, np.nan)
     assert choose_lambda(plan, v_hat, 2 * asymptote, work).is_infinite
-    assert np.array_equal(work, v)
-    choice = choose_lambda(plan, v_hat, 0.5 * asymptote, work)
-    assert not choice.is_infinite
-    assert choice == choose_lambda(plan, v_hat, 0.5 * asymptote, np.empty_like(v))
-    assert np.array_equal(work.ravel()[: plan.G.size], plan.H_sq(np.empty_like(v)).ravel())
+    assert np.array_equal(work[:size], b) and np.isnan(work[size:]).all()
+    assert not choose_lambda(plan, v_hat, 0.5 * asymptote, work).is_infinite
+    assert np.array_equal(work[:size], b) and np.array_equal(work[size : 2 * size], a)
+    assert np.isnan(work[2 * size :]).all()
+
+
+def test_choose_lambda_refuses_work_it_cannot_use():
+    # Short of two half-planes (as an image of the plan's shape is), not
+    # float64, or not C-contiguous: refused before anything is written.
+    g, v = rand_image(18, (24, 20)), rand_image(19, (24, 20))
+    plan, v_hat = plan_and_spectrum(g, random_psf(20), v)
+    size = plan.G.size
+    for work in (np.full_like(g, np.nan), np.full(2 * size - 1, np.nan),
+                 np.full(2 * size, np.nan, dtype=np.float32),
+                 np.full((2 * size, 2), np.nan)[:, 0]):
+        with pytest.raises(ValueError, match="work must be a C-contiguous float64 array"):
+            choose_lambda(plan, v_hat, 0.5, work)
+        assert np.isnan(work).all()
+
+
+@settings(max_examples=80, deadline=None)
+@given(height=st.integers(1, 39), width=st.integers(1, 39), seed=st.integers(0, 10_000),
+       rank1=st.booleans(), frac=st.floats(0.05, 2.0))
+def test_choice_in_one_buffer_equals_half_planes_apart(height, width, seed, rank1, frac):
+    # Odd and even widths, kernels that are and are not rank 1, bounds on
+    # both sides of the asymptote: the search that writes b and |H|^2 into
+    # one buffer makes the choice that b and |H|^2 apart make, bit for bit.
+    size = min(5, height, width)
+    psf = random_psf(seed, size - 1 + size % 2)
+    if rank1:
+        psf = Psf(np.outer(psf.taps[:, 0], psf.taps[0]))
+    g, v = rand_image(seed, (height, width)), rand_image(seed + 1, (height, width))
+    plan, v_hat = plan_and_spectrum(g, psf, v)
+    asymptote = discrepancy_terms(plan, v_hat, np.empty(plan.G.shape)).sum() / plan.npix
+    bound = frac * float(asymptote)
+    try:
+        expected = choose_lambda_apart(plan, v_hat, bound)
+    except UnreachableBound:
+        with pytest.raises(UnreachableBound):
+            choose_lambda(plan, v_hat, bound, search_work(plan))
+    else:
+        assert choose_lambda(plan, v_hat, bound, search_work(plan)) == expected
 
 
 def test_noise_estimate_variance_consistency():
@@ -326,11 +377,12 @@ def test_choose_lambda_evaluates_each_lambda_once(monkeypatch):
         for frac in (0.05, 0.3, 0.8):
             bound = frac * float(np.sum((circ_convolve(v, psf) - g) ** 2))
             evaluated.clear()
-            choice = choose_lambda(plan, v_hat, bound, np.empty_like(g))
+            choice = choose_lambda(plan, v_hat, bound, search_work(plan))
             assert not choice.is_infinite
             assert len(evaluated) == len(set(evaluated)), evaluated
-            b = regparam.discrepancy_terms(plan, v_hat)
-            assert choice.residual == real(plan.H_sq(np.empty_like(g)), b, plan.npix, choice.value)
+            a = plan.H_sq(np.empty(plan.G.shape))
+            b = regparam.discrepancy_terms(plan, v_hat, np.empty(plan.G.shape))
+            assert choice.residual == real(a, b, plan.npix, choice.value)
 
 
 def test_choose_lambda_rejects_bad_bound():
@@ -338,4 +390,4 @@ def test_choose_lambda_rejects_bad_bound():
     plan, v_hat = plan_and_spectrum(g, Psf([[1.0]]), np.zeros_like(g))
     for bound in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="bound_c"):
-            choose_lambda(plan, v_hat, bound, np.empty_like(g))
+            choose_lambda(plan, v_hat, bound, search_work(plan))

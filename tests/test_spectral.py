@@ -293,7 +293,7 @@ def test_plan_rejects_mismatched_shapes():
     with pytest.raises(DimensionMismatch):
         solve_guidance(plan, z, 1.0, np.fft.rfft2(small))
     with pytest.raises(DimensionMismatch):
-        discrepancy_terms(plan, np.fft.rfft2(small))
+        discrepancy_terms(plan, np.fft.rfft2(small), np.empty(plan.G.shape))
     # A rank-1 PSF is named whole, not by the factor that does not fit.
     for psf in (random_psf(1, 5), Psf(np.ones((5, 3))), Psf(np.ones((3, 5)))):
         kh, kw = psf.shape
@@ -332,7 +332,7 @@ def test_solves_by_row_blocks_equal_whole_plane(rows, monkeypatch):
         plan = SpectralPlan(g, psf)
         lam = 0.37
         H = plan_H(plan)
-        H_sq = plan.H_sq(np.empty(shape))
+        H_sq = plan.H_sq(np.empty(plan.G.shape))
         conj_H_G = np.conj(H) * plan.G
         expected_p = np.fft.irfft2((np.fft.rfft2(v) * lam + conj_H_G) / (H_sq + lam), s=shape)
         denom = (plan.Dy_sq + plan.Dx_sq) * lam + H_sq
@@ -349,7 +349,7 @@ def test_solve_guidance_singular_in_a_later_block_leaves_out_untouched(monkeypat
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 2 * 5)
     shape, lam = (12, 8), 1e-20
     plan = SpectralPlan(rand_image(57, shape), Psf(np.ones((3, 1))))
-    denom = (plan.Dy_sq + plan.Dx_sq) * lam + plan.H_sq(np.empty(shape))
+    denom = (plan.Dy_sq + plan.Dx_sq) * lam + plan.H_sq(np.empty(plan.G.shape))
     assert denom[:4].min() >= 1e-15 > denom[4].min()
     div, spec = rand_image(58, shape), np.empty_like(plan.G)
     before = div.copy()
@@ -361,9 +361,8 @@ def test_solve_guidance_singular_in_a_later_block_leaves_out_untouched(monkeypat
 
 def test_H_sq_by_row_blocks_into_work(monkeypatch):
     # |H|^2 is made a few rows at a time, or for a rank-1 PSF as
-    # |Hy|^2 |Hx|^2 in one multiply, over the front of a given image's
-    # buffer, which holds a half-plane, and the rest is left as it was; a
-    # buffer it cannot use is refused.
+    # |Hy|^2 |Hx|^2 in one multiply, into a given half-plane; a buffer
+    # that it, or the discrepancy terms, cannot use is refused.
     monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 5 * 26)
     for psf in (random_psf(60), rank1_psf()):
         plan = SpectralPlan(rand_image(59, (63, 51)), psf)
@@ -373,16 +372,16 @@ def test_H_sq_by_row_blocks_into_work(monkeypatch):
         else:
             Hy, Hx = plan._Hy, plan._Hx
             expected = (Hy.real ** 2 + Hy.imag ** 2) * (Hx.real ** 2 + Hx.imag ** 2)
-        work = np.full((63, 51), np.nan)
-        a = plan.H_sq(work)
-        assert np.shares_memory(a, work) and np.array_equal(a, expected)
-        assert np.isnan(work.ravel()[a.size :]).all()
-    with pytest.raises(ValueError, match="C-contiguous"):
-        plan.H_sq(np.empty((51, 63)).T)
-    with pytest.raises(ValueError, match="C-contiguous"):
-        plan.H_sq(np.empty((63, 51), dtype=np.float32))
-    with pytest.raises(DimensionMismatch):
-        plan.H_sq(np.empty((63, 50)))
+        out = np.full(plan.G.shape, np.nan)
+        assert plan.H_sq(out) is out and np.array_equal(out, expected)
+    half = plan.G.shape
+    for write in (plan.H_sq, lambda out: discrepancy_terms(plan, plan.G, out)):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            write(np.empty(half[::-1]).T)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            write(np.empty(half, dtype=np.float32))
+        with pytest.raises(DimensionMismatch):
+            write(np.empty((63, 51)))
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
@@ -414,6 +413,22 @@ def test_two_step_inverse_equals_irfft2(shape):
     assert spectral._irfft2(spec.copy(), shape[1], out) is out
     assert np.array_equal(out, expected)
     assert np.array_equal(spectral._irfft2(spec.copy(), shape[1]), expected)
+
+
+@pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
+def test_image_into_given_buffer_equals_irfft2(shape):
+    # plan.image is spectrum's twin: the two-step inverse into a given
+    # image or a new one, refusing a spectrum or image of another shape.
+    plan = SpectralPlan(rand_image(61, shape), Psf([[1.0]]))
+    spec = plan.spectrum(rand_image(62, shape)) * (1.0 + 0.25j)
+    expected = np.fft.irfft2(spec, s=shape)
+    out = np.empty(shape)
+    assert plan.image(spec.copy(), out) is out and np.array_equal(out, expected)
+    assert np.array_equal(plan.image(spec.copy()), expected)
+    with pytest.raises(DimensionMismatch):
+        plan.image(spec[:-1], out)
+    with pytest.raises(DimensionMismatch):
+        plan.image(spec, out[:, :-1])
 
 
 def test_spectrum_into_given_buffer_equals_rfft2():
@@ -456,8 +471,8 @@ def test_discrepancy_equals_spatial_recomputation():
             u_p = solve_input(plan, v_hat.copy(), lam, np.empty_like(v))
             spatial = float(np.sum((circ_convolve(u_p, psf) - g) ** 2))
             assert discrepancy(g, psf, v, lam) == pytest.approx(spatial, rel=1e-7)
-            b = discrepancy_terms(plan, v_hat)
-            planned = discrepancy_from_terms(plan.H_sq(np.empty_like(v)), b, plan.npix, lam)
+            b = discrepancy_terms(plan, v_hat, np.empty(plan.G.shape))
+            planned = discrepancy_from_terms(plan.H_sq(np.empty(plan.G.shape)), b, plan.npix, lam)
             assert planned == pytest.approx(spatial, rel=1e-7)
 
 
@@ -471,10 +486,10 @@ def test_discrepancy_by_row_blocks_equals_whole_plane(monkeypatch):
         plan = SpectralPlan(g, psf)
         v_hat = plan.spectrum(v)
         r = plan_H(plan) * v_hat - plan.G
-        a, npix = plan.H_sq(np.empty_like(g)), plan.npix
+        a, npix = plan.H_sq(np.empty(plan.G.shape)), plan.npix
         for rows in (1, 5, 7, 63):
             monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * 26)
-            b = discrepancy_terms(plan, v_hat)
+            b = discrepancy_terms(plan, v_hat, np.empty(plan.G.shape))
             assert np.array_equal(b, (r.real ** 2 + r.imag ** 2) * plan.weights)
             for lam in (0.01, 0.8, 300.0):
                 x = lam / (a + lam)
