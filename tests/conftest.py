@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gfdeblur.regparam as regparam
 from gfdeblur.errors import DimensionMismatch, UnreachableBound
 from gfdeblur.guided_filter import GfParams
 from gfdeblur.image_core import box_mean
@@ -260,9 +261,8 @@ def search_work(plan: SpectralPlan) -> np.ndarray:
 def choose_lambda_apart(plan: SpectralPlan, v_hat, bound_c: float) -> LambdaChoice:
     """choose_lambda's search with b and |H|^2 each in a half-plane of its
     own, the same expressions in the same order: the reference for the
-    search in one buffer it is given."""
-    from gfdeblur import regparam
-
+    search in one buffer it is given.  REL_TOL and MAX_BISECT are read
+    from regparam at the call, as the search reads them."""
     b = discrepancy_terms(plan, v_hat, np.empty(plan.G.shape))
     npix = plan.npix
     entry = float(b.sum() / npix)
