@@ -207,13 +207,15 @@ def rho_sweep(
         run_cfg = replace(base, sigma=sigma)
         for rho in list(rho_grid) + [None]:
             restored, _ = run_gfd(observed, psf, run_cfg, rho_override=rho)
+            score = isnr(clean, observed, restored)
+            del restored  # scored: not held through the next restore
             rows.append(
                 {
                     "image": image_name,
                     "bsnr_db": float(level),
                     "rho": float(rho) if rho is not None else "",
                     "adaptive_flag": int(rho is None),
-                    "isnr_db": isnr(clean, observed, restored),
+                    "isnr_db": score,
                 }
             )
     return rows
@@ -236,37 +238,43 @@ def run_scenarios(
     name matches the published table.  With trace_dir, each cell's
     per-iteration records, scored against the clean image, go to
     trace_dir/trace_<image>_s<scenario>.csv; the directory is created
-    before the first restore.
+    before the first restore.  A cell's arrays are dropped once its row
+    is built, so one cell's are live at a time.
     """
     base = _experiment_config(cfg, "per cell")
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    rows: List[dict] = []
-    for name, clean in sorted(images, key=lambda p: p[0]):
-        for scn in sorted(scenarios, key=lambda s: s.id):
-            pair = degrade(clean, scn, seed)
-            run_cfg = replace(base, sigma=pair.sigma if known_sigma else None)
-            t0 = time.perf_counter()
-            restored, trace = run_gfd(pair.observed, pair.psf, run_cfg,
-                                      reference=clean if trace_dir is not None else None)
-            secs_per_iter = (time.perf_counter() - t0) / len(trace)
-            if trace_dir is not None:
-                write_trace_csv(trace_dir / f"trace_{name}_s{scn.id}.csv", trace)
-            ref = REFERENCE_ISNR.get((name.lower(), scn.id, "gfd"))
-            got = isnr(clean, pair.observed, restored)
-            rows.append(
-                {
-                    "image": name,
-                    "scenario": scn.id,
-                    "bsnr_db": bsnr(pair.observed, scn.sigma_sq),
-                    "isnr_db": got,
-                    "ref_gfd_db": ref if ref is not None else "",
-                    "delta_db": got - ref if ref is not None else "",
-                    "secs_per_iter": secs_per_iter,
-                }
-            )
-    return rows
+    return [
+        _scenario_row(name, clean, scn, replace(base, sigma=scn.sigma if known_sigma else None),
+                      seed, trace_dir)
+        for name, clean in sorted(images, key=lambda p: p[0])
+        for scn in sorted(scenarios, key=lambda s: s.id)
+    ]
+
+
+def _scenario_row(name: str, clean: np.ndarray, scn: Scenario, cfg: GfdConfig, seed: int,
+                  trace_dir: Optional[Path]) -> dict:
+    """One run_scenarios cell's row; its observation, restore and trace
+    go when it returns."""
+    pair = degrade(clean, scn, seed)
+    t0 = time.perf_counter()
+    restored, trace = run_gfd(pair.observed, pair.psf, cfg,
+                              reference=clean if trace_dir is not None else None)
+    secs_per_iter = (time.perf_counter() - t0) / len(trace)
+    if trace_dir is not None:
+        write_trace_csv(trace_dir / f"trace_{name}_s{scn.id}.csv", trace)
+    ref = REFERENCE_ISNR.get((name.lower(), scn.id, "gfd"))
+    got = isnr(clean, pair.observed, restored)
+    return {
+        "image": name,
+        "scenario": scn.id,
+        "bsnr_db": bsnr(pair.observed, scn.sigma_sq),
+        "isnr_db": got,
+        "ref_gfd_db": ref if ref is not None else "",
+        "delta_db": got - ref if ref is not None else "",
+        "secs_per_iter": secs_per_iter,
+    }
 
 
 # --------------------------------------------------------------------

@@ -206,18 +206,22 @@ def _cmd_sweep_rho(args) -> int:
 
 def _cmd_run_scenarios(args) -> int:
     image_dir = Path(args.images)
-    files = sorted(image_dir.glob("*.pgm"))
+    files = sorted(image_dir.glob("*.pgm"), key=lambda f: f.stem)  # run_scenarios' order
     if not files:
         raise ValueError(f"no .pgm images found in {image_dir}")
-    images = [(f.stem, pgm.read_image(f)) for f in files]
-    rows = bench.run_scenarios(
-        images,
-        args.scenarios,
-        cfg=_gfd_config(args),
-        seed=args.seed,
-        known_sigma=args.known_sigma,
-        trace_dir=args.trace_dir,
-    )
+    for f in files:  # a bad file fails before any restore; no image is kept
+        pgm.read_image(f)
+    cfg = _gfd_config(args)
+    rows = []
+    for f in files:  # one clean image live at a time
+        rows += bench.run_scenarios(
+            [(f.stem, pgm.read_image(f))],
+            args.scenarios,
+            cfg=cfg,
+            seed=args.seed,
+            known_sigma=args.known_sigma,
+            trace_dir=args.trace_dir,
+        )
     bench.write_scenarios_csv(args.out, rows)
     return 0
 

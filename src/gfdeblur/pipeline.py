@@ -117,14 +117,16 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
 
     g_terms = rho_terms(g, est)
     plan = SpectralPlan(g, psf)
-    npix = g.size
+    if ref is None:
+        del g  # the loop reads g only for a reference's ISNR; for e != 0 it is a copy
+    npix = plan.npix
     # One buffer each for v and div, kept for the whole restore.  v is the
     # front of its buffer, which also holds the two half-planes the lambda
     # search writes, b and |H|^2: 2 * height floats more than v for an
     # even width, height for an odd one.
     v_buf = np.zeros(max(npix, 2 * plan.G.size))
-    v = v_buf[:npix].reshape(g.shape)
-    div = np.zeros(g.shape)  # divergence of v's smoothed gradients
+    v = v_buf[:npix].reshape(plan.shape)
+    div = np.zeros(plan.shape)  # divergence of v's smoothed gradients
 
     trace: list[IterationRecord] = []
     for k in range(1, cfg.iterations + 1):

@@ -291,6 +291,16 @@ def choose_lambda_apart(plan: SpectralPlan, v_hat, bound_c: float) -> LambdaChoi
     return LambdaChoice(value=mid, residual=res, iterations=steps)
 
 
+def traced_peak(fn, *args, **kwargs) -> int:
+    """The tracemalloc peak, in bytes, while fn(*args, **kwargs) runs."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # The names run_gfd calls its stages by, in gfdeblur.pipeline.
 STAGES = ("compute_rho", "choose_lambda", "solve_input", "solve_guidance",
           "guidfilter", "smooth_gradients")

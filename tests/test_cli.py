@@ -17,7 +17,7 @@ from gfdeblur.pgm import read_image, write_image
 from gfdeblur.regparam import estimate_sigma
 from gfdeblur.spectral import circ_convolve
 
-from conftest import BAD_PGM_HEADERS, natural_image, rand_int_image
+from conftest import BAD_PGM_HEADERS, natural_image, rand_int_image, traced_peak
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -290,6 +290,61 @@ def test_run_scenarios_trace_dir(tmp_path, monkeypatch):
     out = tmp_path / "u.csv"
     assert main(args + ["--out", str(out), "--trace-dir", str(blocked)]) == 2
     assert not out.exists()
+
+
+def test_run_scenarios_holds_one_image_at_a_time(tmp_path):
+    # Each image is decoded when its turn comes and each cell's arrays go
+    # with its row, so three images peak as one does (19.7 against 20.1
+    # images); decoding them all up front and holding the last restore
+    # cost 2.6 to 3.3 images more.  The names sort one way by path
+    # ("a-b.pgm" < "a.pgm") and the other by name.
+    size = 64
+    for names in (["a"], ["a", "a-b", "b"]):
+        img_dir = tmp_path / f"imgs{len(names)}"
+        img_dir.mkdir()
+        for seed, name in enumerate(names):
+            write_image(img_dir / f"{name}.pgm", natural_image(20 + seed, size))
+
+    def run(n):
+        argv = ["run-scenarios", "--images", str(tmp_path / f"imgs{n}"),
+                "--out", str(tmp_path / f"s{n}.csv"), "--scenarios", "1,3", "--iters", "2"]
+        assert main(argv) == 0
+
+    run(1)  # first-call allocations, untraced
+    one, three = (traced_peak(run, n) / (size * size * 8) for n in (1, 3))
+    assert three <= one + 0.5
+
+    # The rows of run_scenarios over every image decoded up front.
+    images = [(f.stem, read_image(f)) for f in (tmp_path / "imgs3").glob("*.pgm")]
+    rows = bench.run_scenarios(images, [SCENARIOS[1], SCENARIOS[3]],
+                               cfg=GfdConfig(iterations=2), known_sigma=False)
+    bench.write_scenarios_csv(tmp_path / "expected.csv", rows)
+
+    def table(path):
+        return [line.split(",")[:-1] for line in path.read_text().splitlines()]
+
+    assert table(tmp_path / "s3.csv") == table(tmp_path / "expected.csv")
+    assert [row[0] for row in table(tmp_path / "s3.csv")[1:]] == ["a"] * 2 + ["a-b"] * 2 + ["b"] * 2
+
+
+def test_run_scenarios_bad_pgm_fails_before_any_restore(tmp_path, monkeypatch, capsys):
+    # Every image is read before the first restore, so a bad file after a
+    # good one exits 2, named as the reader names it, and writes no table.
+    def no_restore(*a, **kw):
+        raise AssertionError("restored before every image was read")
+
+    monkeypatch.setattr(bench, "run_gfd", no_restore)
+    img_dir = tmp_path / "imgs"
+    img_dir.mkdir()
+    write_image(img_dir / "a.pgm", natural_image(3, 48))
+    out = tmp_path / "s.csv"
+    for data, msg in BAD_PGM_HEADERS:
+        (img_dir / "b.pgm").write_bytes(data)
+        capsys.readouterr()
+        assert main(["run-scenarios", "--images", str(img_dir), "--out", str(out),
+                     "--scenarios", "3", "--iters", "2"]) == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_deblur_reference_trace(tmp_path, capsys):

@@ -516,6 +516,25 @@ def test_subnormal_observation_restores(scenario):
     assert final_isnr(2.0 ** -1040) == pytest.approx(final_isnr(1.0), abs=1e-9)
 
 
+def test_scaled_observation_copy_dropped_after_setup():
+    # g / 256 restores as g, its copy scaled by 2^8, which only the setup
+    # reads when no reference is given; so every stage peaks as g's
+    # restore does, not one image higher, and the output is g's over 256.
+    pair = degrade(natural_image(7, 256), SCENARIOS[5], seed=0)
+    g = pair.observed
+    assert 128 <= np.abs(g).max() < 256  # g itself is restored uncopied
+    small = np.ldexp(g, -8)
+    cfg = GfdConfig(iterations=3, sigma=pair.sigma)
+    small_cfg = GfdConfig(iterations=3, sigma=math.ldexp(pair.sigma, -8))
+    peaks = stage_peaks(g, pair.psf, cfg)
+    small_peaks = stage_peaks(small, pair.psf, small_cfg)
+    for name, peak in peaks.items():
+        assert small_peaks[name] == pytest.approx(peak, abs=0.05), name
+    out, _ = run_gfd(g, pair.psf, cfg)
+    small_out, _ = run_gfd(small, pair.psf, small_cfg)
+    np.testing.assert_array_equal(small_out, np.ldexp(out, -8))
+
+
 @pytest.mark.parametrize("known", [True, False])
 def test_unit_interval_observation_restores_as_8bit(known):
     # The 8-bit observation over 255 (a known sigma alike) restores to the
