@@ -17,7 +17,7 @@ from . import pgm
 from .errors import DegenerateInput
 from .image_core import centered_sq_norm, isnr
 from .pipeline import GfdConfig, run_gfd
-from .spectral import Psf, circ_convolve
+from .spectral import Psf, check_kernel_fits, circ_convolve
 
 # PRNG identity recorded in output metadata: PCG64 stream mapped to
 # Gaussians via Box-Muller, so degraded pairs are reproducible
@@ -100,30 +100,39 @@ def gaussian_kernel(size: int, std: float) -> np.ndarray:
     return np.exp(-(i[:, None] ** 2 + i[None, :] ** 2) / (2.0 * std * std))
 
 
-# kind -> (kernel builder, the types of its ':'-separated fields)
+# kind -> (kernel builder, the types of its ':'-separated fields, the
+# kernel's side from those fields)
 PSF_KINDS = {
-    "boxcar": (boxcar_kernel, (int,)),
-    "gaussian": (gaussian_kernel, (int, float)),
-    "rational": (rational_kernel, (int,)),
-    "binomial5": (binomial5_kernel, ()),
+    "boxcar": (boxcar_kernel, (int,), lambda size: size),
+    "gaussian": (gaussian_kernel, (int, float), lambda size, std: size),
+    "rational": (rational_kernel, (int,), lambda radius: 2 * radius + 1),
+    "binomial5": (binomial5_kernel, (), lambda: 5),
 }
 
 
-def parse_psf_spec(spec: str) -> Psf:
+def parse_psf_spec(spec: str, canvas=None) -> Psf:
     """PSF mini-language: boxcar:N, gaussian:SIZE:STD, rational:R,
     binomial5, or file:PATH (a PGM whose samples are kernel weights).
     ValueError names a spec that is not one of these, or whose kernel
-    cannot be allocated."""
+    cannot be allocated.  Given canvas, the shape of the image it is for,
+    a kernel that does not fit it raises KernelTooLarge before any tap
+    is built."""
     kind, *fields = spec.split(":")
     if kind == "file":  # a path may contain ':'
-        return Psf(pgm.read_image(spec[len("file:"):]))
+        taps = pgm.read_image(spec[len("file:"):])
+        if canvas is not None:
+            check_kernel_fits(taps.shape, canvas)
+        return Psf(taps)
     if kind not in PSF_KINDS:
         raise ValueError(f"unknown PSF spec {spec!r}")
-    build, types = PSF_KINDS[kind]
+    build, types, side = PSF_KINDS[kind]
     try:
         if len(fields) != len(types):
             raise ValueError(f"{kind} takes {len(types)} ':'-separated field(s), got {len(fields)}")
-        return Psf(build(*(t(f) for t, f in zip(types, fields))))
+        args = [t(f) for t, f in zip(types, fields)]
+        if canvas is not None:
+            check_kernel_fits((side(*args),) * 2, canvas)
+        return Psf(build(*args))
     except (ValueError, MemoryError) as exc:
         raise ValueError(f"bad PSF spec {spec!r}: {exc}") from exc
 

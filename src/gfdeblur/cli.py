@@ -13,11 +13,15 @@ import sys
 from pathlib import Path
 
 from . import bench, config, pgm
-from .errors import DegenerateInput, GfdError, SingularDenominator
+from .errors import DegenerateInput, GfdError, GridTooLarge, SingularDenominator
 from .pipeline import GfdConfig, run_gfd
 from .regparam import NoiseEstimate, estimate_sigma
 
 _NUMERIC_ERRORS = (SingularDenominator, DegenerateInput)
+
+# The most points a sweep-rho grid may hold.  Each point costs one restore
+# per BSNR level, so the bound is far past any sweep worth running.
+MAX_GRID_POINTS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -28,14 +32,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_grid(spec: str):
-    """Grid mini-language start:step:stop, inclusive of stop and clamped to it."""
+    """Grid mini-language start:step:stop, inclusive of stop and clamped to it.
+    GridTooLarge names a grid of more than MAX_GRID_POINTS points, counted
+    from the three numbers before any point is made."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:step:stop, got {spec!r}")
     start, step, stop = (float(p) for p in parts)
     if not (step > 0 and start <= stop and math.isfinite(stop - start)):
         raise ValueError(f"bad grid {spec!r}")
-    n = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step  # inf when the quotient overflows
+    if not steps + 1 <= MAX_GRID_POINTS:
+        raise GridTooLarge(
+            f"grid {spec!r} has {steps + 1:.6g} points, more than {MAX_GRID_POINTS}"
+        )
+    n = int(round(steps)) + 1
     return [min(start + i * step, stop) for i in range(n) if start + i * step <= stop + 1e-9]
 
 
@@ -137,7 +148,7 @@ def _cmd_deblur(args) -> int:
     if args.estimate_sigma:
         settings.pop("sigma", None)
     g, maxval = pgm.read_pgm(args.infile)
-    psf = bench.parse_psf_spec(args.psf)
+    psf = bench.parse_psf_spec(args.psf, g.shape)
     ref = pgm.read_image(args.ref) if args.ref else None
     cfg = _gfd_config(args, settings)
     if cfg.sigma is None:
@@ -190,7 +201,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_sweep_rho(args) -> int:
     clean = pgm.read_image(args.infile)
-    psf = bench.parse_psf_spec(args.psf)
+    psf = bench.parse_psf_spec(args.psf, clean.shape)
     rows = bench.rho_sweep(
         clean,
         psf,
@@ -238,11 +249,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
+        # A flag's type may raise a GfdError, which argparse passes on.
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except _NUMERIC_ERRORS as exc:
         print(f"gfdeblur: numerical failure: {exc}", file=sys.stderr)
         return 3

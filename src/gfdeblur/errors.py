@@ -17,6 +17,10 @@ class KernelTooLarge(GfdError):
     """A PSF does not fit inside the target canvas."""
 
 
+class GridTooLarge(GfdError):
+    """A parameter grid holds more points than a sweep runs."""
+
+
 class SingularDenominator(GfdError):
     """A spectral solve hit a near-zero denominator entry."""
 

@@ -71,14 +71,17 @@ class _Strips:
     reused from strip to strip and carved from one allocation per call: a
     strip temporary allocated and freed on every strip lets the heap top
     be trimmed and refaulted.  The set is 8 buffers, 6 for a self-guided
-    filter, which needs no src buffers.
+    filter, which needs no src buffers.  All of them have the padded
+    image's row pitch pw = wd + 2r, so a block of k rows of wd values is
+    one flat range of (k - 1)*pw + wd elements, and every pass of filter
+    runs over such ranges as one loop.
     """
 
     def __init__(self, shape, w: int, self_guided: bool):
         h, wd = self.shape = shape
         self.w = w
         r = self.r = (w - 1) // 2
-        pw = wd + 2 * r
+        pw = self.pw = wd + 2 * r
         n_strips = -(-h // max(1, STRIP_BYTES // (pw * 8)))  # float64 rows
         n_strips = min(n_strips, h // max(1, 2 * r))
         self.bounds = [h * k // n_strips for k in range(n_strips + 1)]
@@ -88,7 +91,7 @@ class _Strips:
         n_src = 0 if self_guided else 1
         self.bufs = _line_aligned(
             (g_rows, pw), (n_src * g_rows, pw), (g_rows, pw), (m_max, pw), (m_max, pw),
-            (m_max, wd), (n_src * m_max, wd), (m_max, wd),
+            (m_max, pw), (n_src * m_max, pw), (m_max, pw),
         )
 
     def strips(self):
@@ -106,38 +109,42 @@ class _Strips:
         statistics on those rows, and the guide and src on strip +- 2r,
         mirror-padded at the image's edges.  a and b are mirrored at the
         image's top and bottom, then their window means are taken for the
-        strip's own rows.  Each value goes into a buffer whose contents
-        are dead by then: var(guide) over the g*g product it is the mean
-        of (box_mean reads all its input before it writes), b over the
-        product block once var is spent, and the output over mean(guide).
+        strip's own rows.  Each statistic is a flat range of pitch pw
+        (see box_mean); its lanes past wd in each row are scratch, and in
+        the a and b blocks they fall on pad columns that _mirror rewrites
+        before anything reads them.  Each value goes into a buffer whose
+        contents are dead by then: var(guide) over the g*g product it is
+        the mean of (box_mean reads all its input before it writes), b
+        over the product block once var is spent, and the output over
+        mean(guide).
         """
         h, wd = self.shape
-        w, r = self.w, self.r
+        w, r, pw = self.w, self.r, self.pw
         pg, ps, prod, rows, pa, mean_g, mean_s, tmp = self.bufs
         n = i1 - i0
         lo, hi = max(0, i0 - r), min(h, i1 + r)
         m = hi - lo
         glo, ghi = max(0, lo - r), min(h, hi + r)
         gtop = glo - (lo - r)
-        g = _fill(pg[: m + 2 * r], fill_guide, glo, ghi, gtop, r)
+        g = _fill(pg[: m + 2 * r], fill_guide, glo, ghi, gtop, r).reshape(-1)
         if fill_src is not None:
-            p = _fill(ps[: m + 2 * r], fill_src, glo, ghi, gtop, r)
-        s = rows[:m]
-        t = tmp[:m]
-        mg = box_mean(g, w, mean_g[:m], s)
-        gg = prod[: m + 2 * r]
+            p = _fill(ps[: m + 2 * r], fill_src, glo, ghi, gtop, r).reshape(-1)
+        s = rows.reshape(-1)
+        size = (m - 1) * pw + wd  # m rows of window statistics
+        t = tmp.reshape(-1)[:size]
+        mg = box_mean(g, w, m, wd, mean_g.reshape(-1), s)
+        gg = prod.reshape(-1)[: len(g)]
         atop = lo - (i0 - r)
+        start = atop * pw + r  # a's and b's first valid element
         a = pa[: n + 2 * r]
-        a_rows = a[atop : atop + m, r : r + wd]
+        a_rows = a.reshape(-1)[start : start + size]
         if fill_src is None:
             ms = mg
         else:
-            ms = box_mean(p, w, mean_s[:m], s)
-            box_mean(np.multiply(g, p, out=gg), w, a_rows, s)
+            ms = box_mean(p, w, m, wd, mean_s.reshape(-1), s)
+            box_mean(np.multiply(g, p, out=gg), w, m, wd, a_rows, s)
             a_rows -= np.multiply(mg, ms, out=t)  # cov(guide, src)
-        # var(guide) stays line-aligned: written into the strided a block,
-        # the self-guided filter ran 9-15% slower.
-        vg = box_mean(np.multiply(g, g, out=gg), w, prod.reshape(-1)[: m * wd].reshape(m, wd), s)
+        vg = box_mean(np.multiply(g, g, out=gg), w, m, wd, gg, s)
         vg -= np.multiply(mg, mg, out=t)
         np.maximum(vg, 0.0, out=t)
         t += eps
@@ -146,15 +153,16 @@ class _Strips:
         else:
             a_rows /= t
         b = prod[: n + 2 * r]
-        b_rows = b[atop : atop + m, r : r + wd]
+        b_rows = b.reshape(-1)[start : start + size]
         np.multiply(a_rows, mg, out=b_rows)
         np.subtract(ms, b_rows, out=b_rows)
         _mirror(a, atop, atop + m, r)
         _mirror(b, atop, atop + m, r)
-        o = box_mean(a, w, mean_g[:n], rows[:n])
-        o *= g[i0 - lo + r : i1 - lo + r, r : r + wd]
-        o += box_mean(b, w, tmp[:n], rows[:n])
-        return o
+        o = box_mean(a.reshape(-1), w, n, wd, mean_g.reshape(-1), s)
+        gi = (i0 - lo + r) * pw + r
+        o *= g[gi : gi + len(o)]
+        o += box_mean(b.reshape(-1), w, n, wd, tmp.reshape(-1), s)
+        return mean_g[:n, :wd]
 
 
 def _fill(p: np.ndarray, fill, lo: int, hi: int, top: int, r: int) -> np.ndarray:

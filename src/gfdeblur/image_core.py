@@ -54,32 +54,45 @@ def isnr(clean: np.ndarray, observed: np.ndarray, restored: np.ndarray) -> float
     return 10.0 * np.log10(num / den)
 
 
-def box_mean(padded: np.ndarray, w: int, out: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Valid-mode mean over every w*w window of an already padded block.
+def box_mean(padded: np.ndarray, w: int, n: int, wd: int, out: np.ndarray,
+             rows: np.ndarray) -> np.ndarray:
+    """Valid-mode mean over every w*w window of an already padded block,
+    over flat ranges with row pitch pw = wd + w - 1.
 
-    out[i, j] becomes the mean of padded[i : i + w, j : j + w], so padded
-    has w - 1 more rows and columns than out.  Separable direct sums: the
-    w shifted row slices of padded are added into rows (the caller's
-    scratch, out's height by padded's width), then the w shifted column
-    slices of rows into out, which is divided by w*w.  O(w) work per
-    pixel; each sum adds only the window's own entries, so its rounding
-    does not grow with the image.  Returns out.
+    padded holds n + w - 1 rows of pw samples, row i from element i*pw.
+    out[i*pw + j] becomes the mean of the window whose top-left sample is
+    padded[i*pw + j], for i < n and j < wd; out's range is
+    (n - 1)*pw + wd elements and rows' (the caller's scratch) n*pw.
+    Separable direct sums: the w row-shifted ranges of padded are added
+    into rows, then the w element-shifted ranges of rows into out, which
+    is divided by w*w.  Every pass is one flat loop, where a 2-D view
+    with a pitch wider than its rows would make numpy run one inner loop
+    per row (and buffer each strided operand).  The lanes j >= wd of out
+    are scratch: their windows wrap into the next row, so they hold sums
+    of real samples that no valid lane reads.  O(w) work per pixel; each
+    sum adds only the window's own entries, so its rounding does not
+    grow with the image.  Returns out's range.
     """
     validate_window(w)
-    n, wd = out.shape
     pw = wd + w - 1
-    if padded.shape != (n + w - 1, pw) or rows.shape != (n, pw):
+    size = (n - 1) * pw + wd
+    if (n < 1 or wd < 1 or (padded.ndim, rows.ndim, out.ndim) != (1, 1, 1)
+            or len(padded) < (n + w - 1) * pw or len(rows) < n * pw or len(out) < size):
         raise ValueError(
-            f"window {w}: padded {padded.shape} and rows {rows.shape} do not fit out {out.shape}"
+            f"window {w} over {n}x{wd}: padded {padded.shape}, rows {rows.shape} and out "
+            f"{out.shape} must be flat ranges of at least {(n + w - 1) * pw}, {n * pw} and "
+            f"{size} elements"
         )
+    out = out[:size]
     if w == 1:
-        np.copyto(out, padded)
+        np.copyto(out, padded[:size])
         return out
-    np.add(padded[:n], padded[1 : n + 1], out=rows)
+    rows = rows[: n * pw]
+    np.add(padded[: n * pw], padded[pw : pw + n * pw], out=rows)
     for i in range(2, w):
-        rows += padded[i : i + n]
-    np.add(rows[:, :wd], rows[:, 1 : wd + 1], out=out)
+        rows += padded[i * pw : i * pw + n * pw]
+    np.add(rows[:size], rows[1 : size + 1], out=out)
     for j in range(2, w):
-        out += rows[:, j : j + wd]
+        out += rows[j : j + size]
     out /= float(w * w)
     return out

@@ -114,6 +114,13 @@ class Psf:
         return self.taps.shape
 
 
+def check_kernel_fits(kernel_shape, canvas_shape) -> None:
+    """KernelTooLarge unless a kernel of kernel_shape fits the canvas."""
+    (kh, kw), (height, width) = kernel_shape, canvas_shape
+    if kh > height or kw > width:
+        raise KernelTooLarge(f"PSF {kh}x{kw} does not fit canvas {height}x{width}")
+
+
 def _embed_psf(taps: np.ndarray, height: int, width: int) -> np.ndarray:
     """PSF taps, which fit, placed on a height x width canvas, center
     tap at the origin.
@@ -172,9 +179,7 @@ class SpectralPlan:
 
     def __init__(self, g: np.ndarray, psf: Psf):
         height, width = self.shape = g.shape
-        kh, kw = psf.shape
-        if kh > height or kw > width:
-            raise KernelTooLarge(f"PSF {kh}x{kw} does not fit canvas {height}x{width}")
+        check_kernel_fits(psf.shape, g.shape)
         if psf.factors is None:
             self._H = _rfft2(_embed_psf(psf.taps, height, width))
             self._Hy = self._Hx = None

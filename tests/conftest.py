@@ -17,7 +17,6 @@ import pytest
 import gfdeblur.regparam as regparam
 from gfdeblur.errors import DimensionMismatch, UnreachableBound
 from gfdeblur.guided_filter import GfParams
-from gfdeblur.image_core import box_mean
 from gfdeblur.regparam import LambdaChoice
 from gfdeblur.spectral import (
     INFINITY,
@@ -88,11 +87,21 @@ def box_sum_bruteforce(img: np.ndarray, w: int) -> np.ndarray:
 
 
 def box_mean_padded(img: np.ndarray, w: int) -> np.ndarray:
-    """Window means of the whole image: the box_mean kernel applied once
-    to np.pad(img, r, mode="symmetric")."""
+    """Window means of the whole image: separable direct sums over 2-D
+    views of np.pad(img, r, mode="symmetric"), the w shifted row slices
+    added first, then the w shifted column slices of their sum, divided
+    by w*w.  The oracle for image_core.box_mean, which adds the same
+    entries in the same order over flat ranges."""
+    n, wd = img.shape
     padded = np.pad(img, (w - 1) // 2, mode="symmetric")
-    rows = np.empty((img.shape[0], padded.shape[1]))
-    return box_mean(padded, w, np.empty(img.shape), rows)
+    rows = padded[:n].copy()
+    for i in range(1, w):
+        rows += padded[i : i + n]
+    out = rows[:, :wd].copy()
+    for j in range(1, w):
+        out += rows[:, j : j + wd]
+    out /= float(w * w)
+    return out
 
 
 def guidfilter_unfused(guide: np.ndarray, src: np.ndarray, params: GfParams,

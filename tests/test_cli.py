@@ -7,11 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gfdeblur import bench
+from gfdeblur import bench, cli
 from gfdeblur.bench import SCENARIOS, degrade, parse_psf_spec
 from gfdeblur.cli import _COMMANDS, _build_parser, _gfd_config, main, parse_grid
 from gfdeblur.config import KEYS, parse_run_config
-from gfdeblur.errors import ConfigError
+from gfdeblur.errors import ConfigError, GridTooLarge
 from gfdeblur.pipeline import GfdConfig, run_gfd
 from gfdeblur.pgm import read_image, write_image
 from gfdeblur.regparam import estimate_sigma
@@ -97,17 +97,55 @@ def test_deblur_malformed_psf_spec_exits_2(tmp_path, capsys):
 def test_deblur_psf_that_cannot_be_allocated_exits_2(tmp_path, capsys, monkeypatch):
     # A kernel too large to allocate is refused by name; the builder
     # raises as numpy would for rational:100000, without allocating.
+    # rational:7 fits the image, so its builder is called.
     def unallocatable(radius):
         raise MemoryError(f"Unable to allocate the taps of radius {radius}")
 
-    monkeypatch.setitem(bench.PSF_KINDS, "rational", (unallocatable, (int,)))
+    side = bench.PSF_KINDS["rational"][2]
+    monkeypatch.setitem(bench.PSF_KINDS, "rational", (unallocatable, (int,), side))
     src = tmp_path / "g.pgm"
     write_image(src, rand_int_image(8, (16, 16)))
-    assert main(["deblur", "--in", str(src), "--psf", "rational:100000", "--sigma", "1",
+    assert main(["deblur", "--in", str(src), "--psf", "rational:7", "--sigma", "1",
                  "--out", str(tmp_path / "o.pgm")]) == 2
-    assert ("bad PSF spec 'rational:100000': Unable to allocate the taps of radius 100000"
+    assert ("bad PSF spec 'rational:7': Unable to allocate the taps of radius 7"
             in capsys.readouterr().err)
     assert not (tmp_path / "o.pgm").exists()
+
+
+def test_psf_spec_larger_than_image_refused_before_its_taps(tmp_path, capsys, monkeypatch):
+    # deblur and sweep-rho read the image first, so a spec whose kernel
+    # cannot fit it is refused from PSF_KINDS' side alone, with the
+    # plan's KernelTooLarge message: no builder runs and nothing
+    # kernel-sized is allocated.  boxcar:1001 on 16x16 peaked at 32.1 MB
+    # when its taps were built first.
+    def unbuilt(*fields):
+        raise AssertionError(f"kernel built from {fields}")
+
+    for kind, (_, types, side) in list(bench.PSF_KINDS.items()):
+        monkeypatch.setitem(bench.PSF_KINDS, kind, (unbuilt, types, side))
+    src = tmp_path / "g.pgm"
+    write_image(src, rand_int_image(8, (16, 16)))
+    out = tmp_path / "o.pgm"
+    for spec, side in (("boxcar:1001", 1001), ("boxcar:17", 17), ("gaussian:17:1.6", 17),
+                       ("rational:8", 17), ("rational:100000", 200001)):
+        for argv in (["deblur", "--sigma", "1"], ["sweep-rho", "--bsnr", "30"]):
+            capsys.readouterr()
+            codes = []
+            argv += ["--in", str(src), "--psf", spec, "--out", str(out)]
+            peak = traced_peak(lambda: codes.append(main(argv)))
+            assert codes == [2] and peak < 1e6, (argv, peak)
+            assert f"PSF {side}x{side} does not fit canvas 16x16" in capsys.readouterr().err
+            assert not out.exists()
+    small = tmp_path / "s.pgm"
+    write_image(small, rand_int_image(9, (4, 6)))
+    assert main(["deblur", "--in", str(small), "--psf", "binomial5", "--sigma", "1",
+                 "--out", str(out)]) == 2
+    assert "PSF 5x5 does not fit canvas 4x6" in capsys.readouterr().err
+    # A kernel as tall as the image fits, and only then is it built.
+    with pytest.raises(AssertionError, match="kernel built from"):
+        parse_psf_spec("rational:2", (5, 5))
+    monkeypatch.undo()
+    assert parse_psf_spec("rational:2", (5, 5)).shape == (5, 5)
 
 
 def test_parse_grid():
@@ -118,6 +156,30 @@ def test_parse_grid():
     for spec in ("0.1:0.05", "1:0:2", "1:0.1:0.5", "0.1:0.1:inf", "0.1:nan:1"):
         with pytest.raises(ValueError):
             parse_grid(spec)
+
+
+def test_grid_point_count_bounded_before_expansion(tmp_path, capsys, monkeypatch):
+    # The count comes from start, step and stop; the list is never made.
+    # 0.1:1e-12:1.0 asks for 9e11 points, and 0:1e-320:1 for more than
+    # a float holds.  MAX_GRID_POINTS points are accepted, one more is not.
+    assert len(parse_grid(f"0:1:{cli.MAX_GRID_POINTS - 1}")) == cli.MAX_GRID_POINTS
+    with pytest.raises(GridTooLarge, match=f"{cli.MAX_GRID_POINTS + 1} points"):
+        parse_grid(f"0:1:{cli.MAX_GRID_POINTS}")
+
+    def refused(spec, count):
+        with pytest.raises(GridTooLarge, match=f"has {re.escape(count)} points"):
+            parse_grid(spec)
+
+    for spec, count in (("0.1:1e-12:1.0", "9e+11"), ("0:1e-320:1", "inf")):
+        assert traced_peak(refused, spec, count) < 1e5
+    monkeypatch.setattr(bench, "rho_sweep", None)  # no sweep runs
+    src = tmp_path / "c.pgm"
+    write_image(src, rand_int_image(3, (16, 16)))
+    out = tmp_path / "r.csv"
+    assert main(["sweep-rho", "--in", str(src), "--psf", "boxcar:3", "--grid", "0.1:1e-12:1.0",
+                 "--out", str(out)]) == 2
+    assert "grid '0.1:1e-12:1.0' has 9e+11 points, more than" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ------------------------------------------------------------ commands

@@ -19,6 +19,7 @@ from conftest import (
     rand_image,
     rand_int_image,
     smooth_gradients_unfused,
+    traced_peak,
 )
 
 
@@ -98,10 +99,10 @@ def test_src_must_be_float64():
 
 def test_peak_memory_near_output():
     # Strips keep every temporary small: written over src, the filter
-    # makes no image-sized array (0.31 images of strip buffers here;
-    # whole-image passes peak near 7x), nor does the gradient smoothing
-    # written over a given divergence (0.24 images; 1.24 when it made
-    # the divergence).
+    # makes no image-sized array (0.30 images here, 0.29 of them strip
+    # buffers; whole-image passes peak near 7x), nor does the gradient
+    # smoothing written over a given divergence (0.24 images; 1.24 when
+    # it made the divergence).
     guide = rand_image(8, (1024, 1024))
     src = rand_image(9, (1024, 1024))
     div = np.empty_like(src)
@@ -114,6 +115,60 @@ def test_peak_memory_near_output():
         finally:
             tracemalloc.stop()
         assert peak < 0.4 * src.nbytes, peak / src.nbytes
+
+
+def test_main_filter_peak_at_256():
+    # At 256^2 the main filter's 8 strip buffers are 2.90 images, since
+    # STRIP_BYTES asks for 3 strips of 85-86 rows.  Every pass over them
+    # runs on flat ranges; numpy's iterator gives each strided 2-D
+    # operand of a ufunc a 64 KiB buffer, and three of them (0.38 images)
+    # put the peak at 3.29 images when the column passes ran on 2-D
+    # views.  It reads 3.05 now, the rest of it the fills' 2-D writes.
+    x = rand_image(10, (256, 256))
+    y = rand_image(11, (256, 256))
+    assert traced_peak(guidfilter, x, y, GfParams(5, 1.0)) < 3.15 * x.nbytes
+
+
+def poison_strip_buffers(monkeypatch):
+    """Make every strip buffer start as NaN, so that a lane read before
+    it is written shows in the output."""
+    line_aligned = guided_filter._line_aligned
+
+    def poisoned(*shapes):
+        bufs = line_aligned(*shapes)
+        for buf in bufs:
+            buf.fill(np.nan)
+        return bufs
+
+    monkeypatch.setattr(guided_filter, "_line_aligned", poisoned)
+
+
+@pytest.mark.parametrize("strip_bytes", [STRIP_BYTES, 1, 2048])
+def test_scratch_lanes_read_only_written_memory(monkeypatch, strip_bytes):
+    # The strip buffers share the padded pitch, so each flat pass also
+    # computes lanes past the image's width, on pad columns and the next
+    # row's values.  With every buffer NaN at the start, the filters
+    # still equal the whole-image references bit for bit: odd and even
+    # widths, windows 1-7, one strip and (with STRIP_BYTES low) strips
+    # of the 2r-row floor or a few rows more.
+    poison_strip_buffers(monkeypatch)
+    monkeypatch.setattr(guided_filter, "STRIP_BYTES", strip_bytes)
+    for k, shape in enumerate(((23, 20), (31, 17), (16, 7), (9, 64))):
+        guide = rand_image(50 + k, shape)
+        src = rand_image(60 + k, shape)
+        for w in (1, 3, 5, 7):
+            if w > min(shape):
+                continue
+            p = GfParams(w, 40.0)
+            msg = f"{shape} {w}"
+            ref = guidfilter_unfused(guide, src, p)
+            np.testing.assert_array_equal(guidfilter(guide, src.copy(), p), ref, err_msg=msg)
+            ref_self = guidfilter_unfused(guide, guide, p)
+            g = guide.copy()
+            np.testing.assert_array_equal(guidfilter(g, g, p), ref_self, err_msg=msg)
+            q = GfParams(w, 0.04)
+            div = smooth_gradients(guide, q, np.full(shape, np.nan))
+            np.testing.assert_array_equal(div, smooth_gradients_unfused(guide, q), err_msg=msg)
 
 
 def test_self_guidance_identity_limit():

@@ -56,25 +56,62 @@ def test_box_sum_matches_bruteforce_exactly():
                                       box_sum_bruteforce(img, w) / (w * w))
 
 
+def flat_box_mean(img: np.ndarray, w: int) -> np.ndarray:
+    """box_mean over img's mirror pad as flat ranges of pitch wd + w - 1,
+    with out and rows NaN at the start; returns out's n x wd valid lanes.
+    The kernel writes all of out's range and reads only what it wrote."""
+    n, wd = img.shape
+    pw = wd + w - 1
+    pad = np.pad(img, (w - 1) // 2, mode="symmetric")
+    out = np.full(n * pw, np.nan)
+    flat = box_mean(pad.reshape(-1), w, n, wd, out, np.full(n * pw, np.nan))
+    assert flat.base is out and len(flat) == (n - 1) * pw + wd
+    assert np.isfinite(flat).all()
+    return out.reshape(n, pw)[:, :wd]
+
+
+def test_box_sum_flat_equals_2d_oracle_on_valid_lanes():
+    # The flat kernel adds each valid lane's entries in the 2-D oracle's
+    # order, so every valid lane has the oracle's bits.  The cases reach
+    # the far edges, a one-row image and w equal to the image height,
+    # and cover the shapes of test_box_sum_matches_bruteforce_exactly.
+    cases = [((16, 16), w) for w in (1, 3, 5, 7)] + [((1, 9), 1), ((7, 9), 7), ((5, 12), 5),
+                                                     ((9, 40), 9), ((5, 70000), 5)]
+    cases += [(shape, w) for shape in ((200, 700), (600, 900), (33, 64)) for w in (3, 5, 7, 9)]
+    for k, (shape, w) in enumerate(cases):
+        img = rand_image(40 + k, shape)
+        np.testing.assert_array_equal(flat_box_mean(img, w), box_mean_padded(img, w),
+                                      err_msg=f"{shape} {w}")
+
+
 def test_box_sum_writes_into_strided_out():
     # The guided filter writes a's window statistics straight into the
-    # interior of its padded a block.
+    # interior of its padded a block: a flat range that starts 2 rows
+    # and 2 columns in, whose scratch lanes fall on the pad columns.
     img = rand_image(6, (9, 14))
     pad = np.pad(img, 2, mode="symmetric")
     block = np.zeros((13, 18))
-    rows = np.empty((9, 18))
-    out = box_mean(pad, 5, block[2:11, 2:16], rows)
+    out = box_mean(pad.reshape(-1), 5, 9, 14, block.reshape(-1)[2 * 18 + 2 :], np.empty(9 * 18))
     assert out.base is block
     np.testing.assert_array_equal(block[2:11, 2:16], box_mean_padded(img, 5))
-    assert not block[:2].any() and not block[:, 16:].any()
+    # Nothing before the range's first element or past its last.
+    assert not block[:2].any() and not block[2, :2].any()
+    assert not block[10, 16:].any() and not block[11:].any()
 
 
 def test_box_sum_rejects_misfit_block():
-    pad = np.zeros((12, 12))
+    # Any range too short for (n, wd, w) is refused: 8 x 8 at w = 5 needs
+    # 12 * 12 padded, 8 * 12 rows and 7 * 12 + 8 out elements.
+    pad, rows, out = np.zeros(144), np.empty(96), np.empty(92)
+    box_mean(pad, 5, 8, 8, out, rows)
+    for padded, o, s in ((pad[:-1], out, rows), (pad, out[:-1], rows), (pad, out, rows[:-1]),
+                         (pad.reshape(12, 12), out, rows)):
+        with pytest.raises(ValueError):
+            box_mean(padded, 5, 8, 8, o, s)
     with pytest.raises(ValueError):
-        box_mean(pad, 5, np.empty((8, 9)), np.empty((8, 12)))
+        box_mean(pad, 5, 8, 9, out, rows)
     with pytest.raises(ValueError):
-        box_mean(pad, 5, np.empty((8, 8)), np.empty((12, 12)))
+        box_mean(pad, 5, 12, 8, out, rows)
 
 
 def test_box_sum_accurate_at_2048():
@@ -83,7 +120,7 @@ def test_box_sum_accurate_at_2048():
     # image area (1.4e-7 here).
     n, w = 2048, 5
     img = rand_image(16, (n, n))
-    out = box_mean_padded(img, w)
+    out = flat_box_mean(img, w)
     gen = np.random.default_rng(17)
     points = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, n // 2)]
     points += [tuple(p) for p in gen.integers(0, n, (300, 2))]
@@ -99,7 +136,7 @@ def test_box_sum_rectangular():
 
 def test_box_sum_rejects_even_window():
     with pytest.raises(ValueError):
-        box_mean(np.zeros((11, 11)), 4, np.empty((8, 8)), np.empty((8, 11)))
+        box_mean(np.zeros(121), 4, 8, 8, np.empty(64), np.empty(88))
 
 
 @settings(max_examples=25, deadline=None)

@@ -275,8 +275,9 @@ def test_restore_peak_memory():
     # search, with b a half-plane of its own.  At 1024^2 (scenario 5,
     # estimated sigma) the solves set it at 4.23 images, 4.67 with b apart.
     # At 256^2, where the strip buffers are larger against the image, the
-    # main filter sets it: 6.33 for scenario 5 and 7.32 for scenario 1;
-    # 9.01 with a new output and 10 strip buffers.
+    # main filter sets it: 6.09 for scenario 5 and 7.09 for scenario 1
+    # (6.33 and 7.32 with its box means' column passes on 2-D views;
+    # 9.01 with a new output and 10 strip buffers).
     for size, scenario, known, bound in ((512, 5, True, 5.05), (256, 5, True, 6.5),
                                          (512, 1, True, 6.0), (256, 1, True, 7.7),
                                          (1024, 5, False, 4.4)):
@@ -302,8 +303,9 @@ def test_stage_peak_memory():
     # plan and whole-plane denominators and residuals: lambda search, with
     # b and |H|^2 in v's buffer, 4.65, 5.55 (5.15, 6.05 with b a half-plane
     # of its own; 7.02); solves 4.90 and 4.90, 5.83 and 5.86 (6.09 and 6.52).
-    # The main filter, over u_p, reads 4.10, 5.10; 6.33 with a new output
-    # and 10 strip buffers.  The gradient smoothing, over the divergence,
+    # The main filter, over u_p, reads 4.05, 5.04 (4.10, 5.10 with its box
+    # means' column passes on 2-D views; 6.33 with a new output and 10
+    # strip buffers).  The gradient smoothing, over the divergence,
     # reads 3.85, 4.85.  Each bound leaves about 0.15 images.
     for scenario, bounds in ((5, (4.8, 5.05, 4.25, 4.0)), (1, (5.7, 6.0, 5.3, 5.0))):
         pair = degrade(natural_image(7, 512), SCENARIOS[scenario], seed=0)
