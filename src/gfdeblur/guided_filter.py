@@ -70,8 +70,8 @@ class _Strips:
     rows until the next strip has read the image).  Every buffer is
     reused from strip to strip and carved from one allocation per call: a
     strip temporary allocated and freed on every strip lets the heap top
-    be trimmed and refaulted.  The set is 8 buffers, 6 for a self-guided
-    filter, which needs no src buffers.  All of them have the padded
+    be trimmed and refaulted.  The set is 6 buffers, 5 for a self-guided
+    filter, which needs no src block.  All of them have the padded
     image's row pitch pw = wd + 2r, so a block of k rows of wd values is
     one flat range of (k - 1)*pw + wd elements, and every pass of filter
     runs over such ranges as one loop.
@@ -91,7 +91,7 @@ class _Strips:
         n_src = 0 if self_guided else 1
         self.bufs = _line_aligned(
             (g_rows, pw), (n_src * g_rows, pw), (g_rows, pw), (m_max, pw), (m_max, pw),
-            (m_max, pw), (n_src * m_max, pw), (m_max, pw),
+            (m_max, pw),
         )
 
     def strips(self):
@@ -113,14 +113,16 @@ class _Strips:
         (see box_mean); its lanes past wd in each row are scratch, and in
         the a and b blocks they fall on pad columns that _mirror rewrites
         before anything reads them.  Each value goes into a buffer whose
-        contents are dead by then: var(guide) over the g*g product it is
-        the mean of (box_mean reads all its input before it writes), b
-        over the product block once var is spent, and the output over
-        mean(guide).
+        contents are dead by then, since box_mean reads all its input
+        before it writes: mean(src) over src's block once g*src is formed,
+        var(guide) over the g*g product it is the mean of, b over the
+        product block once var is spent, mean(b) over b, and the output
+        over mean(guide).  The short-lived products go into box_mean's row
+        scratch, which is free between box means.
         """
         h, wd = self.shape
         w, r, pw = self.w, self.r, self.pw
-        pg, ps, prod, rows, pa, mean_g, mean_s, tmp = self.bufs
+        pg, ps, prod, rows, pa, mean_g = self.bufs
         n = i1 - i0
         lo, hi = max(0, i0 - r), min(h, i1 + r)
         m = hi - lo
@@ -131,7 +133,7 @@ class _Strips:
             p = _fill(ps[: m + 2 * r], fill_src, glo, ghi, gtop, r).reshape(-1)
         s = rows.reshape(-1)
         size = (m - 1) * pw + wd  # m rows of window statistics
-        t = tmp.reshape(-1)[:size]
+        t = s[:size]
         mg = box_mean(g, w, m, wd, mean_g.reshape(-1), s)
         gg = prod.reshape(-1)[: len(g)]
         atop = lo - (i0 - r)
@@ -141,8 +143,9 @@ class _Strips:
         if fill_src is None:
             ms = mg
         else:
-            ms = box_mean(p, w, m, wd, mean_s.reshape(-1), s)
-            box_mean(np.multiply(g, p, out=gg), w, m, wd, a_rows, s)
+            np.multiply(g, p, out=gg)
+            ms = box_mean(p, w, m, wd, p, s)
+            box_mean(gg, w, m, wd, a_rows, s)
             a_rows -= np.multiply(mg, ms, out=t)  # cov(guide, src)
         vg = box_mean(np.multiply(g, g, out=gg), w, m, wd, gg, s)
         vg -= np.multiply(mg, mg, out=t)
@@ -161,7 +164,7 @@ class _Strips:
         o = box_mean(a.reshape(-1), w, n, wd, mean_g.reshape(-1), s)
         gi = (i0 - lo + r) * pw + r
         o *= g[gi : gi + len(o)]
-        o += box_mean(b.reshape(-1), w, n, wd, tmp.reshape(-1), s)
+        o += box_mean(b.reshape(-1), w, n, wd, b.reshape(-1), s)
         return mean_g[:n, :wd]
 
 

@@ -44,14 +44,23 @@ def centered_sq_norm(img: np.ndarray) -> float:
 
 
 def isnr(clean: np.ndarray, observed: np.ndarray, restored: np.ndarray) -> float:
-    """Improvement in SNR of the restoration over the observation, dB."""
+    """Improvement in SNR of the restoration over the observation, dB:
+    10 log10(||clean - observed||^2 / ||clean - restored||^2).  An exact
+    restore of an inexact observation scores +inf, and an inexact restore
+    of an exact observation (or one whose ratio underflows) -inf, without
+    a warning.  An exact restore of an exact observation scores 0 dB, as
+    a restore equal to the observation does: nothing was gained or lost.
+    """
     if not clean.shape == observed.shape == restored.shape:
         raise DimensionMismatch("isnr inputs differ in shape")
     num = float(np.sum((clean - observed) ** 2))
     den = float(np.sum((clean - restored) ** 2))
     if den == 0.0:
-        return float(np.inf)
-    return 10.0 * np.log10(num / den)
+        return 0.0 if num == 0.0 else float(np.inf)
+    ratio = num / den
+    if ratio == 0.0:
+        return float(-np.inf)
+    return 10.0 * np.log10(ratio)
 
 
 def box_mean(padded: np.ndarray, w: int, n: int, wd: int, out: np.ndarray,

@@ -87,8 +87,14 @@ def quantize(img: np.ndarray) -> np.ndarray:
 
 
 def write_image(path, img: np.ndarray):
-    """Write an image as 8-bit binary P5, quantized to [0, 255]."""
+    """Write an image as 8-bit binary P5, quantized to [0, 255]: values
+    outside that range, +inf and -inf among them, are clamped to 255 and
+    0.  A NaN pixel has no byte and raises ValueError before the file is
+    opened, so no partial file is left."""
     q = quantize(img)
+    if np.isnan(q).any():
+        i = int(np.argmax(np.isnan(q)))
+        raise ValueError(f"image has a NaN pixel at flat index {i}; cannot write {path}")
     height, width = q.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))

@@ -84,7 +84,8 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
     denoise with the guided filter and re-smooth the gradients of the
     new v into their divergence, the one image the next guidance solve
     takes.  v starts as a black image.  The spectral invariants of (g,
-    psf) are built once, and F(v) once per iteration.  The loop runs on g
+    psf) are built once, and F(v) once per iteration, in place in v's
+    buffer; the divergence is transformed in its own.  The loop runs on g
     scaled by the power of two 2^-e that puts max|g| in [128, 256); a
     given sigma, eps and reference are scaled alike, the output is scaled
     back, and the records stay in the loop's units.
@@ -120,13 +121,14 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
     if ref is None:
         del g  # the loop reads g only for a reference's ISNR; for e != 0 it is a copy
     npix = plan.npix
-    # One buffer each for v and div, kept for the whole restore.  v is the
-    # front of its buffer, which also holds the two half-planes the lambda
-    # search writes, b and |H|^2: 2 * height floats more than v for an
-    # even width, height for an odd one.
-    v_buf = np.zeros(max(npix, 2 * plan.G.size))
-    v = v_buf[:npix].reshape(plan.shape)
-    div = np.zeros(plan.shape)  # divergence of v's smoothed gradients
+    # One spectrum buffer each for v and div, kept for the whole restore:
+    # a complex half-plane with the image at its end, 2 * height floats
+    # more than the image for an even width, height for an odd one.  Each
+    # is transformed, solved and inverted in place.
+    v_buf = np.zeros_like(plan.G)
+    v = plan.image_of(v_buf)
+    div_buf = np.zeros_like(plan.G)
+    div = plan.image_of(div_buf)  # divergence of v's smoothed gradients
 
     trace: list[IterationRecord] = []
     for k in range(1, cfg.iterations + 1):
@@ -135,19 +137,18 @@ def run_gfd(g: np.ndarray, psf: Psf, cfg: GfdConfig, *, reference=None, rho_over
         else:
             rho = compute_rho(g_terms, v, cfg.tau)
         bound_c = rho * npix * est.variance
-        v_hat = plan.spectrum(v)
-        # The search writes over v's buffer; v lives on as v_hat.
-        choice = choose_lambda(plan, v_hat, bound_c, v_buf)
+        v_hat = plan.spectrum(v, v_buf)  # over v, which lives on as v_hat
+        # b and |H|^2 go into a pair of half-planes made for this search.
+        choice = choose_lambda(plan, v_hat, bound_c, np.empty(2 * plan.G.size))
         lam = choice.value
         if choice.is_infinite:
             # v already meets the bound, so both solves are their lambda -> inf
-            # limit, v: F^-1(F(v)), back into v's buffer.
+            # limit, v: F^-1(F(v)), back into v's place.
             u_i = u_p = plan.image(v_hat, v)
         else:
-            # u_p goes into v's buffer from F(v)'s, u_i over div through F(v)'s.
+            # u_p into v's place from F(v), u_i over div through div's buffer.
             u_p = solve_input(plan, v_hat, lam, v)
-            u_i = solve_guidance(plan, div, lam, v_hat)
-        del v_hat
+            u_i = solve_guidance(plan, div, lam, div_buf)
 
         v = guidfilter(u_i, u_p, gf)  # over u_p, which no later step reads
         # Over u_i, or at lambda = INFINITY over the divergence no solve read.

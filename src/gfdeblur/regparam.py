@@ -166,8 +166,9 @@ def choose_lambda(plan: SpectralPlan, v_hat: np.ndarray, bound_c: float,
     work is a C-contiguous float64 array of at least two half-planes,
     2 * plan.G.size elements, and anything else raises ValueError before
     it is written.  Every search writes b over its first half-plane and
-    a finite one writes |H|^2 over the second; run_gfd passes v's buffer,
-    which no later step reads as v.
+    a finite one writes |H|^2 over the second.  run_gfd makes the pair
+    for each search and drops it after, since v's buffer holds v_hat,
+    which the solves then read.
     """
     if not 0 <= bound_c < INFINITY:
         raise ValueError(f"bound_c must be finite and nonnegative, got {bound_c!r}")

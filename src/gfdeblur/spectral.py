@@ -20,11 +20,15 @@ pass (the blur, |H|^2, the solves, the discrepancy terms and each
 residual evaluation) works a row block of the half-plane at a time in the
 scratch _blocks yields, which also takes a rank-1 H's row block, so
 none makes a half-plane temporary; |H|^2 and the discrepancy terms are
-written into half-planes the caller gives.  Every inverse takes two
-steps, ifft over the columns in the spectrum's own buffer, then irfft
-over the rows into the output image; this is irfft2 told the image
-shape, bit for bit, without its image-sized working copies.  The guidance solve
-transforms the divergence Dx^T vx + Dy^T vy, whose spectrum is
+written into half-planes the caller gives.  An image and its spectrum
+share one buffer, a complex half-plane with the image's float64 values
+at its end (_image_of): the forward transform runs in place, rfft over
+row chunks top down and then fft over the columns, and the inverse in
+place, ifft over the columns and then irfft over row chunks bottom up.
+These are rfft2 and irfft2 told the image shape, bit for bit, and
+their only working array is numpy's copy of a chunk's input, which the
+chunk's output overlaps: one row block at most (see _forward).  The guidance
+solve transforms the divergence Dx^T vx + Dy^T vy, whose spectrum is
 conj(Dx) F(vx) + conj(Dy) F(vy): a forward difference's adjoint is the
 backward one.
 """
@@ -52,15 +56,80 @@ SINGULAR = 1e-15
 BLOCK_ELEMENTS = 64 * 1024
 
 
+def _block_rows(shape) -> int:
+    """Rows per row block of a half-plane of the given shape: about
+    BLOCK_ELEMENTS elements, at least one row."""
+    height, cols = shape
+    return min(height, max(1, BLOCK_ELEMENTS // cols))
+
+
 def _blocks(shape, *dtypes):
     """Yield (row slice, one scratch block per dtype) over a half-plane
-    of the given shape, about BLOCK_ELEMENTS elements a block; the
-    scratch blocks are views of buffers made once for the tallest."""
+    of the given shape, a row block at a time; the scratch blocks are
+    views of buffers made once for the tallest."""
     height, cols = shape
-    step = min(height, max(1, BLOCK_ELEMENTS // cols))
+    step = _block_rows(shape)
     bufs = [np.empty((step, cols), dtype) for dtype in dtypes]
     for i in range(0, height, step):
         yield slice(i, i + step), *(buf[: height - i] for buf in bufs)
+
+
+def _image_of(buf: np.ndarray, width: int) -> np.ndarray:
+    """The height x width float64 image at the end of buf, a C-contiguous
+    complex128 half-plane of height rows: its last height * width floats.
+    Image row i lies at or after half-plane row i, and wholly after every
+    half-plane row above i."""
+    flat = buf.reshape(-1).view(np.float64)
+    height = buf.shape[0]
+    return flat[flat.size - height * width :].reshape(height, width)
+
+
+def _forward(buf: np.ndarray, width: int) -> np.ndarray:
+    """rfft2 of the image at buf's end (_image_of), written over buf in
+    place, and buf returned: rfft over row chunks top down, then fft over
+    the columns, the two steps of rfft2, bit for bit.  A chunk's
+    spectrum rows end before the image rows below the chunk begin, so no
+    chunk writes over rows still to be read; numpy copies the chunk's own
+    rows, which its output overlaps, and the column transform works in
+    place, so the working copies are one row block."""
+    img = _image_of(buf, width)
+    step = _block_rows(buf.shape)
+    for i in range(0, len(buf), step):
+        np.fft.rfft(img[i : i + step], axis=1, out=buf[i : i + step])
+    return np.fft.fft(buf, axis=0, out=buf)
+
+
+def _inverse(buf: np.ndarray, width: int) -> np.ndarray:
+    """irfft2(buf, s=(height, width)) written over buf in place, into the
+    image at its end, which is returned: ifft over the columns, then
+    irfft over row chunks bottom up, the two steps of irfft2, bit for
+    bit.  A chunk's image rows begin after the spectrum rows above the
+    chunk end, so no chunk writes over rows still to be read (see
+    _forward)."""
+    np.fft.ifft(buf, axis=0, out=buf)
+    img = _image_of(buf, width)
+    step = _block_rows(buf.shape)
+    for i in reversed(range(0, len(buf), step)):
+        np.fft.irfft(buf[i : i + step], n=width, axis=1, out=img[i : i + step])
+    return img
+
+
+def _same_view(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b view the same memory in the same layout."""
+    return (a.ctypes.data, a.shape, a.strides, a.dtype) == (b.ctypes.data, b.shape, b.strides, b.dtype)
+
+
+def _spectrum(img: np.ndarray, out=None) -> np.ndarray:
+    """The half-plane spectrum of img in out, a new buffer if None: img is
+    copied to out's end, unless it is out's own image, and transformed
+    in place."""
+    height, width = img.shape
+    if out is None:
+        out = np.empty((height, width // 2 + 1), dtype=np.complex128)
+    dst = _image_of(out, width)
+    if not _same_view(img, dst):
+        np.copyto(dst, img)
+    return _forward(out, width)
 
 
 def _abs_sq(z: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -137,25 +206,6 @@ def _embed_psf(taps: np.ndarray, height: int, width: int) -> np.ndarray:
     return canvas
 
 
-def _rfft2(img: np.ndarray, out=None) -> np.ndarray:
-    """rfft2 of img into out, a new half-plane if None.  Given its output,
-    rfft2 makes no image-sized working copy; without, it makes two."""
-    if out is None:
-        height, width = img.shape
-        out = np.empty((height, width // 2 + 1), dtype=np.complex128)
-    return np.fft.rfft2(img, out=out)
-
-
-def _irfft2(spec: np.ndarray, width: int, out=None) -> np.ndarray:
-    """irfft2(spec, s=(height, width)) into out, a new image if None, in
-    two steps: ifft over the columns in spec's own buffer, which it
-    overwrites, then irfft over the rows.  The same transforms as irfft2,
-    bit for bit, without its two image-sized working copies (irfft2
-    ignores out=)."""
-    np.fft.ifft(spec, axis=0, out=spec)
-    return np.fft.irfft(spec, n=width, axis=1, out=out)
-
-
 class SpectralPlan:
     """The loop invariants of one restore of g blurred by psf, stored on
     the rfft2 half-plane (columns 0 .. width // 2).
@@ -171,8 +221,11 @@ class SpectralPlan:
     _H_sq_block give a row block of H and of |H|^2 in either form; the
     solves form conj(H) F(g) and |H|^2 a row block at a time, and H_sq
     writes |H|^2 into a half-plane it is given for the lambda search.
-    spectrum and image are the two transforms, each into a buffer it is
-    given or a new one.
+    spectrum and image are the two transforms, each in place in a
+    spectrum buffer, a C-contiguous complex128 half-plane whose end holds
+    its image (image_of); each copies an image in or out only when it is
+    given one elsewhere.  Every half-plane the plan keeps is made the
+    same way, its image or canvas transformed in place.
     """
 
     __slots__ = ("shape", "G", "_H", "_Hy", "_Hx", "Dy_sq", "Dx_sq", "weights")
@@ -181,14 +234,14 @@ class SpectralPlan:
         height, width = self.shape = g.shape
         check_kernel_fits(psf.shape, g.shape)
         if psf.factors is None:
-            self._H = _rfft2(_embed_psf(psf.taps, height, width))
+            self._H = _spectrum(_embed_psf(psf.taps, height, width))
             self._Hy = self._Hx = None
         else:
             col, row = psf.factors
             self._H = None
-            self._Hy = _rfft2(_embed_psf(col, height, 1))
-            self._Hx = _rfft2(_embed_psf(row, 1, width))
-        self.G = _rfft2(g)
+            self._Hy = _spectrum(_embed_psf(col, height, 1))
+            self._Hx = _spectrum(_embed_psf(row, 1, width))
+        self.G = _spectrum(g)
         kx = np.arange(width // 2 + 1)
         ky = np.arange(height)
         # |exp(i t) - 1|^2 = 4 sin^2(t / 2)
@@ -203,21 +256,37 @@ class SpectralPlan:
     def npix(self) -> int:
         return self.shape[0] * self.shape[1]
 
+    def image_of(self, buf: np.ndarray) -> np.ndarray:
+        """The image at the end of buf, a spectrum buffer: the image that
+        spectrum(image_of(buf), buf) transforms in place and image(buf)
+        writes."""
+        self._check_buffer(buf)
+        return _image_of(buf, self.shape[1])
+
     def spectrum(self, img: np.ndarray, out=None) -> np.ndarray:
-        """Half-plane spectrum of an image of the plan's shape, written into
-        out (a new half-plane if None)."""
+        """Half-plane spectrum of an image of the plan's shape in out, a
+        spectrum buffer (a new one if None), which is returned: img is
+        copied to out's end unless it is image_of(out), then transformed
+        in place."""
         self._check_image(img)
         if out is not None:
-            self._check_spectrum(out)
-        return _rfft2(img, out)
+            self._check_buffer(out)
+        return _spectrum(img, out)
 
     def image(self, spec: np.ndarray, out=None) -> np.ndarray:
-        """The image of a half-plane spectrum, written into out (a new image
-        if None) by the two-step inverse, which overwrites spec."""
-        self._check_spectrum(spec)
+        """The image of spec, a spectrum buffer, inverted in place into
+        image_of(spec), which is returned if out is None; otherwise copied
+        into out, an image of the plan's shape, unless it is that image,
+        and out returned.  spec is overwritten."""
+        self._check_buffer(spec)
         if out is not None:
             self._check_image(out)
-        return _irfft2(spec, self.shape[1], out)
+        img = _inverse(spec, self.shape[1])
+        if out is None:
+            return img
+        if not _same_view(out, img):
+            np.copyto(out, img)
+        return out
 
     def _H_block(self, blk: slice, out: np.ndarray) -> np.ndarray:
         """H's rows blk: a view of _H, or for a rank-1 PSF Hy[blk] Hx
@@ -245,11 +314,11 @@ class SpectralPlan:
             self._H_sq_block(blk, out[blk], tmp)
         return out
 
-    def _solve_blocks(self, spec: np.ndarray, lam: float):
-        """Scale spec by lam and add conj(H) F(g), in place, a row block at
-        a time; yields (row slice, spec's block, the block's |H|^2, a real
-        scratch block) for the caller to divide the block by its
-        denominator before the next."""
+    def _solve(self, spec: np.ndarray, lam: float, denominator) -> None:
+        """Scale spec by lam, add conj(H) F(g) and divide by
+        denominator(row slice, the block's |H|^2, a real scratch block),
+        in place, a row block at a time.  The blocks' scratch is freed on
+        return, before the caller's inverse transform."""
         cols = self.G.shape[1]
         for blk, prod, h_sq in _blocks(self.G.shape, np.complex128, np.float64):
             # prod's block is |H|^2's scratch, then takes H and conj(H) F(g);
@@ -260,7 +329,7 @@ class SpectralPlan:
             s = spec[blk]
             s *= lam
             s += np.multiply(np.conj(H, out=prod), self.G[blk], out=prod)
-            yield blk, s, h_sq, spare[:, cols:]
+            s /= denominator(blk, h_sq, spare[:, cols:])
 
     def _check_image(self, img) -> None:
         if img.shape != self.shape:
@@ -272,6 +341,12 @@ class SpectralPlan:
                 f"spectrum {img_hat.shape} is not the plan's half-plane {self.G.shape}"
             )
 
+    def _check_buffer(self, buf) -> None:
+        """buf can hold an image of the plan's shape and its spectrum."""
+        self._check_spectrum(buf)
+        if buf.dtype != np.complex128 or not buf.flags.c_contiguous:
+            raise ValueError("a spectrum buffer must be a C-contiguous complex128 half-plane")
+
     def _check_half_plane(self, out) -> None:
         """out can take a real half-plane, |H|^2 or the discrepancy terms."""
         self._check_spectrum(out)
@@ -281,7 +356,8 @@ class SpectralPlan:
 
 def circ_convolve(img: np.ndarray, psf: Psf) -> np.ndarray:
     """Centered circular convolution of an image with a PSF: the plan's
-    F(img) times its H, a row block at a time, inverted in two steps."""
+    F(img) times its H, a row block at a time, inverted in place in F(img)'s
+    buffer; returns the image at that buffer's end."""
     plan = SpectralPlan(img, psf)
     for blk, h in _blocks(plan.G.shape, np.complex128):
         spec = plan.G[blk]
@@ -300,21 +376,27 @@ def solve_guidance(plan: SpectralPlan, div, lam, spec):
     Minimizes ||h * u - g||^2 + lam (||dx u - vx||^2 + ||dy u - vy||^2)
     in the Fourier domain, for finite lam > 0, given the prior's
     gradients only as div = Dx^T vx + Dy^T vy.  div is transformed into
-    spec, a half-plane buffer the solve overwrites, and u is written over
-    div, which is returned.  Each row block's denominator (|Dx|^2 +
-    |Dy|^2) lam + |H|^2 is checked before the block is divided;
-    SingularDenominator is raised before div is written.
+    spec, a spectrum buffer the solve overwrites, and u is written over
+    div, which is returned.  With div = plan.image_of(spec), as run_gfd
+    keeps the divergence, both transforms work in place and nothing is
+    copied.  Each row block's denominator (|Dx|^2 + |Dy|^2) lam + |H|^2
+    is checked before the block is divided; SingularDenominator is raised
+    before div is written, unless div is image_of(spec), which the
+    forward transform has already overwritten.
     """
     plan._check_image(div)
     _check_lambda(lam)
     spec = plan.spectrum(div, spec)
-    for blk, s, h_sq, denom in plan._solve_blocks(spec, lam):
+
+    def denominator(blk, h_sq, denom):
         np.add(plan.Dy_sq[blk], plan.Dx_sq, out=denom)
         denom *= lam
         denom += h_sq
         if np.min(denom) < SINGULAR:
             raise SingularDenominator("guidance solve denominator vanishes")
-        s /= denom
+        return denom
+
+    plan._solve(spec, lam, denominator)
     return plan.image(spec, div)
 
 
@@ -324,14 +406,13 @@ def solve_input(plan: SpectralPlan, v_hat, lam, out):
     Minimizes ||h * u - g||^2 + lam ||u - v||^2 in the Fourier domain,
     given v_hat = plan.spectrum(v), for finite lam > 0.  The solve works
     in v_hat's buffer, which it overwrites, and writes u into out, which
-    may be v.
+    may be v; with out = plan.image_of(v_hat), as run_gfd keeps v, the
+    inverse works in place and nothing is copied.
     """
-    plan._check_spectrum(v_hat)
+    plan._check_buffer(v_hat)
     plan._check_image(out)
     _check_lambda(lam)
-    for _, s, h_sq, _ in plan._solve_blocks(v_hat, lam):
-        h_sq += lam
-        s /= h_sq
+    plan._solve(v_hat, lam, lambda blk, h_sq, spare: np.add(h_sq, lam, out=h_sq))
     return plan.image(v_hat, out)
 
 

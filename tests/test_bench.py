@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -127,6 +128,20 @@ def test_isnr_tenth_error_norm():
 def test_isnr_shift_invariance():
     clean, obs, rest = rand_image(9), rand_image(10), rand_image(11)
     assert isnr(clean + 5, obs + 5, rest + 5) == isnr(clean, obs, rest)
+
+
+def test_isnr_exact_images_score_without_a_warning():
+    # An exact observation restored inexactly scores -inf, and an exact
+    # restore +inf, with no divide-by-zero warning (an error here); an
+    # exact restore of an exact observation scores 0 dB, as a restore
+    # equal to the observation does.  A ratio that underflows is -inf.
+    clean, other = rand_image(12), rand_image(13)
+    assert isnr(clean, clean, other) == -math.inf
+    assert isnr(clean, other, clean) == math.inf
+    assert isnr(clean, clean, clean.copy()) == 0.0
+    zero, tiny = np.zeros_like(clean), np.zeros_like(clean)
+    tiny[0, 0] = 1e-160  # squared error 1e-320 against about 5e6
+    assert isnr(zero, tiny, other) == -math.inf
 
 
 def test_isnr_dimension_mismatch():

@@ -150,6 +150,19 @@ def test_p2_short_payload(tmp_path):
         read_image(p)
 
 
+def test_write_refuses_nan_and_clamps_infinities(tmp_path):
+    # A NaN pixel is refused before the file is opened; +inf and -inf are
+    # clamped to 255 and 0 like any value outside [0, 255].
+    img = np.array([[np.inf, -np.inf], [300.0, -5.0]])
+    write_image(tmp_path / "inf.pgm", img)
+    assert np.array_equal(read_image(tmp_path / "inf.pgm"), [[255.0, 0.0], [255.0, 0.0]])
+    img[1, 0] = np.nan
+    path = tmp_path / "nan.pgm"
+    with pytest.raises(ValueError, match="NaN pixel at flat index 2"):
+        write_image(path, img)
+    assert not path.exists()
+
+
 def test_quantize_half_away_from_zero():
     np.testing.assert_array_equal(quantize(np.array([[0.5, 1.49, 254.5, 300.0, -4.0]])),
                                   [[1.0, 1.0, 255.0, 255.0, 0.0]])

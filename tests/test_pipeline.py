@@ -1,5 +1,19 @@
+"""run_gfd end to end: the restore loop's records, its FFT and box-mean
+call counts, its memory, and metamorphic properties.
+
+Run as a script, it prints the stage peaks (conftest.stage_peaks) of the
+recipes README and the memory tests quote, in images:
+
+    python tests/test_pipeline.py --stage-peaks
+"""
+
 import math
+import sys
 import tracemalloc
+from pathlib import Path
+
+if __name__ == "__main__":  # run as a script: use the sources beside the tests
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 import pytest
@@ -266,21 +280,21 @@ def test_zero_observation_restores():
 def test_restore_peak_memory():
     # The plan holds F(g) and, for scenario 1's rational kernel, H as a
     # second half-plane; scenario 5's rank-1 Gaussian keeps H as two
-    # vectors.  The solves work in F(v)'s, v's and the divergence's
-    # buffers, the lambda search keeps b and |H|^2 in v's, the transforms
-    # make no image-sized working copy, the gradient smoothing goes from
-    # v to the divergence in one strip pass, and the main filter writes
-    # over u_p.  At 512^2 the peak, in the solves, reads 4.90 images for
-    # scenario 5 and 5.87 for scenario 1; 5.15 and 6.05, in the lambda
-    # search, with b a half-plane of its own.  At 1024^2 (scenario 5,
-    # estimated sigma) the solves set it at 4.23 images, 4.67 with b apart.
-    # At 256^2, where the strip buffers are larger against the image, the
-    # main filter sets it: 6.09 for scenario 5 and 7.09 for scenario 1
-    # (6.33 and 7.32 with its box means' column passes on 2-D views;
-    # 9.01 with a new output and 10 strip buffers).
-    for size, scenario, known, bound in ((512, 5, True, 5.05), (256, 5, True, 6.5),
-                                         (512, 1, True, 6.0), (256, 1, True, 7.7),
-                                         (1024, 5, False, 4.4)):
+    # vectors.  v and the divergence each live at the end of a spectrum
+    # buffer of their own, where they are transformed, solved and
+    # inverted in place; the lambda search keeps b and |H|^2 in a pair of
+    # half-planes made for it, the transforms' working copies are one row
+    # block, the gradient smoothing goes from v to the divergence in one
+    # strip pass, and the main filter writes over u_p.  The lambda
+    # search sets the peak at every size: at 512^2 4.65 images for
+    # scenario 5 and 5.56 for scenario 1, at 1024^2 (scenario 5,
+    # estimated sigma) 4.17, and at 256^2, where its discrepancy-terms
+    # block is a whole half-plane, 5.57 and 6.39.  With F(v) a half-plane
+    # of its own and 8 strip buffers the solves set it at 512^2 (4.90,
+    # 5.86) and 1024^2 (4.23), and the main filter at 256^2 (6.09, 7.09).
+    for size, scenario, known, bound in ((512, 5, True, 4.8), (256, 5, True, 5.75),
+                                         (512, 1, True, 5.7), (256, 1, True, 6.55),
+                                         (1024, 5, False, 4.3)):
         pair = degrade(natural_image(7, size), SCENARIOS[scenario], seed=0)
         cfg = GfdConfig(iterations=3, sigma=pair.sigma if known else None)
         tracemalloc.start()
@@ -295,20 +309,22 @@ def test_restore_peak_memory():
 
 def test_stage_peak_memory():
     # Each stage's peak counts all that is live while it runs: the plan's
-    # F(g), and H for a PSF that is not rank 1, v, the divergence and, in
-    # the lambda search and the solves, F(v) (4 images for scenario 5's
-    # rank-1 Gaussian, 5 for scenario 1's rational kernel), plus the
-    # stage's own arrays.  Readings for scenario 5, then scenario 1, as
-    # scenario 5 read with H stored, and in brackets with |H|^2 in the
-    # plan and whole-plane denominators and residuals: lambda search, with
-    # b and |H|^2 in v's buffer, 4.65, 5.55 (5.15, 6.05 with b a half-plane
-    # of its own; 7.02); solves 4.90 and 4.90, 5.83 and 5.86 (6.09 and 6.52).
-    # The main filter, over u_p, reads 4.05, 5.04 (4.10, 5.10 with its box
-    # means' column passes on 2-D views; 6.33 with a new output and 10
-    # strip buffers).  The gradient smoothing, over the divergence,
-    # reads 3.85, 4.85.  Each bound leaves about 0.15 images.
-    for scenario, bounds in ((5, (4.8, 5.05, 4.25, 4.0)), (1, (5.7, 6.0, 5.3, 5.0))):
-        pair = degrade(natural_image(7, 512), SCENARIOS[scenario], seed=0)
+    # F(g), and H for a PSF that is not rank 1, and the spectrum buffers
+    # of v and the divergence (3 images for scenario 5's rank-1 Gaussian,
+    # 4 for scenario 1's rational kernel), plus the stage's own arrays.
+    # Readings at 512^2 for scenario 5, then scenario 1, and in brackets
+    # with F(v) a half-plane of its own and 8 strip buffers: lambda
+    # search, with b and |H|^2 in a pair made for it, 4.65, 5.56 (4.65,
+    # 5.55 with them in v's buffer); solves 3.90, 4.86 (4.90, 5.86); main
+    # filter, over u_p, 3.81, 4.81 (4.04, 5.04); gradient smoothing, over
+    # the divergence, 3.74, 4.74 (3.86, 4.85).  At 256^2 with scenario 5
+    # the strip buffers are larger against the image: 5.57, 5.06, 5.39
+    # and 5.26 (5.56, 6.06, 6.09, 5.61).  Each bound leaves about 0.15
+    # images.
+    for size, scenario, bounds in ((512, 5, (4.8, 4.05, 3.95, 3.9)),
+                                   (512, 1, (5.7, 5.0, 4.95, 4.9)),
+                                   (256, 5, (5.7, 5.2, 5.5, 5.4))):
+        pair = degrade(natural_image(7, size), SCENARIOS[scenario], seed=0)
         peaks = stage_peaks(pair.observed, pair.psf, GfdConfig(iterations=3, sigma=pair.sigma))
         search, solves, main_filter, smoothing = bounds
         assert peaks["choose_lambda"] < search, scenario
@@ -336,19 +352,39 @@ FFT_NAMES = [n for n in np.fft.__all__ if n.endswith(("fft", "fft2", "fftn"))]
 
 
 def _count_fft_calls(monkeypatch):
-    """One entry per numpy.fft call: the input's points for a forward
-    transform, 0 for an inverse one."""
+    """One (name, input points) entry per numpy.fft call."""
     calls = []
     for name in FFT_NAMES:
         fn = getattr(np.fft, name)
-        inverse = name.startswith("i")
 
-        def counted(a, *args, _fn=fn, _inverse=inverse, **kw):
-            calls.append(0 if _inverse else np.size(a))
+        def counted(a, *args, _fn=fn, _name=name, **kw):
+            calls.append((_name, np.size(a)))
             return _fn(a, *args, **kw)
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+def _chunks(height, width):
+    """Rows of each row chunk of a height x width image's half-plane, top
+    down, at the current spectral.BLOCK_ELEMENTS."""
+    step = min(height, max(1, spectral.BLOCK_ELEMENTS // (width // 2 + 1)))
+    return [min(step, height - i) for i in range(0, height, step)]
+
+
+def forward_calls(height, width):
+    """One in-place forward transform: rfft of each row chunk top down,
+    then one fft over the half-plane's columns."""
+    half = height * (width // 2 + 1)
+    return [("rfft", rows * width) for rows in _chunks(height, width)] + [("fft", half)]
+
+
+def inverse_calls(height, width):
+    """One in-place inverse: one ifft over the columns, then irfft of each
+    row chunk bottom up."""
+    cols = width // 2 + 1
+    chunks = _chunks(height, width)
+    return [("ifft", height * cols)] + [("irfft", rows * cols) for rows in chunks[::-1]]
 
 
 def test_window_checked_before_spectral_work(monkeypatch):
@@ -374,69 +410,89 @@ def test_mismatched_reference_rejected(monkeypatch):
 
 def test_fft_calls_per_iteration(monkeypatch):
     # The plan costs, per restore, F(g) and H: for scenario 5's rank-1
-    # Gaussian the rfft2s of its column and row factors on a height x 1
-    # and a 1 x width canvas (3 calls, npix + height + width points), and
-    # for the same taps without their factors, the path of a PSF that is
-    # not rank 1, one more image (2 calls, 2 npix).  An iteration costs
-    # F(v) plus, for finite lambda, the input solve's inverse and the
-    # guidance solve's forward transform of one image and its inverse,
-    # and for infinite lambda the inverse of F(v).  Each inverse is two
-    # calls, ifft over the columns and irfft over the rows.
+    # Gaussian the forward transforms of its column and row factors on a
+    # height x 1 and a 1 x width canvas, and for the same taps without
+    # their factors, the path of a PSF that is not rank 1, one of the
+    # whole canvas.  An iteration costs one forward transform, F(v),
+    # plus, for finite lambda, the input solve's inverse and the guidance
+    # solve's forward transform of one image and its inverse, and for
+    # infinite lambda the inverse of F(v).  Each transform is its row
+    # chunks' calls and one column call: row blocks of 12 half-plane
+    # rows make three chunks, 12, 12 and 8 rows, of the 32 rows.
     # Scenario 5 at 32x32 mixes finite and infinite lambda within 6 iterations.
     clean = natural_image(1, 32)
-    (height, width), npix = clean.shape, clean.size
+    height, width = clean.shape
+    monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", 12 * (width // 2 + 1))
+    assert _chunks(height, width) == [12, 12, 8]
     pair = degrade(clean, SCENARIOS[5], seed=0)
     calls = _count_fft_calls(monkeypatch)
     per_iter = []
     smooth = pipeline.smooth_gradients
     monkeypatch.setattr(
-        pipeline, "smooth_gradients",
-        lambda *a: per_iter.append((len(calls), sum(calls))) or smooth(*a),
+        pipeline, "smooth_gradients", lambda *a: per_iter.append(len(calls)) or smooth(*a),
     )
-    for psf, plan_cost in ((pair.psf, [3, npix + height + width]),
-                           (without_factors(pair.psf), [2, 2 * npix])):
+    forward, inverse = forward_calls(height, width), inverse_calls(height, width)
+    factors = forward_calls(height, 1) + forward_calls(1, width)
+    for psf, plan_cost in ((pair.psf, factors + forward), (without_factors(pair.psf), 2 * forward)):
         calls.clear()
         per_iter.clear()
         _, trace = run_gfd(pair.observed, psf, GfdConfig(iterations=6, sigma=pair.sigma))
         infinite = [math.isinf(rec.lam) for rec in trace]
         assert any(infinite) and not all(infinite)
-        # (calls, forward-transform input points) per iteration
-        expected = [[3, npix] if inf else [6, 2 * npix] for inf in infinite]
-        expected[0] = [n + cost for n, cost in zip(expected[0], plan_cost)]
-        assert np.diff([(0, 0)] + per_iter, axis=0).tolist() == expected
+        expected = [forward + inverse if inf else 2 * (forward + inverse) for inf in infinite]
+        expected[0] = plan_cost + expected[0]
+        bounds = [0] + per_iter
+        assert [calls[i:j] for i, j in zip(bounds, bounds[1:])] == expected
 
 
 def test_fft_calls_per_blur(monkeypatch):
     # circ_convolve transforms the image once and, for a rank-1 PSF, only
     # its column and row factors on a height x 1 and a 1 x width canvas,
     # never a whole PSF canvas; a PSF that is not rank 1 costs one more
-    # image.  The inverse is the two steps, ifft then irfft.
+    # image.  Then one inverse, in place.  At 256^2 a row block of the
+    # default size holds every row, so each transform is one chunk.
     clean = natural_image(3, 256)
-    npix = clean.size
     psf = parse_psf_spec(SCENARIOS[5].psf_spec)
     calls = _count_fft_calls(monkeypatch)
-    for blur_psf, forward in ((psf, [256, 256, npix]), (without_factors(psf), [npix, npix])):
+    forward, inverse = forward_calls(256, 256), inverse_calls(256, 256)
+    assert forward == [("rfft", 256 * 256), ("fft", 256 * 129)]
+    factors = forward_calls(256, 1) + forward_calls(1, 256)
+    for blur_psf, plan_cost in ((psf, factors + forward), (without_factors(psf), 2 * forward)):
         calls.clear()
         spectral.circ_convolve(clean, blur_psf)
-        assert calls == forward + [0, 0]
+        assert calls == plan_cost + inverse
+
+
+def _owner(a):
+    """The array that owns a's memory."""
+    while a.base is not None:
+        a = a.base
+    return a
 
 
 def test_library_uses_only_the_half_plane_pair(monkeypatch):
-    # Restoring, degrading and sweeping rho take only rfft2 and its
-    # inverse in two steps: ifft over axis 0, then irfft over axis 1.
+    # Restoring, degrading and sweeping rho take only the in-place pair:
+    # rfft over axis 1 and fft over axis 0 forward, ifft over axis 0 and
+    # irfft over axis 1 back, each writing into the buffer it reads, the
+    # column calls over the very array they read.
     def refuse(*a, **kw):
-        raise AssertionError("a numpy.fft transform other than rfft2, ifft or irfft was called")
+        raise AssertionError("a numpy.fft transform other than rfft, fft, ifft or irfft was called")
 
-    def on_axis(name, axis):
+    def in_place(name, axis):
         fn = getattr(np.fft, name)
 
-        def checked(*a, **kw):
+        def checked(a, *args, **kw):
             assert kw.get("axis") == axis, f"{name} called off axis {axis}"
-            return fn(*a, **kw)
+            out = kw.get("out")
+            assert out is not None and _owner(out) is _owner(a), f"{name} not in place"
+            if axis == 0:
+                assert out is a, f"{name} over a copy"
+            return fn(a, *args, **kw)
 
         return checked
 
-    allowed = {"rfft2": np.fft.rfft2, "ifft": on_axis("ifft", 0), "irfft": on_axis("irfft", 1)}
+    allowed = {"rfft": in_place("rfft", 1), "fft": in_place("fft", 0),
+               "ifft": in_place("ifft", 0), "irfft": in_place("irfft", 1)}
     for name in FFT_NAMES:
         monkeypatch.setattr(np.fft, name, allowed.get(name, refuse))
     clean = natural_image(2, 32)
@@ -559,3 +615,22 @@ def test_transpose_commutes(scenario, known):
     out, _ = run_gfd(pair.observed, pair.psf, cfg)
     out_t, _ = run_gfd(pair.observed.T, Psf(pair.psf.taps.T), cfg)
     np.testing.assert_allclose(out_t, out.T, rtol=0, atol=1e-10)
+
+
+# (size, scenario, known sigma) of each recipe --stage-peaks prints, each
+# restored from natural_image(7, size), degradation seed 0, 3 iterations.
+STAGE_PEAK_RECIPES = ((256, 3, True), (256, 1, False), (512, 5, True), (512, 1, True),
+                      (1024, 5, False))
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--stage-peaks"]:
+        sys.exit("usage: python tests/test_pipeline.py --stage-peaks")
+    names = STAGES + ("run_gfd",)
+    print("size  scenario  sigma      " + " ".join(f"{n:>16}" for n in names))
+    for size, scenario, known in STAGE_PEAK_RECIPES:
+        pair = degrade(natural_image(7, size), SCENARIOS[scenario], seed=0)
+        cfg = GfdConfig(iterations=3, sigma=pair.sigma if known else None)
+        peaks = stage_peaks(pair.observed, pair.psf, cfg)
+        print(f"{size:<5} {scenario:<9} {'known' if known else 'estimated':<10} "
+              + " ".join(f"{peaks[n]:>16.2f}" for n in names))

@@ -287,7 +287,7 @@ def test_asymptote_within_tolerance_of_bound_returns_infinity():
 
 
 def test_choose_lambda_writes_b_then_H_sq_over_work():
-    # run_gfd passes v's buffer as work.  Every search writes b over its
+    # run_gfd makes work for each search.  Every search writes b over its
     # first half-plane, a finite one |H|^2 over the second, and the rest
     # of the buffer is left as it was.
     g, v = rand_image(15, (24, 20)), rand_image(16, (24, 20))

@@ -27,6 +27,7 @@ from conftest import (
     plan_discrepancy,
     psf_spectrum,
     rand_image,
+    traced_peak,
     without_factors,
 )
 
@@ -405,14 +406,67 @@ def test_solves_into_given_buffers_equal_fresh_outputs(shape, monkeypatch):
     assert np.array_equal(u_p, fresh_p) and np.array_equal(u_i, fresh_i)
 
 
-@pytest.mark.parametrize("shape", [(64, 50), (63, 51), (1, 7), (7, 1), (5, 2)])
-def test_two_step_inverse_equals_irfft2(shape):
+def in_buffer(img):
+    """A spectrum buffer, NaN but for img at its end, and that image."""
+    height, width = img.shape
+    buf = np.full((height, width // 2 + 1), np.nan, dtype=complex)
+    view = spectral._image_of(buf, width)
+    view[...] = img
+    return buf, view
+
+
+def chunk_rows(height):
+    """Row chunks the transforms are checked at: one (the default at these
+    sizes), single rows, 5 rows (which divide none of the heights) and
+    one chunk plus one row."""
+    return (None, 1, 5, max(1, height - 1))
+
+
+TRANSFORM_SHAPES = [(64, 50), (63, 51), (1, 7), (7, 1), (5, 2)]
+
+
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES)
+def test_in_place_forward_equals_rfft2(shape, monkeypatch):
+    # rfft over row chunks top down, then fft over the columns, in place
+    # in the buffer whose end holds the image: rfft2's bits, for even and
+    # odd widths, 1 x N and N x 1, and every chunk height.
+    img = rand_image(49, shape)
+    expected = np.fft.rfft2(img)
+    for rows in chunk_rows(shape[0]):
+        if rows is not None:
+            monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * (shape[1] // 2 + 1))
+        buf, _ = in_buffer(img)
+        assert spectral._forward(buf, shape[1]) is buf
+        assert np.array_equal(buf, expected), rows
+
+
+@pytest.mark.parametrize("shape", TRANSFORM_SHAPES)
+def test_two_step_inverse_equals_irfft2(shape, monkeypatch):
+    # ifft over the columns, then irfft over row chunks bottom up, in
+    # place into the image at the buffer's end: irfft2's bits told the
+    # image shape, for every chunk height, on a spectrum that is not
+    # Hermitian in its first column.
     spec = np.fft.rfft2(rand_image(47, shape)) * (1.0 + 0.25j)
     expected = np.fft.irfft2(spec, s=shape)
-    out = np.empty(shape)
-    assert spectral._irfft2(spec.copy(), shape[1], out) is out
-    assert np.array_equal(out, expected)
-    assert np.array_equal(spectral._irfft2(spec.copy(), shape[1]), expected)
+    for rows in chunk_rows(shape[0]):
+        if rows is not None:
+            monkeypatch.setattr(spectral, "BLOCK_ELEMENTS", rows * (shape[1] // 2 + 1))
+        buf = spec.copy()
+        img = spectral._inverse(buf, shape[1])
+        assert img.ctypes.data == spectral._image_of(buf, shape[1]).ctypes.data
+        assert np.array_equal(img, expected), rows
+
+
+def test_transforms_make_no_image_sized_copy():
+    # At 512^2 a row chunk is 255 of the 512 rows: numpy's copy of the
+    # chunk its output overlaps is each transform's only working array,
+    # 0.50 images.  One chunk of all rows would copy the whole image.
+    shape = (512, 512)
+    img = rand_image(63, shape)
+    buf, _ = in_buffer(img)
+    for transform in (spectral._forward, spectral._inverse):
+        assert traced_peak(transform, buf, shape[1]) < 0.55 * img.nbytes, transform
+    assert np.allclose(spectral._image_of(buf, shape[1]), img, rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("shape", [(64, 50), (63, 51)])
